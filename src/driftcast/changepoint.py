@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SegmentTooShort, SeriesTooShort, UnknownColumn
+from .errors import (InvalidConfig, NonFiniteValues, SegmentTooShort, SeriesTooShort,
+                     UnknownColumn)
 from .frame import TimeSeriesFrame
 
 L2_MEAN = "l2_mean"
@@ -52,9 +53,9 @@ class CostModel:
 
     def __post_init__(self):
         if self.kind not in (L2_MEAN, GAUSSIAN_NLL):
-            raise ValueError(f"unknown cost model {self.kind!r}")
+            raise InvalidConfig(f"unknown cost model {self.kind!r}")
         if self.variance_floor <= 0:
-            raise ValueError("variance_floor must be positive")
+            raise InvalidConfig("variance_floor must be positive")
 
     @property
     def min_len(self) -> int:
@@ -68,8 +69,8 @@ class PenaltyConfig:
     beta: float
 
     def __post_init__(self):
-        if not (self.beta >= 0):
-            raise ValueError("beta must be >= 0")
+        if not 0 <= self.beta < math.inf:
+            raise InvalidConfig(f"beta must be a finite number >= 0, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -119,9 +120,14 @@ class PeltState:
 class SegmentCosts:
     """Prefix-sum cost evaluator: O(n k) precompute, O(k) per segment query.
 
-    Holds one pair of contiguous prefix arrays per column; the detectors
-    evaluate whole candidate sets through :meth:`accumulate` with caller
-    buffers, so the inner loop performs no allocation.
+    ``prefix`` is one (2k, n+1) array: row ``c`` holds the running sum of
+    column ``c`` and row ``k + c`` the running sum of its squares, each
+    starting at 0. :meth:`accumulate` takes the prefix values at the
+    segment starts as a (2k, m) block, so the caller decides where they
+    come from: a contiguous slice of ``prefix`` when the starts are
+    ``0..m-1`` (:func:`op_detect`), or the copy each live candidate keeps
+    (:func:`pelt_detect`). Either way the inner loop gathers nothing and
+    allocates nothing.
     """
 
     def __init__(self, values: np.ndarray, model: CostModel | None = None):
@@ -133,57 +139,55 @@ class SegmentCosts:
         self.model = model or CostModel()
         self.n = X.shape[0]
         self.k = X.shape[1]
-        self._s1 = []
-        self._s2 = []
+        self.prefix = np.zeros((2 * self.k, self.n + 1))
         for c in range(self.k):
-            s1 = np.zeros(self.n + 1)
-            s2 = np.zeros(self.n + 1)
-            np.cumsum(X[:, c], out=s1[1:])
-            np.cumsum(X[:, c] * X[:, c], out=s2[1:])
-            self._s1.append(s1)
-            self._s2.append(s2)
+            np.cumsum(X[:, c], out=self.prefix[c, 1:])
+            np.cumsum(X[:, c] * X[:, c], out=self.prefix[self.k + c, 1:])
 
-    def accumulate(self, starts: np.ndarray, stop: int, lenf: np.ndarray,
-                   acc: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> None:
-        """Summed cost of segments [starts_i, stop) into ``acc``.
+    def accumulate(self, starts: np.ndarray, stop: int, heads: np.ndarray,
+                   out: np.ndarray, lenf: np.ndarray, w1: np.ndarray,
+                   w2: np.ndarray) -> None:
+        """Summed cost of segments [starts_i, stop) into ``out``.
 
-        ``lenf`` must already hold ``stop - starts`` as floats; ``w1`` and
-        ``w2`` are scratch. All buffers are views of the candidate length.
+        ``starts`` holds the start rows as floats and ``heads`` holds
+        ``prefix[:, starts]``. ``lenf``, ``w1`` and ``w2`` are scratch;
+        every buffer is a view of the candidate length. The first column's
+        cost is computed in ``out`` itself, so ``w2`` is only touched when
+        there are several columns.
         """
-        acc.fill(0.0)
+        k = self.k
+        tail = self.prefix[:, stop]
         floor = self.model.variance_floor
         nll = self.model.kind == GAUSSIAN_NLL
-        for s1, s2 in zip(self._s1, self._s2):
-            np.take(s1, starts, out=w1)
-            np.subtract(s1[stop], w1, out=w1)
-            np.take(s2, starts, out=w2)
-            np.subtract(s2[stop], w2, out=w2)
+        np.subtract(stop, starts, out=lenf)
+        for c in range(k):
+            b = out if c == 0 else w2
+            np.subtract(tail[c], heads[c], out=w1)
+            np.subtract(tail[k + c], heads[k + c], out=b)
             if nll:
-                np.divide(w2, lenf, out=w2)
+                np.divide(b, lenf, out=b)
                 np.divide(w1, lenf, out=w1)
                 np.multiply(w1, w1, out=w1)
-                np.subtract(w2, w1, out=w2)
-                np.maximum(w2, floor, out=w2)
-                np.log(w2, out=w2)
-                np.multiply(w2, lenf, out=w2)
-                np.multiply(w2, 0.5, out=w2)
-                np.add(acc, w2, out=acc)
+                np.subtract(b, w1, out=b)
+                np.maximum(b, floor, out=b)
+                np.log(b, out=b)
+                np.multiply(b, lenf, out=b)
+                np.multiply(b, 0.5, out=b)
             else:
                 np.multiply(w1, w1, out=w1)
                 np.divide(w1, lenf, out=w1)
-                np.subtract(w2, w1, out=w2)
-                np.add(acc, w2, out=acc)
+                np.subtract(b, w1, out=b)
+            if c:
+                np.add(out, w2, out=out)
 
     def cost_open(self, start, stop: int):
         """Cost of rows [start, stop); ``start`` may be a vector."""
         starts = np.atleast_1d(np.asarray(start, dtype=np.int64))
         m = starts.size
-        lenf = (stop - starts).astype(np.float64)
-        acc = np.empty(m)
-        w1 = np.empty(m)
-        w2 = np.empty(m)
-        self.accumulate(starts, stop, lenf, acc, w1, w2)
-        return acc if np.asarray(start).ndim else float(acc[0])
+        out = np.empty(m)
+        self.accumulate(starts.astype(np.float64), stop, self.prefix[:, starts],
+                        out, np.empty(m), np.empty(m), np.empty(m))
+        return out if np.asarray(start).ndim else float(out[0])
 
     def cost(self, t1: int, t2: int) -> float:
         """Cost of the inclusive segment [t1, t2]."""
@@ -219,27 +223,27 @@ def _chain_of(bp: np.ndarray, t: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _select(cand: np.ndarray, vals: np.ndarray, m: np.ndarray, bp: np.ndarray):
+def _select(cand: np.ndarray, vals: np.ndarray, bp: np.ndarray):
     """Pick the minimizing predecessor; on exact float ties prefer fewer
     changepoints, then the lexicographically earliest changepoint set."""
-    j = int(np.argmin(vals))
+    j = int(vals.argmin())
     v = vals[j]
-    if (vals == v).sum() == 1:
+    if np.count_nonzero(vals == v) == 1:
         return int(cand[j]), float(v)
     best_tau = -1
     best_key = None
     for idx in np.flatnonzero(vals == v):
         tau = int(cand[idx])
-        if tau > 0:
-            key = (m[tau] + 1, _chain_of(bp, tau) + (tau,))
-        else:
-            key = (0, ())
+        chain = _chain_of(bp, tau) + (tau,) if tau > 0 else ()
+        key = (len(chain), chain)
         if best_key is None or key < best_key:
             best_key, best_tau = key, tau
     return best_tau, float(v)
 
 
-def _check_inputs(X: np.ndarray, model: CostModel, min_size: int):
+def _setup(values, model: CostModel, penalty: PenaltyConfig | None, min_size: int):
+    """Validated inputs of a detector run: (n, beta, costs)."""
+    X = _as_matrix(values)
     n = X.shape[0]
     if min_size < model.min_len:
         raise SegmentTooShort(
@@ -248,29 +252,32 @@ def _check_inputs(X: np.ndarray, model: CostModel, min_size: int):
     if n < 2 * min_size:
         raise SeriesTooShort(f"need n >= {2 * min_size}, have {n}")
     if not np.isfinite(X).all():
-        raise ValueError("series contains non-finite values")
-    return n
+        raise NonFiniteValues("series contains non-finite values")
+    costs = SegmentCosts(X, model)
+    if not np.isfinite(costs.prefix[:, -1]).all():
+        raise NonFiniteValues("series too large: its sum of squares overflows")
+    if penalty is None:
+        penalty = default_penalty_multi(X)
+    return n, penalty.beta, costs
 
 
 class _Buffers:
     def __init__(self, n: int):
         self.lenf = np.empty(n + 1)
-        self.acc = np.empty(n + 1)
         self.w1 = np.empty(n + 1)
         self.w2 = np.empty(n + 1)
         self.vals = np.empty(n + 1)
 
-    def candidate_values(self, costs: SegmentCosts, F: np.ndarray,
-                         active: np.ndarray, t: int, beta: float) -> np.ndarray:
-        """F[tau] + C(tau, t) + beta for every tau in ``active`` (a view)."""
-        m = active.size
-        lenf, acc = self.lenf[:m], self.acc[:m]
-        lenf[:] = active
-        np.subtract(float(t), lenf, out=lenf)
-        costs.accumulate(active, t, lenf, acc, self.w1[:m], self.w2[:m])
+    def candidate_values(self, costs: SegmentCosts, starts: np.ndarray,
+                         heads: np.ndarray, f_heads: np.ndarray, t: int,
+                         beta: float) -> np.ndarray:
+        """F[tau] + C(tau, t) + beta for every tau in ``starts`` (a view);
+        ``f_heads`` and ``heads`` hold F and the prefix sums at ``starts``."""
+        m = starts.size
         vals = self.vals[:m]
-        np.take(F, active, out=vals)
-        np.add(vals, acc, out=vals)
+        costs.accumulate(starts, t, heads, vals,
+                         self.lenf[:m], self.w1[:m], self.w2[:m])
+        np.add(f_heads, vals, out=vals)
         np.add(vals, beta, out=vals)
         return vals
 
@@ -282,28 +289,25 @@ def op_detect(values, model: CostModel | None = None,
 
     Quadratic in n; intended for n up to a few thousand. This is the
     correctness oracle for :func:`pelt_detect`: identical objective,
-    identical tie-breaking, no pruning.
+    identical tie-breaking, no pruning. Its candidates at step t are
+    ``0..t-min_size``, so the per-candidate F values and prefix sums are
+    plain slices of ``F`` and ``SegmentCosts.prefix``.
     """
     model = model or CostModel()
-    X = _as_matrix(values)
-    n = _check_inputs(X, model, min_size)
-    if penalty is None:
-        penalty = default_penalty_multi(X)
-    beta = penalty.beta
-    costs = SegmentCosts(X, model)
+    n, beta, costs = _setup(values, model, penalty, min_size)
     bufs = _Buffers(n)
+    every = np.arange(n + 1, dtype=np.float64)
 
     F = np.full(n + 1, np.inf)
     F[0] = -beta
     bp = np.full(n + 1, -1, dtype=np.int64)
-    m = np.zeros(n + 1, dtype=np.int64)
     for t in range(min_size, n + 1):
-        cand = np.arange(0, t - min_size + 1)
-        vals = bufs.candidate_values(costs, F, cand, t, beta)
-        tau, v = _select(cand, vals, m, bp)
+        m = t - min_size + 1
+        starts = every[:m]
+        vals = bufs.candidate_values(costs, starts, costs.prefix[:, :m], F[:m], t, beta)
+        tau, v = _select(starts, vals, bp)
         F[t] = v
         bp[t] = tau
-        m[t] = m[tau] + (1 if tau > 0 else 0)
 
     cps = _chain_of(bp, n)
     seg = Segmentation(cps, n, float(F[n]), beta, model.kind)
@@ -326,63 +330,66 @@ def pelt_detect(values, model: CostModel | None = None,
       t itself only becomes an admissible predecessor at ``t + min_size``;
     * the test carries a tiny relative guard so float rounding in the
       subadditivity inequality can never evict a near-tied candidate.
+
+    Each live candidate is one column of ``cand``: its position (as a
+    float), ``F[tau]`` and ``prefix[:, tau]``, copied once on admission
+    and compacted together with ``remove_at`` when pruning fires. A step
+    then only subtracts them from the prefix sums at t: it gathers
+    nothing, and builds the pruning mask only when some candidate fails
+    the test.
     """
     model = model or CostModel()
-    X = _as_matrix(values)
-    n = _check_inputs(X, model, min_size)
-    if penalty is None:
-        penalty = default_penalty_multi(X)
-    beta = penalty.beta
-    costs = SegmentCosts(X, model)
+    n, beta, costs = _setup(values, model, penalty, min_size)
     bufs = _Buffers(n)
 
     F = np.full(n + 1, np.inf)
     F[0] = -beta
     bp = np.full(n + 1, -1, dtype=np.int64)
-    m = np.zeros(n + 1, dtype=np.int64)
 
     never = np.iinfo(np.int64).max
-    cand = np.empty(n + 1, dtype=np.int64)    # admissible predecessors
+    cand = np.empty((2 + 2 * costs.k, n + 1))  # rows: tau, F[tau], prefix[:, tau]
     remove_at = np.empty(n + 1, dtype=np.int64)
     size = 0
     next_removal = never
     pruned: list[tuple[int, int]] = []
 
     for t in range(min_size, n + 1):
-        cand[size] = t - min_size             # newly admissible predecessor
+        new = t - min_size                    # newly admissible predecessor
+        cand[0, size] = new
+        cand[1, size] = F[new]
+        cand[2:, size] = costs.prefix[:, new]
         remove_at[size] = never
         size += 1
 
         if next_removal <= t:
             live = remove_at[:size] > t
             if with_state:
-                pruned.extend((int(tau), t) for tau in cand[:size][~live])
-            keep = int(live.sum())
-            cand[:keep] = cand[:size][live]
+                pruned.extend((int(tau), t) for tau in cand[0, :size][~live])
+            keep = int(np.count_nonzero(live))
+            cand[:, :keep] = cand[:, :size][:, live]
             remove_at[:keep] = remove_at[:size][live]
             size = keep
             next_removal = int(remove_at[:size].min()) if size else never
 
-        active = cand[:size]
-        vals = bufs.candidate_values(costs, F, active, t, beta)
-        tau, v = _select(active, vals, m, bp)
+        active = cand[0, :size]
+        vals = bufs.candidate_values(costs, active, cand[2:, :size],
+                                     cand[1, :size], t, beta)
+        tau, v = _select(active, vals, bp)
         F[t] = v
         bp[t] = tau
-        m[t] = m[tau] + (1 if tau > 0 else 0)
 
         # K = 0 pruning test with a relative float guard; effective after
         # min_size further steps (t is not admissible before then).
         threshold = v + beta + 1e-12 * (1.0 + abs(v))
-        slot = remove_at[:size]
-        doomed = vals > threshold
-        if doomed.any():
-            np.minimum(slot, t + min_size, out=slot, where=doomed)
+        if vals.max() > threshold:
+            slot = remove_at[:size]
+            np.minimum(slot, t + min_size, out=slot, where=vals > threshold)
             next_removal = min(next_removal, t + min_size)
 
     cps = _chain_of(bp, n)
     seg = Segmentation(cps, n, float(F[n]), beta, model.kind)
     if with_state:
-        return seg, PeltState(F, bp, cand[:size].copy(), pruned)
+        return seg, PeltState(F, bp, cand[0, :size].astype(np.int64), pruned)
     return seg
 
 
@@ -400,6 +407,8 @@ def default_penalty(values) -> PenaltyConfig:
     if y.size < 3:
         raise SeriesTooShort("need n >= 3 to estimate a penalty")
     sigma2 = float(np.mean(np.diff(y) ** 2) / 2.0)
+    if not math.isfinite(sigma2):
+        raise NonFiniteValues("cannot derive a penalty: first differences are not finite")
     return PenaltyConfig(max(2.0 * sigma2 * math.log(y.size), 1e-12))
 
 

@@ -1,8 +1,9 @@
 """The ``driftcast`` command: synth, detect, run, compare, plot.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 numeric failure
-(training divergence), 4 I/O failure. All emitted JSON/CSV artifacts are
-byte-stable for a fixed invocation and seed; SVG files carry no metadata.
+(training divergence, non-finite data or scores), 4 I/O failure. All
+emitted JSON/CSV artifacts are byte-stable for a fixed invocation and
+seed; SVG files carry no metadata.
 The environment variable ``DRIFTCAST_SEED`` supplies the default seed when
 ``--seed`` is not given.
 """
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import changepoint as cp
 from . import pipeline, serialize, svgplot, synth
-from .errors import DriftcastError, NonFiniteLoss
+from .errors import DriftcastError, InvalidConfig, NonFiniteLoss, NonFiniteValues
 from .features import FeatureSpec
 from .frame import SplitSpec, forward_fill, load_csv, resample_hourly, write_csv
 from .lasso import LassoConfig
@@ -41,8 +42,12 @@ def _default_seed() -> int:
         return 0
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x.strip())
+def _int_list(text: str, flag: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        raise InvalidConfig(
+            f"{flag} takes comma-separated integers, got {text!r}") from None
 
 
 def _pick_target(frame, requested):
@@ -137,8 +142,8 @@ def cmd_detect(args) -> int:
 
 def _strategy_config(args, strategy) -> pipeline.StrategyConfig:
     spec = FeatureSpec(
-        lags=_int_list(args.lags),
-        rolling_windows=_int_list(args.windows),
+        lags=_int_list(args.lags, "--lags"),
+        rolling_windows=_int_list(args.windows, "--windows"),
         polynomial_degree=args.poly_degree,
     )
     if args.enriched:
@@ -408,7 +413,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NonFiniteLoss as exc:
+    except (NonFiniteLoss, NonFiniteValues) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
     except DriftcastError as exc:

@@ -45,6 +45,10 @@ class SegmentTooShort(DriftcastError):
     """Segment shorter than the cost model's minimum length."""
 
 
+class NonFiniteValues(DriftcastError):
+    """A series handed to detection holds NaN or infinite values."""
+
+
 # --- feature engineering ---
 
 class LagExceedsLength(DriftcastError):
@@ -66,7 +70,7 @@ class ShapeMismatch(DriftcastError):
 
 
 class NonFiniteLoss(DriftcastError):
-    """Training diverged: a loss became NaN or infinite."""
+    """Training diverged, or no candidate model scored a finite loss."""
 
 
 # --- metrics ---
@@ -81,6 +85,12 @@ class EmptyInput(DriftcastError):
 
 class ZeroVariance(DriftcastError):
     """R^2 is undefined for a constant target."""
+
+
+# --- configuration ---
+
+class InvalidConfig(DriftcastError, ValueError):
+    """A configuration value lies outside its allowed range."""
 
 
 # --- pipeline / comparison ---

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     DuplicateTimestamp,
     EmptyFile,
+    InvalidConfig,
     LeadingGap,
     MissingColumn,
     TooFewRows,
@@ -120,7 +121,8 @@ class SplitSpec:
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must lie in (0, 1)")
+            raise InvalidConfig(
+                f"train_fraction must lie in (0, 1), got {self.train_fraction}")
 
     def boundary(self, n: int) -> int:
         return int(math.floor(self.train_fraction * n))
@@ -172,9 +174,10 @@ def _parse_value(cell: str) -> float:
     if not text:
         return math.nan
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         return math.nan  # non-numeric payloads become missing markers
+    return value if math.isfinite(value) else math.nan  # and so does +-inf
 
 
 def load_csv(path, timestamp_column: str = "timestamp", columns=None) -> TimeSeriesFrame:
@@ -184,8 +187,9 @@ def load_csv(path, timestamp_column: str = "timestamp", columns=None) -> TimeSer
     ----------
     path : str or Path
         File with a header row; one column holds timestamps (ISO-8601 or
-        epoch seconds), the rest numeric values. Empty / non-numeric cells
-        become missing markers (NaN).
+        epoch seconds), the rest numeric values. Empty, non-numeric and
+        infinite (``inf``, ``-inf``) cells become missing markers (NaN),
+        which :func:`forward_fill` treats like any other gap.
     timestamp_column : str
         Header name of the timestamp column.
     columns : None, list of str, or dict

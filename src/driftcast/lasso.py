@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DidNotConverge, ShapeMismatch, TooFewRows
+from .errors import DidNotConverge, InvalidConfig, NonFiniteLoss, ShapeMismatch, TooFewRows
 from .features import FeatureMatrix
 from .frame import STD_FLOOR
 
@@ -41,11 +41,11 @@ class LassoConfig:
     def __post_init__(self):
         object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
         if any(a < 0 for a in self.alpha_grid):
-            raise ValueError("alphas must be >= 0 (0 is the OLS check mode)")
+            raise InvalidConfig("alphas must be >= 0 (0 is the OLS check mode)")
         if self.cv_folds < 2:
-            raise ValueError("cv_folds must be >= 2")
+            raise InvalidConfig("cv_folds must be >= 2")
         if self.tol <= 0 or self.max_iter < 1:
-            raise ValueError("tol must be positive and max_iter >= 1")
+            raise InvalidConfig("tol must be positive and max_iter >= 1")
 
     def to_dict(self) -> dict:
         return {
@@ -280,6 +280,8 @@ def lasso_cv(features: FeatureMatrix, config: LassoConfig | None = None) -> Lass
         if mean_mse <= best_mse:  # ties resolve toward the larger alpha
             best_mse = mean_mse
             best_alpha = alpha
+    if not np.isfinite(best_mse):
+        raise NonFiniteLoss("no alpha in the grid gave a finite cross-validation score")
 
     model = lasso_fit(features.X, features.y, best_alpha, config)
     model.feature_names = features.feature_names

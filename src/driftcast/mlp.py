@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteLoss, ShapeMismatch, TooFewRows
+from .errors import InvalidConfig, NonFiniteLoss, ShapeMismatch, TooFewRows
 from .features import FeatureMatrix
 from .frame import STD_FLOOR, Scaler
 
@@ -42,13 +42,15 @@ class MlpConfig:
     def __post_init__(self):
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must lie in [0, 1)")
+            raise InvalidConfig("dropout_rate must lie in [0, 1)")
         if self.patience < 1:
-            raise ValueError("patience must be >= 1")
+            raise InvalidConfig("patience must be >= 1")
+        if self.max_epochs < 1:
+            raise InvalidConfig(f"max_epochs must be >= 1, got {self.max_epochs}")
         if not 0.0 < self.val_fraction < 0.5:
-            raise ValueError("val_fraction must lie in (0, 0.5)")
+            raise InvalidConfig("val_fraction must lie in (0, 0.5)")
         if any(h < 1 for h in self.hidden):
-            raise ValueError("hidden layer widths must be positive")
+            raise InvalidConfig("hidden layer widths must be positive")
 
     def to_dict(self) -> dict:
         return {

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import changepoint as cp
-from .errors import PostDriftTooShort, TooFewRows, MismatchedTestBlocks
+from .errors import InvalidConfig, MismatchedTestBlocks, PostDriftTooShort, TooFewRows
 from .features import FeatureMatrix, FeatureSpec, build_features
 from .frame import STD_FLOOR, SplitSpec, TimeSeriesFrame
 from .lasso import LassoConfig, lasso_cv
@@ -96,11 +96,11 @@ class StrategyConfig:
 
     def __post_init__(self):
         if self.strategy not in (BASELINE, DRIFT_RETRAIN):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
+            raise InvalidConfig(f"unknown strategy {self.strategy!r}")
         if self.model not in (MLP, LASSO):
-            raise ValueError(f"unknown model family {self.model!r}")
+            raise InvalidConfig(f"unknown model family {self.model!r}")
         if self.metric_scale not in (SCALE_STANDARDIZED, SCALE_ORIGINAL):
-            raise ValueError(f"unknown metric scale {self.metric_scale!r}")
+            raise InvalidConfig(f"unknown metric scale {self.metric_scale!r}")
 
     def to_dict(self) -> dict:
         d = {

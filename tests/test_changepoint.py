@@ -1,9 +1,14 @@
+import hashlib
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from driftcast import pipeline, synth
 from driftcast.changepoint import (
     CostModel,
     PenaltyConfig,
@@ -17,7 +22,7 @@ from driftcast.changepoint import (
     per_column_detect,
     segment_cost,
 )
-from driftcast.errors import SegmentTooShort, SeriesTooShort
+from driftcast.errors import InvalidConfig, NonFiniteValues, SegmentTooShort, SeriesTooShort
 from driftcast.frame import HOUR, TimeSeriesFrame
 
 L2 = CostModel()
@@ -161,6 +166,105 @@ class TestPelt:
         counts = [pelt_detect(y, L2, PenaltyConfig(b)).m
                   for b in (0.01, 0.1, 1.0, 5.0, 25.0, 125.0)]
         assert counts == sorted(counts, reverse=True)
+
+
+@st.composite
+def tie_prone_series(draw):
+    """1-3 columns built from constant runs of small integers or floats,
+    so exact cost ties and zero-cost segments are common."""
+    k = draw(st.integers(1, 3))
+    value = st.one_of(st.integers(-2, 2).map(float),
+                      st.floats(-10, 10, allow_nan=False, width=32))
+    runs = draw(st.lists(st.tuples(st.integers(1, 8), st.lists(value, min_size=k, max_size=k)),
+                         min_size=1, max_size=8))
+    X = np.array([row for length, row in runs for _ in range(length)])
+    return X[:, 0] if k == 1 and draw(st.booleans()) else X
+
+
+class TestPeltExactness:
+    @settings(max_examples=200, deadline=None)
+    @given(X=tie_prone_series(), min_size=st.integers(2, 5),
+           model=st.sampled_from([L2, NLL]),
+           beta=st.sampled_from([0.0, 0.25, 1.0, 4.0, 20.0]))
+    def test_pelt_equals_op(self, X, min_size, model, beta):
+        assume(len(X) >= 2 * min_size)
+        pen = PenaltyConfig(beta)
+        seg, state = pelt_detect(X, model, pen, min_size, with_state=True)
+        oracle, bp = op_detect(X, model, pen, min_size, with_state=True)
+        assert seg.changepoints == oracle.changepoints
+        assert seg.total_cost.hex() == oracle.total_cost.hex()
+        assert state.backpointers.tobytes() == bp.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(min_size=st.integers(1, 3), data=st.data())
+    def test_tie_rule_matches_enumeration(self, min_size, data):
+        # runs of integers at beta 0: every segmentation cutting at least at
+        # the value changes costs exactly 0, so the tie rule alone decides
+        runs = data.draw(st.lists(st.tuples(st.integers(min_size, 4), st.integers(0, 2)),
+                                  min_size=1, max_size=4))
+        y = np.array([float(v) for length, v in runs for _ in range(length)])
+        assume(2 * min_size <= len(y) <= 12)
+        _, m, cps = exhaustive_min(y, L2, 0.0, min_size)
+        for detect in (pelt_detect, op_detect):
+            seg = detect(y, L2, PenaltyConfig(0.0), min_size)
+            assert (seg.m, seg.changepoints) == (m, cps)
+
+    @pytest.mark.parametrize("y,beta,expect", [
+        # (4,) and (1, 3) both total 1.5: fewer changepoints win
+        ([1.0, 0.0, 0.0, 1.0, 2.0], 0.5, (4,)),
+        # (2, 3) and (2, 4) both total 2.5: the earliest set wins
+        ([0.0, 0.0, 2.0, 1.0, 0.0], 1.0, (2, 3)),
+    ])
+    def test_exact_tie_cases(self, y, beta, expect):
+        for detect in (pelt_detect, op_detect):
+            assert detect(np.array(y), L2, PenaltyConfig(beta), 1).changepoints == expect
+
+    # sha256 of PeltState.F and .backpointers for l2_mean on what retrain's
+    # detection sees on the default synth (seed 1), recorded before the
+    # per-candidate kernel replaced per-step gathers
+    GOLDEN = {
+        True: ("ceb109642a33b779a82f3ae6d55ecefdfb686d14ea19b044f174b63f48a1c6dc",
+               "6c00cf010d7b73489fa36a06a87b7ac3cafc60b8d2038f010c2402a49b9dd288"),
+        False: ("1a147eb09a3167ef699b7f3b7c6486916154a55f19db0aaed1f0f75706e2fb0f",
+                "106b99ba2dddd9e96b5852687bd76c6ab9f6db8ffcd538dd530fb25004c3cb03"),
+    }
+
+    @pytest.mark.parametrize("on_target", [True, False], ids=["target", "lags"])
+    def test_golden_state_on_default_synth(self, on_target):
+        config = pipeline.StrategyConfig(
+            detection=pipeline.DetectionConfig(on_target=on_target))
+        frame = synth.generate(synth.SynthConfig(seed=1))
+        prep = pipeline._prepare(frame, synth.TARGET_COLUMN, config)
+        with mock.patch.object(pipeline.cp, "pelt_detect",
+                               return_value=Segmentation((), 1, 0.0)) as fake:
+            pipeline.detect_training_drift(prep, config)
+        values, model, penalty, min_size = fake.call_args.args
+        assert np.shape(values) == ((27883,) if on_target else (27883, 3))
+        _, state = pelt_detect(values, model, penalty, min_size, with_state=True)
+        digest = lambda a: hashlib.sha256(a.tobytes()).hexdigest()
+        assert (digest(state.F), digest(state.backpointers)) == self.GOLDEN[on_target]
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_detectors_reject_non_finite(self, bad):
+        y = np.linspace(0.0, 1.0, 20)
+        y[7] = bad
+        for detect in (pelt_detect, op_detect):
+            with pytest.raises(NonFiniteValues):
+                detect(y, L2, PenaltyConfig(1.0))
+        with pytest.raises(NonFiniteValues):
+            default_penalty(y)
+
+    def test_overflowing_sum_of_squares(self):
+        y = np.tile([1e200, -1e200], 10)
+        with pytest.raises(NonFiniteValues), np.errstate(over="ignore"):
+            pelt_detect(y, L2, PenaltyConfig(1.0))
+
+    @pytest.mark.parametrize("beta", [-1.0, np.nan, np.inf])
+    def test_penalty_must_be_finite_and_non_negative(self, beta):
+        with pytest.raises(InvalidConfig):
+            PenaltyConfig(beta)
 
 
 class TestOpDetect:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from driftcast import pipeline
@@ -29,6 +30,16 @@ STATIONARY_CONFIG = {
 
 def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def with_values(src, dst, value_of_row):
+    """Copy a synth CSV, replacing row i's value by ``value_of_row(i, cell)``."""
+    lines = src.read_text(encoding="utf-8").splitlines()
+    for i in range(1, len(lines)):
+        stamp, cell = lines[i].split(",")
+        lines[i] = f"{stamp},{value_of_row(i, cell)}"
+    dst.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return dst
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +118,22 @@ class TestDetect:
         assert "union_changepoints" in payload
         assert payload["columns"]["interest_rate"]["changepoints"]
 
+    def test_infinite_cell_is_a_gap(self, workdir, tmp_path):
+        data = with_values(workdir / "data.csv", tmp_path / "inf.csv",
+                           lambda i, cell: "inf" if i == 500 else cell)
+        out = tmp_path / "seg.json"
+        assert main(["detect", "--data", str(data), "--out", str(out)]) == 0
+        assert load_json(out)["changepoints"]
+
+    def test_overflowing_series_exits_3(self, workdir, tmp_path, capsys):
+        data = with_values(workdir / "data.csv", tmp_path / "huge.csv",
+                           lambda i, cell: "1e200" if i % 2 else "-1e200")
+        with np.errstate(over="ignore"):
+            code = main(["detect", "--data", str(data), "--beta", "1",
+                         "--out", str(tmp_path / "s.json")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_unknown_flag_exits_2(self, workdir):
         with pytest.raises(SystemExit) as err:
             main(["detect", "--data", str(workdir / "data.csv"), "--bogus"])
@@ -178,6 +205,26 @@ class TestRun:
         code = main(["run", "--data", str(workdir / "data.csv"), "--model", "mlp",
                      "--strategy", "baseline", "--out", str(tmp_path / "x.json")])
         assert code == 3
+
+    @pytest.mark.parametrize("flag", [
+        ["--train-fraction", "1.5"], ["--lags", "1,x"], ["--windows", "24,y"],
+        ["--max-epochs", "0"], ["--beta", "nan"], ["--beta", "-1"]])
+    def test_invalid_config_exits_2(self, workdir, tmp_path, capsys, flag):
+        args = ["run", "--data", str(workdir / "data.csv"), "--model", "mlp",
+                "--strategy", "retrain", "--out", str(tmp_path / "x.json"), *flag]
+        assert main(args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("model,strategy", [
+        ("lasso", "baseline"), ("lasso", "retrain"), ("mlp", "retrain")])
+    def test_infinite_cell_is_a_gap(self, workdir, tmp_path, model, strategy):
+        data = with_values(workdir / "data.csv", tmp_path / "inf.csv",
+                           lambda i, cell: "-inf" if i == 500 else cell)
+        args = ["run", "--data", str(data), "--model", model, "--strategy", strategy,
+                "--max-epochs", "3", "--out", str(tmp_path / "r.json")]
+        assert main(args) == 0
+        assert load_json(tmp_path / "r.json")["eval"]["mae"] > 0
 
     def test_missing_file_exits_4(self, tmp_path):
         code = main(["run", "--data", str(tmp_path / "missing.csv"), "--model",

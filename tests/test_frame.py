@@ -72,6 +72,14 @@ class TestLoadCsv:
         assert v[0] == 1.0
         assert np.isnan(v[1:]).all()
 
+    def test_infinite_cells_are_missing(self, tmp_path):
+        p = tmp_path / "a.csv"
+        write_lines(p, ["timestamp,v", "0,1.0", "3600,inf", "7200,-inf",
+                        "10800,Infinity", "14400,2.0"])
+        v = load_csv(p).column("v")
+        assert np.isnan(v[1:4]).all()
+        assert list(forward_fill(load_csv(p), "v").column("v")) == [1.0, 1.0, 1.0, 1.0, 2.0]
+
     def test_errors(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("", encoding="utf-8")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from driftcast.errors import DidNotConverge, TooFewRows
+from driftcast.errors import DidNotConverge, NonFiniteLoss, TooFewRows
 from driftcast.features import FeatureMatrix
 from driftcast.lasso import (
     LassoConfig,
@@ -181,6 +181,17 @@ class TestLassoCV:
         early = lasso_fit(X[:20], y[:20], 0.01)
         late = lasso_fit(X, y, 0.01)
         assert not np.allclose(early.x_mean, late.x_mean)
+
+    @pytest.mark.filterwarnings("ignore")
+    def test_no_finite_cv_score_is_typed(self):
+        # one target that overflows the squared error makes every fold's
+        # validation MSE infinite, whatever the alpha
+        rng = np.random.default_rng(12)
+        X = rng.normal(0, 1, (60, 3))
+        y = X[:, 0] + rng.normal(0, 0.1, 60)
+        y[0] = 1e300
+        with pytest.raises(NonFiniteLoss):
+            lasso_cv(feature_matrix(X, y), LassoConfig(max_iter=20))
 
     def test_too_few_rows(self):
         rng = np.random.default_rng(11)

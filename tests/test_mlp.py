@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from driftcast.errors import NonFiniteLoss, ShapeMismatch, TooFewRows
+from driftcast.errors import InvalidConfig, NonFiniteLoss, ShapeMismatch, TooFewRows
 from driftcast.features import FeatureMatrix
 from driftcast.frame import Scaler
 from driftcast.mlp import (
@@ -248,3 +248,5 @@ class TestConfig:
             MlpConfig(patience=0)
         with pytest.raises(ValueError):
             MlpConfig(val_fraction=0.5)
+        with pytest.raises(InvalidConfig):
+            MlpConfig(max_epochs=0)
