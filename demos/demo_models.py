@@ -28,7 +28,7 @@ config = MlpConfig(hidden=(64, 64), dropout_rate=0.2, seed=1, max_epochs=100)
 model, report = mlp_train(config, train)
 print(f"\nmlp stopped at epoch {report.stopped_epoch} "
       f"(best {report.best_epoch}, val mse {report.val_loss[report.best_epoch - 1]:.4f})")
-preds = mlp_predict(model, model.input_scaler.transform(test.X))
+preds = mlp_predict(model, test.X)
 print("mlp  ", evaluate(test.y, preds, scale="original",
                         model="mlp", strategy="demo"))
 

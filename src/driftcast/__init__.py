@@ -28,11 +28,7 @@ from .frame import (
     Scaler,
     SplitSpec,
     TimeSeriesFrame,
-    apply_scaler,
-    chronological_split,
-    fit_scaler,
     forward_fill,
-    invert_scaler,
     load_csv,
     resample_hourly,
     write_csv,

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import (InvalidConfig, NonFiniteValues, SegmentTooShort, SeriesTooShort,
                      UnknownColumn)
-from .frame import TimeSeriesFrame
+from .frame import Scaler, TimeSeriesFrame
 
 L2_MEAN = "l2_mean"
 GAUSSIAN_NLL = "gaussian_nll"
@@ -421,35 +421,37 @@ def default_penalty_multi(values) -> PenaltyConfig:
     return PenaltyConfig(beta)
 
 
-def multivariate_detect(frame: TimeSeriesFrame, columns,
-                        model: CostModel | None = None,
+def multivariate_detect(values, model: CostModel | None = None,
                         penalty: PenaltyConfig | None = None,
                         min_size: int = 2) -> Segmentation:
-    """Joint detection over several (caller-standardized) frame columns.
+    """Joint detection over the columns of an (n, k) matrix, each
+    standardized with its own :meth:`Scaler.fit` first.
 
     The segment cost is the sum of per-column costs over shared
-    boundaries, so one segmentation is returned for the whole set. Only
-    the listed columns are ever read.
+    boundaries, so one segmentation is returned for the whole set.
+    ``penalty=None`` sums the per-column default penalties of the
+    standardized columns.
     """
-    names = list(columns)
-    if not names:
-        raise UnknownColumn("multivariate_detect needs at least one column")
-    X = np.column_stack([frame.column(name) for name in names])
-    return pelt_detect(X, model=model, penalty=penalty, min_size=min_size)
+    X = _as_matrix(values)
+    if X.shape[1] == 0:
+        raise UnknownColumn("detection needs at least one column")
+    return pelt_detect(Scaler.fit(X).transform(X), model, penalty, min_size)
 
 
 def per_column_detect(frame: TimeSeriesFrame, columns,
                       model: CostModel | None = None,
+                      penalty: PenaltyConfig | None = None,
                       min_size: int = 2) -> tuple[dict[str, Segmentation], list[int]]:
     """Detect each column independently and union the changepoints.
 
-    Each column gets its own default penalty. Returns the per-column
-    segmentations plus the sorted union of all detected indices.
+    Each column gets ``penalty``, or its own default penalty when that is
+    None. Returns the per-column segmentations plus the sorted union of
+    all detected indices.
     """
     per: dict[str, Segmentation] = {}
     union: set[int] = set()
     for name in columns:
-        seg = pelt_detect(frame.column(name), model=model, min_size=min_size)
+        seg = pelt_detect(frame.column(name), model, penalty, min_size)
         per[name] = seg
         union.update(seg.changepoints)
     return per, sorted(union)

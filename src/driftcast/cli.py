@@ -89,49 +89,31 @@ def cmd_synth(args) -> int:
 def cmd_detect(args) -> int:
     frame = load_csv(args.data, timestamp_column=args.timestamp_column)
     model = cp.CostModel(args.cost)
-    if args.columns:
-        names = list(args.columns)
-        frame = _clean(frame, names)
-        if args.per_column:
-            per, union = cp.per_column_detect(frame, names, model, args.min_size)
-            payload = {
-                "columns": {k: seg.to_dict() for k, seg in per.items()},
-                "union_changepoints": union,
-            }
-            serialize.dump(payload, args.out)
-            plot_seg = None
-            plot_column = names[0]
-            markers = union
-        else:
-            scaled = frame
-            for name in names:  # detection contract expects standardized inputs
-                col = frame.column(name)
-                std = max(float(col.std()), 1e-8)
-                scaled = scaled.with_columns(**{name: (col - col.mean()) / std})
-            penalty = cp.PenaltyConfig(args.beta) if args.beta is not None else None
-            seg = cp.multivariate_detect(scaled, names, model, penalty, args.min_size)
-            serialize.dump(seg.to_dict(), args.out)
-            plot_seg = seg
-            plot_column = names[0]
-            markers = list(seg.changepoints)
+    penalty = cp.PenaltyConfig(args.beta) if args.beta is not None else None
+    names = list(args.columns) if args.columns else [_pick_target(frame, args.target)]
+    frame = _clean(frame, names)
+    if args.columns and args.per_column:
+        per, markers = cp.per_column_detect(frame, names, model, penalty, args.min_size)
+        payload = {
+            "columns": {k: seg.to_dict() for k, seg in per.items()},
+            "union_changepoints": markers,
+        }
     else:
-        target = _pick_target(frame, args.target)
-        frame = _clean(frame, [target])
-        series = frame.column(target)
-        penalty = (cp.PenaltyConfig(args.beta) if args.beta is not None
-                   else cp.default_penalty(series))
-        seg = cp.pelt_detect(series, model, penalty, args.min_size)
-        serialize.dump(seg.to_dict(), args.out)
-        plot_seg = seg
-        plot_column = target
+        if args.columns:
+            X = np.column_stack([frame.column(name) for name in names])
+            seg = cp.multivariate_detect(X, model, penalty, args.min_size)
+        else:
+            seg = cp.pelt_detect(frame.column(names[0]), model, penalty, args.min_size)
+        payload = seg.to_dict()
         markers = list(seg.changepoints)
+    serialize.dump(payload, args.out)
 
     print(f"changepoints: {markers}")
     if args.plot:
-        values = frame.column(plot_column)
+        plot_column = names[0]
         ts = frame.timestamps
         svg = svgplot.line_plot(
-            [(plot_column, ts.astype(float), values)],
+            [(plot_column, ts.astype(float), frame.column(plot_column))],
             title=f"Detected changepoints ({plot_column})",
             xlabel="time", ylabel=plot_column,
             vlines=[float(ts[i]) for i in markers if i < len(ts)],
@@ -412,7 +394,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # non-finite results surface as typed errors below, so numpy's own
+        # warnings would only print ahead of the one-line message
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (NonFiniteLoss, NonFiniteValues) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERIC_ERROR

@@ -22,7 +22,7 @@ from .errors import (
     InvalidConfig,
     LeadingGap,
     MissingColumn,
-    TooFewRows,
+    NonFiniteValues,
     UnknownColumn,
     UnparseableTimestamp,
 )
@@ -130,13 +130,13 @@ class SplitSpec:
 
 @dataclass(frozen=True)
 class Scaler:
-    """Per-column z-score parameters (population std, floored at 1e-8).
+    """Z-score parameters: population mean and std, the std floored at
+    ``STD_FLOOR``.
 
     Fit only on training rows; applying then inverting recovers the input
     to within 1e-10 relative.
     """
 
-    names: tuple[str, ...]
     means: np.ndarray
     stds: np.ndarray
 
@@ -144,8 +144,23 @@ class Scaler:
         object.__setattr__(self, "means", _readonly(np.asarray(self.means, float)))
         object.__setattr__(self, "stds", _readonly(np.asarray(self.stds, float)))
 
+    @classmethod
+    def fit(cls, values: np.ndarray) -> "Scaler":
+        """Statistics of a (n, k) matrix per column, or of a (n,) vector.
+
+        Both reduce along axis 0, so the bits match ``values.mean(axis=0)``
+        and ``values.std(axis=0)``; a vector gives one-element statistics.
+        Non-finite statistics (non-finite cells, or a sum of squares that
+        overflows) raise :class:`NonFiniteValues`.
+        """
+        values = np.asarray(values, float)
+        stds = np.maximum(values.std(axis=0), STD_FLOOR)
+        if not np.isfinite(stds).all():
+            raise NonFiniteValues("cannot standardize: values are not finite or overflow")
+        return cls(values.mean(axis=0), stds)
+
     def transform(self, values: np.ndarray) -> np.ndarray:
-        """Scale a (n, k) matrix or (n,) vector laid out like ``names``."""
+        """Scale a (n, k) matrix or (n,) vector laid out like the fitted one."""
         return (np.asarray(values, float) - self.means) / self.stds
 
     def inverse(self, values: np.ndarray) -> np.ndarray:
@@ -314,41 +329,3 @@ def resample_hourly(frame: TimeSeriesFrame) -> TimeSeriesFrame:
     log.info("resampled %d rows onto %d hourly grid points (%d matched)",
              frame.n, grid.size, int(hit.sum()))
     return TimeSeriesFrame(grid, cols)
-
-
-def chronological_split(frame: TimeSeriesFrame, spec: SplitSpec) -> tuple[TimeSeriesFrame, TimeSeriesFrame]:
-    """Split rows [0, boundary) / [boundary, n) with no shuffling."""
-    if frame.n < 10:
-        raise TooFewRows(f"need at least 10 rows to split, have {frame.n}")
-    b = spec.boundary(frame.n)
-    if not 0 < b < frame.n:
-        raise TooFewRows(f"boundary {b} leaves an empty side for n={frame.n}")
-    return frame.slice_rows(0, b), frame.slice_rows(b, frame.n)
-
-
-def fit_scaler(frame: TimeSeriesFrame, columns) -> Scaler:
-    """Fit per-column mean/std (population) on the given frame's rows only."""
-    names = tuple(columns)
-    means = np.empty(len(names))
-    stds = np.empty(len(names))
-    for i, name in enumerate(names):
-        v = frame.column(name)
-        means[i] = v.mean()
-        stds[i] = max(v.std(), STD_FLOOR)
-    return Scaler(names, means, stds)
-
-
-def apply_scaler(frame: TimeSeriesFrame, scaler: Scaler) -> TimeSeriesFrame:
-    """Return a frame with the scaler's columns standardized."""
-    out = {}
-    for i, name in enumerate(scaler.names):
-        out[name] = (frame.column(name) - scaler.means[i]) / scaler.stds[i]
-    return frame.with_columns(**out)
-
-
-def invert_scaler(frame: TimeSeriesFrame, scaler: Scaler) -> TimeSeriesFrame:
-    """Undo :func:`apply_scaler` (exact to within float rounding)."""
-    out = {}
-    for i, name in enumerate(scaler.names):
-        out[name] = frame.column(name) * scaler.stds[i] + scaler.means[i]
-    return frame.with_columns(**out)

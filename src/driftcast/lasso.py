@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DidNotConverge, InvalidConfig, NonFiniteLoss, ShapeMismatch, TooFewRows
 from .features import FeatureMatrix
-from .frame import STD_FLOOR
+from .frame import Scaler
 
 DEFAULT_ALPHA_GRID = (0.001, 0.01, 0.1, 1.0)
 
@@ -137,7 +137,8 @@ def lasso_fit(X: np.ndarray, y: np.ndarray, alpha: float,
     until the largest coefficient change in a sweep drops below
     ``config.tol`` or ``config.max_iter`` sweeps elapse. Hitting the sweep
     budget emits a :class:`DidNotConverge` warning instead of raising, so
-    cross-validation survives hard alpha/fold combinations.
+    cross-validation survives hard alpha/fold combinations. Non-finite
+    ``X`` or ``y`` raises :class:`NonFiniteLoss` before any sweep.
     """
     config = config or LassoConfig()
     X = np.asarray(X, float)
@@ -147,10 +148,11 @@ def lasso_fit(X: np.ndarray, y: np.ndarray, alpha: float,
     n, d = X.shape
     if n < 2:
         raise TooFewRows("need at least 2 rows to fit")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise NonFiniteLoss("lasso input contains non-finite values")
 
-    x_mean = X.mean(axis=0)
-    x_std = np.maximum(X.std(axis=0), STD_FLOOR)
-    Xs = (X - x_mean) / x_std
+    scaler = Scaler.fit(X)
+    Xs = scaler.transform(X)
     y_mean = float(y.mean())
     yc = y - y_mean
 
@@ -225,7 +227,7 @@ def lasso_fit(X: np.ndarray, y: np.ndarray, alpha: float,
             f"coordinate descent stopped after {sweeps} sweeps with "
             f"coefficient changes above tol={config.tol}", DidNotConverge)
 
-    return LassoModel(beta, y_mean, float(alpha), x_mean, x_std,
+    return LassoModel(beta, y_mean, float(alpha), scaler.means, scaler.stds,
                       converged=converged, n_sweeps=sweeps,
                       objective_history=history)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidConfig, NonFiniteLoss, ShapeMismatch, TooFewRows
 from .features import FeatureMatrix
-from .frame import STD_FLOOR, Scaler
+from .frame import Scaler
 
 # "does not improve" for early stopping means: fails to beat the running
 # best by at least this absolute margin.
@@ -132,6 +132,13 @@ def draw_masks(rng: np.random.Generator, batch: int, hidden, rate: float) -> lis
     return [rng.random((batch, width)) >= rate for width in hidden]
 
 
+def _inputs(model: MlpModel, X) -> np.ndarray:
+    X = np.asarray(X, float)
+    if X.ndim != 2 or X.shape[1] != model.n_inputs:
+        raise ShapeMismatch(f"X must be (n, {model.n_inputs}), got {X.shape}")
+    return X
+
+
 def _forward_cached(model: MlpModel, X: np.ndarray, masks):
     """Forward pass keeping pre-activations and post-dropout activations."""
     rate = model.dropout_rate if masks is not None else 0.0
@@ -157,9 +164,7 @@ def mlp_forward(model: MlpModel, X: np.ndarray, mode: str = "eval",
     ``mode="train"`` applies inverted dropout using ``masks`` (or masks
     drawn from ``rng``); ``mode="eval"`` is deterministic.
     """
-    X = np.asarray(X, float)
-    if X.ndim != 2 or X.shape[1] != model.n_inputs:
-        raise ShapeMismatch(f"X must be (n, {model.n_inputs}), got {X.shape}")
+    X = _inputs(model, X)
     if mode == "eval":
         masks = None
     elif mode == "train":
@@ -182,10 +187,8 @@ def mlp_gradients(model: MlpModel, X: np.ndarray, y: np.ndarray, masks=None):
     Dropout masks, when given, are held fixed so the gradient matches the
     corresponding stochastic forward pass exactly.
     """
-    X = np.asarray(X, float)
+    X = _inputs(model, X)
     y = np.asarray(y, float)
-    if X.ndim != 2 or X.shape[1] != model.n_inputs:
-        raise ShapeMismatch(f"X must be (n, {model.n_inputs}), got {X.shape}")
     if y.shape != (X.shape[0],):
         raise ShapeMismatch("y must be a vector matching X rows")
     if X.shape[0] == 0:
@@ -246,15 +249,10 @@ def mlp_train(config: MlpConfig, features: FeatureMatrix) -> tuple[MlpModel, Tra
     n_val = max(1, int(math.floor(rows * config.val_fraction)))
     n_train = rows - n_val
 
-    x_mean = features.X[:n_train].mean(axis=0)
-    x_std = np.maximum(features.X[:n_train].std(axis=0), STD_FLOOR)
-    y_mean = float(features.y[:n_train].mean())
-    y_std = max(float(features.y[:n_train].std()), STD_FLOOR)
-    input_scaler = Scaler(features.feature_names, x_mean, x_std)
-    target_scaler = Scaler(("target",), np.array([y_mean]), np.array([y_std]))
-
-    Xs = (features.X - x_mean) / x_std
-    ys = (features.y - y_mean) / y_std
+    input_scaler = Scaler.fit(features.X[:n_train])
+    target_scaler = Scaler.fit(features.y[:n_train])
+    Xs = input_scaler.transform(features.X)
+    ys = target_scaler.transform(features.y)
     X_tr, y_tr = Xs[:n_train], ys[:n_train]
     X_va, y_va = Xs[n_train:], ys[n_train:]
 
@@ -336,9 +334,11 @@ def mlp_train(config: MlpConfig, features: FeatureMatrix) -> tuple[MlpModel, Tra
 
 
 def mlp_predict(model: MlpModel, X: np.ndarray) -> np.ndarray:
-    """Eval-mode predictions mapped back to original target units.
+    """Eval-mode predictions for raw features, in original target units.
 
-    ``X`` must already be standardized with the model's own input scaler.
+    ``X`` is standardized with the model's own input scaler first, as
+    :meth:`LassoModel.predict` does with its statistics.
     """
+    X = model.input_scaler.transform(_inputs(model, X))
     out = mlp_forward(model, X, "eval")
-    return out * model.target_scaler.stds[0] + model.target_scaler.means[0]
+    return model.target_scaler.inverse(out)

@@ -24,7 +24,7 @@ import numpy as np
 from . import changepoint as cp
 from .errors import InvalidConfig, MismatchedTestBlocks, PostDriftTooShort, TooFewRows
 from .features import FeatureMatrix, FeatureSpec, build_features
-from .frame import STD_FLOOR, SplitSpec, TimeSeriesFrame
+from .frame import Scaler, SplitSpec, TimeSeriesFrame
 from .lasso import LassoConfig, lasso_cv
 from .metrics import EvalReport, evaluate
 from .mlp import MlpConfig, TrainReport, mlp_predict, mlp_train
@@ -191,8 +191,7 @@ class _Prepared:
     train: FeatureMatrix
     test: FeatureMatrix
     boundary: int
-    eval_mean: float
-    eval_std: float
+    eval_scaler: Scaler
     test_sha: str
     test_target_sha: str
     dataset_sha: str
@@ -213,12 +212,11 @@ def _prepare(frame: TimeSeriesFrame, target: str, config: StrategyConfig) -> _Pr
     test = features.slice(train_rows, features.rows)
     # Shared evaluation scale: one affine map fit on the full training-block
     # target, identical across strategies so scores stay comparable.
-    eval_mean = float(train.y.mean())
-    eval_std = max(float(train.y.std()), STD_FLOOR)
+    eval_scaler = Scaler.fit(train.y)
     test_sha = sha256_arrays(test.X, test.y)
     test_target_sha = sha256_arrays(test.timestamps, test.y)
     dataset_sha = sha256_arrays(frame.timestamps, *[frame.columns[c] for c in frame.columns])
-    return _Prepared(features, train, test, boundary, eval_mean, eval_std,
+    return _Prepared(features, train, test, boundary, eval_scaler,
                      test_sha, test_target_sha, dataset_sha)
 
 
@@ -235,16 +233,15 @@ def _fit_and_eval(config: StrategyConfig, prep: _Prepared, train_slice: FeatureM
     if config.model == MLP:
         mlp_config = replace(config.mlp, seed=config.seed)
         model, train_report = mlp_train(mlp_config, train_slice)
-        x_std = model.input_scaler.transform(prep.test.X)
-        preds = mlp_predict(model, x_std)
+        preds = mlp_predict(model, prep.test.X)
     else:
         model = lasso_cv(train_slice, config.lasso)
         cv_results = model.cv_results
         preds = model.predict(prep.test.X)
 
     if config.metric_scale == SCALE_STANDARDIZED:
-        y_eval = (prep.test.y - prep.eval_mean) / prep.eval_std
-        p_eval = (preds - prep.eval_mean) / prep.eval_std
+        y_eval = prep.eval_scaler.transform(prep.test.y)
+        p_eval = prep.eval_scaler.transform(preds)
     else:
         y_eval, p_eval = prep.test.y, preds
     report = evaluate(
@@ -288,20 +285,12 @@ def detect_training_drift(prep: _Prepared, config: StrategyConfig) -> cp.Segment
     """
     det = config.detection
     train = prep.train
+    penalty = cp.PenaltyConfig(det.beta) if det.beta is not None else None
     if det.on_target:
-        series = train.y
-        penalty = cp.PenaltyConfig(det.beta) if det.beta is not None else \
-            cp.default_penalty(series)
-        return cp.pelt_detect(series, det.cost_model, penalty, det.min_size)
+        return cp.pelt_detect(train.y, det.cost_model, penalty, det.min_size)
     names = det.columns or data_feature_columns(train.feature_names)
     idx = [train.feature_names.index(n) for n in names]
-    X = train.X[:, idx]
-    mean = X.mean(axis=0)
-    std = np.maximum(X.std(axis=0), STD_FLOOR)
-    Xs = (X - mean) / std
-    penalty = cp.PenaltyConfig(det.beta) if det.beta is not None else \
-        cp.default_penalty_multi(Xs)
-    return cp.pelt_detect(Xs, det.cost_model, penalty, det.min_size)
+    return cp.multivariate_detect(train.X[:, idx], det.cost_model, penalty, det.min_size)
 
 
 def run_retrain(frame: TimeSeriesFrame, target: str, config: StrategyConfig) -> RunResult:

@@ -136,9 +136,9 @@ def test_c4_mlp_gradient_check():
         sizes = [d] + hidden + [1]
         weights = [rng.normal(0, 0.7, (a, b)) for a, b in zip(sizes[:-1], sizes[1:])]
         biases = [rng.normal(0, 0.3, b) for b in sizes[1:]]
-        ident = Scaler(tuple(f"f{i}" for i in range(d)), np.zeros(d), np.ones(d))
+        ident = Scaler(np.zeros(d), np.ones(d))
         model = MlpModel(weights, biases, 0.0, ident,
-                         Scaler(("t",), np.zeros(1), np.ones(1)))
+                         Scaler(np.zeros(1), np.ones(1)))
         # central differences are only valid away from the ReLU kink:
         # resample inputs until every pre-activation clears it comfortably
         for _ in range(100):

@@ -22,7 +22,8 @@ from driftcast.changepoint import (
     per_column_detect,
     segment_cost,
 )
-from driftcast.errors import InvalidConfig, NonFiniteValues, SegmentTooShort, SeriesTooShort
+from driftcast.errors import (InvalidConfig, NonFiniteValues, SegmentTooShort, SeriesTooShort,
+                             UnknownColumn)
 from driftcast.frame import HOUR, TimeSeriesFrame
 
 L2 = CostModel()
@@ -322,21 +323,23 @@ def make_frame(columns):
     return TimeSeriesFrame(ts, {k: np.asarray(v, float) for k, v in columns.items()})
 
 
+def standardized(X):
+    return (X - X.mean(axis=0)) / X.std(axis=0)
+
+
 class TestMultivariate:
     def test_single_column_identical(self):
         rng = np.random.default_rng(12)
         y = random_step_series(rng, n_max=150)
-        frame = make_frame({"a": y})
         pen = PenaltyConfig(3.0)
-        assert multivariate_detect(frame, ["a"], L2, pen).changepoints == \
-            pelt_detect(y, L2, pen).changepoints
+        assert multivariate_detect(y[:, None], L2, pen).changepoints == \
+            pelt_detect(standardized(y), L2, pen).changepoints
 
     def test_two_identical_columns_halve_penalty(self):
         rng = np.random.default_rng(13)
         y = random_step_series(rng, n_max=150)
-        frame = make_frame({"a": y, "b": y})
-        joint = multivariate_detect(frame, ["a", "b"], L2, PenaltyConfig(6.0))
-        single = op_detect(y, L2, PenaltyConfig(3.0))
+        joint = multivariate_detect(np.column_stack([y, y]), L2, PenaltyConfig(6.0))
+        single = op_detect(standardized(y), L2, PenaltyConfig(3.0))
         assert joint.changepoints == single.changepoints
 
     def test_step_in_one_column_only(self):
@@ -344,23 +347,15 @@ class TestMultivariate:
         flat = rng.normal(0, 0.5, 120)
         stepped = rng.normal(0, 0.5, 120)
         stepped[70:] += 8.0
-        frame = make_frame({"a": stepped, "b": flat})
-        joint = multivariate_detect(frame, ["a", "b"], L2, PenaltyConfig(4.0))
         X = np.column_stack([stepped, flat])
-        oracle = op_detect(X, L2, PenaltyConfig(4.0))
+        joint = multivariate_detect(X, L2, PenaltyConfig(4.0))
+        oracle = op_detect(standardized(X), L2, PenaltyConfig(4.0))
         assert joint.changepoints == oracle.changepoints
         assert any(abs(c - 70) <= 1 for c in joint.changepoints)
 
-    def test_never_reads_unlisted_columns(self):
-        rng = np.random.default_rng(15)
-        y = random_step_series(rng, n_max=150)
-        target = rng.normal(0, 1, y.size)
-        poisoned = np.full(y.size, np.nan)
-        a = multivariate_detect(make_frame({"x": y, "target": target}),
-                                ["x"], L2, PenaltyConfig(2.0))
-        b = multivariate_detect(make_frame({"x": y, "target": poisoned}),
-                                ["x"], L2, PenaltyConfig(2.0))
-        assert a == b
+    def test_no_columns_rejected(self):
+        with pytest.raises(UnknownColumn):
+            multivariate_detect(np.empty((40, 0)))
 
     def test_per_column_union(self):
         rng = np.random.default_rng(16)
@@ -370,6 +365,9 @@ class TestMultivariate:
         assert any(abs(c - 60) <= 1 for c in per["a"].changepoints)
         assert any(abs(c - 90) <= 1 for c in per["b"].changepoints)
         assert union == sorted(set(per["a"].changepoints) | set(per["b"].changepoints))
+        quiet, none = per_column_detect(make_frame({"a": a, "b": b}), ["a", "b"],
+                                        L2, PenaltyConfig(1e6))
+        assert none == [] and all(seg.beta == 1e6 for seg in quiet.values())
 
 
 class TestLastChangepoint:

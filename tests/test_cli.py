@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import driftcast
 from driftcast import pipeline
 from driftcast.cli import main
 from driftcast.errors import NonFiniteLoss
@@ -118,6 +123,28 @@ class TestDetect:
         assert "union_changepoints" in payload
         assert payload["columns"]["interest_rate"]["changepoints"]
 
+    def test_per_column_honours_beta(self, workdir, tmp_path):
+        out = tmp_path / "per.json"
+        assert main(["detect", "--data", str(workdir / "data.csv"),
+                     "--columns", "interest_rate", "--per-column",
+                     "--beta", "1000000", "--out", str(out)]) == 0
+        payload = load_json(out)
+        assert payload["union_changepoints"] == []
+        assert [seg["beta"] for seg in payload["columns"].values()] == [1000000]
+
+    def test_columns_never_reads_unlisted_columns(self, workdir, tmp_path):
+        lines = (workdir / "data.csv").read_text(encoding="utf-8").splitlines()
+        junk = tmp_path / "junk.csv"
+        junk.write_text("\n".join([lines[0] + ",junk"] + [f"{line},NaN" for line in lines[1:]])
+                        + "\n", encoding="utf-8")
+        outs = []
+        for data in (workdir / "data.csv", junk):
+            outs.append(tmp_path / f"{data.stem}.json")
+            assert main(["detect", "--data", str(data), "--columns", "interest_rate",
+                         "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert load_json(outs[0])["changepoints"]
+
     def test_infinite_cell_is_a_gap(self, workdir, tmp_path):
         data = with_values(workdir / "data.csv", tmp_path / "inf.csv",
                            lambda i, cell: "inf" if i == 500 else cell)
@@ -133,6 +160,25 @@ class TestDetect:
                          "--out", str(tmp_path / "s.json")])
         assert code == 3
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["detect"], ["detect", "--columns", "interest_rate"],
+        ["run", "--model", "lasso", "--strategy", "baseline"]])
+    def test_overflow_prints_one_error_line(self, workdir, tmp_path, argv):
+        # a fresh interpreter, so numpy's warnings reach stderr as they
+        # would for a user instead of pytest's warning capture
+        data = with_values(workdir / "data.csv", tmp_path / "huge.csv",
+                           lambda i, cell: "1e200" if i % 2 else "-1e200")
+        src = str(Path(driftcast.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "driftcast.cli", argv[0], "--data", str(data),
+             *argv[1:], "--out", str(tmp_path / "out.json")],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), proc.stderr
 
     def test_unknown_flag_exits_2(self, workdir):
         with pytest.raises(SystemExit) as err:

@@ -8,19 +8,16 @@ from driftcast.errors import (
     EmptyFile,
     LeadingGap,
     MissingColumn,
-    TooFewRows,
+    NonFiniteValues,
     UnparseableTimestamp,
 )
 from driftcast.frame import (
     HOUR,
+    STD_FLOOR,
     Scaler,
     SplitSpec,
     TimeSeriesFrame,
-    apply_scaler,
-    chronological_split,
-    fit_scaler,
     forward_fill,
-    invert_scaler,
     load_csv,
     resample_hourly,
     write_csv,
@@ -181,64 +178,77 @@ class TestResampleHourly:
 class TestSplit:
     def test_80_20(self):
         frame = hourly_frame(np.arange(100.0))
-        train, test = chronological_split(frame, SplitSpec(0.8))
+        b = SplitSpec(0.8).boundary(frame.n)
+        train, test = frame.slice_rows(0, b), frame.slice_rows(b, frame.n)
         assert train.n == 80 and test.n == 20
         assert train.column("v")[-1] == 79.0 and test.column("v")[0] == 80.0
 
     def test_half_of_ten(self):
-        frame = hourly_frame(np.arange(10.0))
-        train, test = chronological_split(frame, SplitSpec(0.5))
-        assert train.n == 5 and test.n == 5
-
-    def test_too_few_rows(self):
-        with pytest.raises(TooFewRows):
-            chronological_split(hourly_frame(np.arange(9.0)), SplitSpec(0.5))
+        assert SplitSpec(0.5).boundary(10) == 5
 
     def test_partition_exact(self):
         rng = np.random.default_rng(2)
         frame = hourly_frame(rng.normal(0, 1, 57))
-        train, test = chronological_split(frame, SplitSpec(0.73))
-        rebuilt = np.concatenate([train.column("v"), test.column("v")])
+        b = SplitSpec(0.73).boundary(frame.n)
+        assert b == 41  # floor(41.61)
+        rebuilt = np.concatenate([frame.slice_rows(0, b).column("v"),
+                                  frame.slice_rows(b, frame.n).column("v")])
         np.testing.assert_array_equal(rebuilt, frame.column("v"))
 
 
 class TestScaler:
     def test_two_point_example(self):
-        frame = hourly_frame([0.0, 2.0])
-        scaler = fit_scaler(frame, ["v"])
+        scaler = Scaler.fit([0.0, 2.0])
         assert scaler.means[0] == 1.0 and scaler.stds[0] == 1.0  # population std
-        scaled = apply_scaler(frame, scaler)
-        assert list(scaled.column("v")) == [-1.0, 1.0]
+        assert list(scaler.transform([0.0, 2.0])) == [-1.0, 1.0]
 
     def test_constant_column_floored(self):
-        frame = hourly_frame([5.0] * 20)
-        scaler = fit_scaler(frame, ["v"])
-        scaled = apply_scaler(frame, scaler)
-        assert np.all(scaled.column("v") == 0.0)
+        X = np.column_stack([np.full(20, 5.0), np.arange(20.0)])
+        scaler = Scaler.fit(X)
+        assert scaler.stds[0] == STD_FLOOR
+        assert np.all(scaler.transform(X)[:, 0] == 0.0)
 
     def test_round_trip(self):
         rng = np.random.default_rng(3)
-        frame = hourly_frame(rng.normal(7, 3, 200))
-        scaler = fit_scaler(frame, ["v"])
-        back = invert_scaler(apply_scaler(frame, scaler), scaler)
-        np.testing.assert_allclose(back.column("v"), frame.column("v"), rtol=1e-10)
+        X = rng.normal(7, 3, (200, 3))
+        scaler = Scaler.fit(X)
+        np.testing.assert_allclose(scaler.inverse(scaler.transform(X)), X, rtol=1e-10)
 
     def test_train_mean_std_normalized(self):
         rng = np.random.default_rng(4)
-        frame = hourly_frame(rng.normal(-4, 9, 500))
-        scaler = fit_scaler(frame, ["v"])
-        scaled = apply_scaler(frame, scaler).column("v")
+        v = rng.normal(-4, 9, 500)
+        scaled = Scaler.fit(v).transform(v)
         assert abs(scaled.mean()) < 1e-9
         assert abs(scaled.std() - 1.0) < 1e-9
 
+    def test_bits_match_axis0_reductions(self):
+        # the model fits and the detection paths relied on these exact
+        # reductions before they shared one helper
+        rng = np.random.default_rng(6)
+        X = rng.normal(3, 2, (97, 4))
+        scaler = Scaler.fit(X)
+        assert scaler.means.tobytes() == X.mean(axis=0).tobytes()
+        assert scaler.stds.tobytes() == X.std(axis=0).tobytes()
+        y = X[:, 0].copy()
+        target = Scaler.fit(y)
+        assert target.means.shape == (1,)
+        assert target.means[0] == float(y.mean()) and target.stds[0] == float(y.std())
+        assert target.transform(y).tobytes() == ((y - float(y.mean())) / float(y.std())).tobytes()
+
     def test_never_references_test_rows(self):
         rng = np.random.default_rng(5)
-        frame = hourly_frame(rng.normal(0, 1, 100))
-        train, _ = chronological_split(frame, SplitSpec(0.8))
-        full_stats = fit_scaler(frame, ["v"])
-        train_stats = fit_scaler(train, ["v"])
+        v = rng.normal(0, 1, 100)
+        train = v[:SplitSpec(0.8).boundary(v.size)]
+        full_stats = Scaler.fit(v)
+        train_stats = Scaler.fit(train)
         assert train_stats.means[0] != full_stats.means[0]
-        direct = Scaler(("v",), np.array([train.column("v").mean()]),
-                        np.array([train.column("v").std()]))
-        assert train_stats.means[0] == direct.means[0]
-        assert train_stats.stds[0] == direct.stds[0]
+        assert train_stats.means[0] == train.mean()
+        assert train_stats.stds[0] == train.std()
+
+    @pytest.mark.parametrize("cell", [math.nan, math.inf, 1e200])
+    def test_non_finite_statistics_rejected(self, cell):
+        X = np.ones((10, 2))
+        X[3, 1] = cell  # 1e200 overflows the sum of squares
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteValues):
+                Scaler.fit(X)

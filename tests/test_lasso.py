@@ -101,6 +101,15 @@ class TestLassoFit:
             model = lasso_fit(X, y, 0.001, config)
         assert not model.converged
 
+    @pytest.mark.parametrize("where", ["X", "y"])
+    def test_non_finite_input_rejected(self, where):
+        rng = np.random.default_rng(7)
+        X = rng.normal(0, 1, (60, 3))
+        y = X[:, 0] + rng.normal(0, 0.1, 60)
+        (X[5] if where == "X" else y[5:6])[0] = np.nan
+        with pytest.raises(NonFiniteLoss):
+            lasso_fit(X, y, 0.01)
+
     def test_constant_column_gets_zero_weight(self):
         rng = np.random.default_rng(6)
         X = rng.normal(0, 1, (50, 3))
@@ -192,6 +201,14 @@ class TestLassoCV:
         y[0] = 1e300
         with pytest.raises(NonFiniteLoss):
             lasso_cv(feature_matrix(X, y), LassoConfig(max_iter=20))
+
+    def test_non_finite_features_rejected_at_entry(self):
+        rng = np.random.default_rng(13)
+        X = rng.normal(0, 1, (60, 3))
+        X[5, 1] = np.nan
+        y = X[:, 0] + rng.normal(0, 0.1, 60)
+        with pytest.raises(NonFiniteLoss, match="non-finite values"):
+            lasso_cv(feature_matrix(X, y))
 
     def test_too_few_rows(self):
         rng = np.random.default_rng(11)

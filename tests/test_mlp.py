@@ -23,8 +23,8 @@ def toy_model(rng, d, hidden, dropout=0.0):
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         weights.append(rng.normal(0, 0.7, (fan_in, fan_out)))
         biases.append(rng.normal(0, 0.3, fan_out))
-    ident_in = Scaler(tuple(f"f{i}" for i in range(d)), np.zeros(d), np.ones(d))
-    ident_out = Scaler(("t",), np.zeros(1), np.ones(1))
+    ident_in = Scaler(np.zeros(d), np.ones(d))
+    ident_out = Scaler(np.zeros(1), np.ones(1))
     return MlpModel(weights, biases, dropout, ident_in, ident_out)
 
 
@@ -80,8 +80,11 @@ class TestForward:
     def test_shape_mismatch(self):
         rng = np.random.default_rng(2)
         model = toy_model(rng, 3, [4])
-        with pytest.raises(ShapeMismatch):
-            mlp_forward(model, rng.normal(0, 1, (5, 2)), "eval")
+        for X in (rng.normal(0, 1, (5, 2)), rng.normal(0, 1, (5, 1))):
+            with pytest.raises(ShapeMismatch):
+                mlp_forward(model, X, "eval")
+            with pytest.raises(ShapeMismatch):  # not broadcast by the input scaler
+                mlp_predict(model, X)
 
 
 class TestGradients:
@@ -162,7 +165,7 @@ class TestTraining:
         cfg = MlpConfig(dropout_rate=0.0, seed=1, patience=25)
         model, report = mlp_train(cfg, feature_matrix(X, y))
         assert report.val_loss[report.best_epoch - 1] < 1e-2
-        preds = mlp_predict(model, model.input_scaler.transform(X))
+        preds = mlp_predict(model, X)
         assert float(np.mean((preds - y) ** 2)) < 1e-2
 
     def test_bitwise_determinism(self):
@@ -234,10 +237,18 @@ class TestPredict:
     def test_inverse_target_scaling(self):
         rng = np.random.default_rng(15)
         model = toy_model(rng, 2, [4])
-        model.target_scaler = Scaler(("t",), np.array([10.0]), np.array([3.0]))
+        model.target_scaler = Scaler(np.array([10.0]), np.array([3.0]))
         X = rng.normal(0, 1, (5, 2))
         raw = mlp_forward(model, X, "eval")
         np.testing.assert_allclose(mlp_predict(model, X), raw * 3.0 + 10.0)
+
+    def test_raw_features_go_through_the_input_scaler(self):
+        rng = np.random.default_rng(16)
+        model = toy_model(rng, 2, [4])
+        model.input_scaler = Scaler(np.array([5.0, -1.0]), np.array([2.0, 0.5]))
+        X = rng.normal(3, 2, (7, 2))
+        expect = mlp_forward(model, (X - [5.0, -1.0]) / [2.0, 0.5], "eval")
+        np.testing.assert_array_equal(mlp_predict(model, X), expect)
 
 
 class TestConfig:

@@ -1,7 +1,10 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from driftcast.errors import MismatchedTestBlocks, PostDriftTooShort
+from driftcast.errors import MismatchedTestBlocks, PostDriftTooShort, TooFewRows
 from driftcast.features import build_features
 from driftcast.frame import TimeSeriesFrame
 from driftcast.changepoint import op_detect, default_penalty_multi
@@ -20,6 +23,7 @@ from driftcast.pipeline import (
     run_baseline,
     run_retrain,
 )
+from driftcast.serialize import dumps, sha256_arrays
 from driftcast.synth import SUDDEN, GRADUAL, DriftEvent, SynthConfig, generate
 
 TARGET = "interest_rate"
@@ -76,6 +80,12 @@ class TestBaseline:
         res = run_baseline(drifted_frame, TARGET, strategy(model=LASSO))
         assert res.report.eval.provenance["model"] == LASSO
         assert res.cv_results
+
+    def test_too_few_training_rows(self):
+        frame = generate(SynthConfig(start="2020-01-01T00:00", end="2020-01-08T23:00",
+                                     events=(), seed=0))
+        with pytest.raises(TooFewRows):
+            run_baseline(frame, TARGET, strategy())
 
 
 class TestRetrain:
@@ -236,3 +246,28 @@ class TestRunReportSerialization:
         back = RunReport.from_dict(d)
         assert back.to_dict() == d
         assert back.segmentation.changepoints == res.report.segmentation.changepoints
+
+
+# sha256 of the test-block predictions and of ``serialize.dumps(model.to_dict())``
+# on ``drifted_frame``, seed 0 (MLP capped at 3 epochs). Recorded with numpy
+# 2.4.6 on x86-64 before the standardization code was shared; any change to
+# scaling, fitting or prediction arithmetic shows up here.
+GOLDEN = {
+    (MLP, BASELINE): ("e83de2c9756ee999ff5cb118fd2aefa7eaebef38830a4f3fcc67cab11d98cd96",
+                      "e2ccfe22ee9ff7e107972f9f6fae85aa93d66b67dd726a1d3515fa8bf06c3317"),
+    (MLP, DRIFT_RETRAIN): ("3c1bc3a1e9ae03e26c6c3cfc4fa86fae8efa8b6dbb45340f1a9bc940f06aa838",
+                           "13cffb2467543b1123afd4f2875dd4a68a596be1cc271fc1741ec2941f94558a"),
+    (LASSO, BASELINE): ("844f7da426ddf533c4ebeba64bc208732b4d83b1bdabb9a25011bd7e408d0a21",
+                        "b3943606a909762c22820923c3aa693c978949ab6528b73e2166a8640e9f11dc"),
+    (LASSO, DRIFT_RETRAIN): ("9cd7d162753b62ddd1e6d7b9c555a49bd60cfd30b7d803c94f52f7a24d3569cb",
+                             "dded3022e3f682d6388898607d0806e5ee84ec12f07b77d48869f1fdd195c362"),
+}
+
+
+@pytest.mark.parametrize("model,strategy_name", sorted(GOLDEN))
+def test_golden_model_bits(drifted_frame, model, strategy_name):
+    cfg = strategy(model=model, strategy=strategy_name,
+                   mlp=replace(SMALL_MLP, max_epochs=3))
+    res = run(drifted_frame, TARGET, cfg)
+    model_sha = hashlib.sha256(dumps(res.model.to_dict()).encode()).hexdigest()
+    assert (sha256_arrays(res.predictions), model_sha) == GOLDEN[model, strategy_name]
