@@ -13,6 +13,7 @@ cross-validation over a small grid, ties resolved toward the larger
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -40,8 +41,8 @@ class LassoConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
-        if any(a < 0 for a in self.alpha_grid):
-            raise InvalidConfig("alphas must be >= 0 (0 is the OLS check mode)")
+        if not all(0.0 <= a < math.inf for a in self.alpha_grid):
+            raise InvalidConfig("alphas must be finite and >= 0 (0 is the OLS check mode)")
         if self.cv_folds < 2:
             raise InvalidConfig("cv_folds must be >= 2")
         if self.tol <= 0 or self.max_iter < 1:
@@ -102,10 +103,21 @@ class LassoModel:
 
 
 def soft_threshold(z: float, t: float) -> float:
-    """sign(z) * max(|z| - t, 0); the scalar L1 proximal step."""
-    if t < 0:
+    """sign(z) * max(|z| - t, 0); the scalar L1 proximal step.
+
+    Plain float arithmetic with the bits of that numpy formula in every
+    case: -0.0 for -t <= z < 0, +0.0 for 0 <= z <= t (z = -0.0 too), and
+    NaN where |z| - t is NaN.
+    """
+    if not t >= 0:
         raise ValueError("threshold must be >= 0")
-    return float(np.sign(z) * max(abs(z) - t, 0.0))
+    z = float(z)
+    excess = abs(z) - float(t)
+    if excess > 0.0:
+        return excess if z > 0.0 else -excess
+    if excess != excess:
+        return excess
+    return -0.0 if z < 0.0 else 0.0
 
 
 def lasso_objective(Xs: np.ndarray, yc: np.ndarray, beta: np.ndarray, alpha: float) -> float:
@@ -127,6 +139,64 @@ def kkt_violation(Xs: np.ndarray, yc: np.ndarray, beta: np.ndarray, alpha: float
     return float(viol.max()) if viol.size else 0.0
 
 
+def _gram_sweep(indices, beta: list, corr: np.ndarray, gram_rows,
+                col_norm2: list, alpha: float) -> float:
+    """One cyclic pass of covariance updates; returns the largest |change|.
+
+    ``corr`` holds X'r / n and is updated in place against ``gram_rows[j]``,
+    a contiguous row of G.T (the values of column j of the Gram matrix G).
+    ``beta`` and ``col_norm2`` are lists of Python floats, and the
+    threshold is :func:`soft_threshold` inlined for a finite alpha: the
+    same IEEE operations in the same order as the formula on numpy
+    scalars, so every bit, signed zeros and NaN included, is the same.
+    """
+    neg_alpha = -alpha
+    max_delta = 0.0
+    for j in indices:
+        nj = col_norm2[j]
+        if nj <= 0.0:
+            continue
+        old = beta[j]
+        rho = corr.item(j) + nj * old
+        if rho > alpha:
+            new = (rho - alpha) / nj
+        elif rho < neg_alpha:
+            new = (rho + alpha) / nj
+        elif rho >= 0.0:
+            new = 0.0
+        elif rho < 0.0:
+            new = -0.0
+        else:
+            new = rho  # NaN stays NaN
+        if new != old:
+            delta = new - old
+            corr -= gram_rows[j] * delta
+            beta[j] = new
+            delta = abs(delta)
+            if delta > max_delta:  # max(max_delta, delta), NaN included
+                max_delta = delta
+    return max_delta
+
+
+def _residual_sweep(indices, beta: list, Xs: np.ndarray, r: np.ndarray,
+                    col_norm2: list, alpha: float) -> float:
+    """One cyclic pass against the residual ``r``, updated in place."""
+    n = r.size
+    max_delta = 0.0
+    for j in indices:
+        nj = col_norm2[j]
+        if nj <= 0.0:
+            continue
+        old = beta[j]
+        rho = (Xs[:, j] @ r) / n + nj * old
+        new = soft_threshold(rho, alpha) / nj
+        if new != old:
+            r -= Xs[:, j] * (new - old)
+            beta[j] = new
+            max_delta = max(max_delta, abs(new - old))
+    return max_delta
+
+
 def lasso_fit(X: np.ndarray, y: np.ndarray, alpha: float,
               config: LassoConfig | None = None,
               record_objective: bool = False) -> LassoModel:
@@ -138,7 +208,8 @@ def lasso_fit(X: np.ndarray, y: np.ndarray, alpha: float,
     ``config.tol`` or ``config.max_iter`` sweeps elapse. Hitting the sweep
     budget emits a :class:`DidNotConverge` warning instead of raising, so
     cross-validation survives hard alpha/fold combinations. Non-finite
-    ``X`` or ``y`` raises :class:`NonFiniteLoss` before any sweep.
+    ``X`` or ``y``, or a target whose starting objective overflows, raises
+    :class:`NonFiniteLoss` before any sweep.
     """
     config = config or LassoConfig()
     X = np.asarray(X, float)
@@ -148,56 +219,48 @@ def lasso_fit(X: np.ndarray, y: np.ndarray, alpha: float,
     n, d = X.shape
     if n < 2:
         raise TooFewRows("need at least 2 rows to fit")
+    if not 0.0 <= alpha < math.inf:
+        raise InvalidConfig(f"alpha must be finite and >= 0, got {alpha}")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise NonFiniteLoss("lasso input contains non-finite values")
 
     scaler = Scaler.fit(X)
     Xs = scaler.transform(X)
-    y_mean = float(y.mean())
-    yc = y - y_mean
+    with np.errstate(over="ignore"):
+        y_mean = float(y.mean())
+        yc = y - y_mean
+        start = float(yc @ yc)
+    if not math.isfinite(start):
+        raise NonFiniteLoss("the starting objective overflows: the target is too large")
 
-    beta = np.zeros(d)
-    history = [lasso_objective(Xs, yc, beta, alpha)] if record_objective else None
+    alpha = float(alpha)
+    beta = [0.0] * d
+    history = [lasso_objective(Xs, yc, np.array(beta), alpha)] if record_objective else None
 
     # With many more rows than columns, sweeping against the Gram matrix
     # makes a coordinate update O(d) instead of O(n); the residual form is
     # kept for small problems and when the per-sweep objective is recorded.
-    use_gram = not record_objective and n > 4 * d
-    if use_gram:
+    if not record_objective and n > 4 * d:
         G = Xs.T @ Xs / n
+        gram_rows = list(np.ascontiguousarray(G.T))
         corr = Xs.T @ yc / n            # stays equal to X' r / n
-        col_norm2 = np.diag(G).copy()
+        col_norm2 = np.diag(G).tolist()
+
+        def sweep(indices) -> float:
+            return _gram_sweep(indices, beta, corr, gram_rows, col_norm2, alpha)
     else:
         r = yc.copy()
-        col_norm2 = (Xs * Xs).sum(axis=0) / n
+        col_norm2 = ((Xs * Xs).sum(axis=0) / n).tolist()
 
-    def sweep(indices) -> float:
-        nonlocal r, corr
-        max_delta = 0.0
-        for j in indices:
-            nj = col_norm2[j]
-            if nj <= 0.0:
-                continue
-            old = beta[j]
-            if use_gram:
-                rho = corr[j] + nj * old
-            else:
-                rho = (Xs[:, j] @ r) / n + nj * old
-            new = soft_threshold(rho, alpha) / nj
-            if new != old:
-                if use_gram:
-                    corr -= G[:, j] * (new - old)
-                else:
-                    r -= Xs[:, j] * (new - old)
-                beta[j] = new
-                max_delta = max(max_delta, abs(new - old))
-        if history is not None:
-            history.append(lasso_objective(Xs, yc, beta, alpha))
-        return max_delta
+        def sweep(indices) -> float:
+            max_delta = _residual_sweep(indices, beta, Xs, r, col_norm2, alpha)
+            if history is not None:
+                history.append(lasso_objective(Xs, yc, np.array(beta), alpha))
+            return max_delta
 
     def stationary() -> bool:
         # exact residual correlations (the running ones can drift a hair)
-        return kkt_violation(Xs, yc, beta, alpha) <= 0.5 * KKT_TOL
+        return kkt_violation(Xs, yc, np.array(beta), alpha) <= 0.5 * KKT_TOL
 
     all_idx = range(d)
     converged = False
@@ -216,8 +279,8 @@ def lasso_fit(X: np.ndarray, y: np.ndarray, alpha: float,
             converged = False
             # active-set refinement: iterate the nonzero coordinates to
             # their fixed point, then re-check everyone with a full sweep.
-            active = np.flatnonzero(beta)
-            while active.size and sweeps < config.max_iter:
+            active = [j for j in all_idx if beta[j] != 0.0]
+            while active and sweeps < config.max_iter:
                 sweeps += 1
                 if sweep(active) < config.tol:
                     break
@@ -227,7 +290,7 @@ def lasso_fit(X: np.ndarray, y: np.ndarray, alpha: float,
             f"coordinate descent stopped after {sweeps} sweeps with "
             f"coefficient changes above tol={config.tol}", DidNotConverge)
 
-    return LassoModel(beta, y_mean, float(alpha), scaler.means, scaler.stds,
+    return LassoModel(np.array(beta), y_mean, alpha, scaler.means, scaler.stds,
                       converged=converged, n_sweeps=sweeps,
                       objective_history=history)
 

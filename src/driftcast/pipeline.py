@@ -22,7 +22,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import changepoint as cp
-from .errors import InvalidConfig, MismatchedTestBlocks, PostDriftTooShort, TooFewRows
+from .errors import (InvalidConfig, MismatchedTestBlocks, PostDriftTooShort, TooFewRows,
+                     UnknownColumn)
 from .features import FeatureMatrix, FeatureSpec, build_features
 from .frame import Scaler, SplitSpec, TimeSeriesFrame
 from .lasso import LassoConfig, lasso_cv
@@ -289,6 +290,9 @@ def detect_training_drift(prep: _Prepared, config: StrategyConfig) -> cp.Segment
     if det.on_target:
         return cp.pelt_detect(train.y, det.cost_model, penalty, det.min_size)
     names = det.columns or data_feature_columns(train.feature_names)
+    unknown = [n for n in names if n not in train.feature_names]
+    if unknown:
+        raise UnknownColumn(f"no feature column named {unknown[0]!r} to detect on")
     idx = [train.feature_names.index(n) for n in names]
     return cp.multivariate_detect(train.X[:, idx], det.cost_model, penalty, det.min_size)
 

@@ -262,6 +262,16 @@ class TestRun:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    def test_unknown_detect_column_exits_2(self, workdir, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        args = ["run", "--data", str(workdir / "data.csv"), "--model", "lasso",
+                "--strategy", "retrain", "--detect-columns", "lag_1,bogus",
+                "--out", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: no feature column named 'bogus' to detect on"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("model,strategy", [
         ("lasso", "baseline"), ("lasso", "retrain"), ("mlp", "retrain")])
     def test_infinite_cell_is_a_gap(self, workdir, tmp_path, model, strategy):

@@ -1,16 +1,23 @@
+import hashlib
+import math
+import warnings
+
 import numpy as np
 import pytest
 
-from driftcast.errors import DidNotConverge, NonFiniteLoss, TooFewRows
-from driftcast.features import FeatureMatrix
+from driftcast import lasso
+from driftcast.errors import DidNotConverge, InvalidConfig, NonFiniteLoss, TooFewRows
+from driftcast.features import FeatureMatrix, FeatureSpec, build_features
 from driftcast.lasso import (
     LassoConfig,
+    _gram_sweep,
     kkt_violation,
     lasso_cv,
     lasso_fit,
     soft_threshold,
     timeseries_folds,
 )
+from driftcast.synth import TARGET_COLUMN, generate
 
 GRID = (0.001, 0.01, 0.1, 1.0)
 
@@ -26,6 +33,19 @@ def feature_matrix(X, y):
     return FeatureMatrix(X, y, tuple(f"f{i}" for i in range(X.shape[1])), 0)
 
 
+def numpy_threshold(z, t):
+    return float(np.sign(z) * max(abs(z) - t, 0.0))
+
+
+# z at the edges of the threshold t = 1: signed zeros, |z| = t, inside and
+# outside the dead zone, infinities and NaN
+THRESHOLD_EDGES = (0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -2.0,
+                   math.inf, -math.inf, math.nan)
+# the same edges as the Gram sweep can meet them: rho = -0.0 needs
+# beta = -0.0, and any zero then leaves beta as it is
+SWEEP_EDGES = (0.0, 0.5, -0.5, 1.0, -1.0, 2.5, -2.0, math.inf, -math.inf, math.nan)
+
+
 class TestSoftThreshold:
     def test_cases(self):
         assert soft_threshold(3.0, 1.0) == 2.0
@@ -35,6 +55,22 @@ class TestSoftThreshold:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             soft_threshold(1.0, -0.1)
+        with pytest.raises(ValueError):
+            soft_threshold(1.0, math.nan)
+
+    @pytest.mark.parametrize("t", (0.0, 1.0, math.inf))
+    @pytest.mark.parametrize("z", THRESHOLD_EDGES)
+    def test_bits_match_numpy_formula(self, z, t):
+        assert soft_threshold(z, t).hex() == numpy_threshold(z, t).hex()
+
+    @pytest.mark.parametrize("z", SWEEP_EDGES)
+    def test_inline_sweep_threshold_bits(self, z):
+        # one unit-norm coordinate at beta = 0.5, so rho = (z - 0.5) + 0.5
+        # is z exactly and the sweep stores the thresholded rho itself
+        beta = [0.5]
+        with np.errstate(invalid="ignore"):
+            _gram_sweep(range(1), beta, np.array([z - 0.5]), np.ones((1, 1)), [1.0], 1.0)
+        assert beta[0].hex() == numpy_threshold(z, 1.0).hex()
 
 
 class TestLassoFit:
@@ -110,6 +146,26 @@ class TestLassoFit:
         with pytest.raises(NonFiniteLoss):
             lasso_fit(X, y, 0.01)
 
+    def test_overflowing_target_rejected_at_entry(self):
+        # finite cells, but the starting objective yc @ yc overflows
+        rng = np.random.default_rng(7)
+        X = rng.normal(0, 1, (60, 3))
+        y = X[:, 0] + rng.normal(0, 0.1, 60)
+        y[30] = 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy overflow warning
+            with pytest.raises(NonFiniteLoss, match="objective"):
+                lasso_fit(X, y, 0.01)
+
+    @pytest.mark.parametrize("alpha", (-0.1, math.nan, math.inf))
+    def test_alpha_must_be_finite_and_non_negative(self, alpha):
+        rng = np.random.default_rng(7)
+        X = rng.normal(0, 1, (20, 2))
+        with pytest.raises(InvalidConfig):
+            lasso_fit(X, X[:, 0], alpha)
+        with pytest.raises(InvalidConfig):
+            LassoConfig(alpha_grid=(0.1, alpha))
+
     def test_constant_column_gets_zero_weight(self):
         rng = np.random.default_rng(6)
         X = rng.normal(0, 1, (50, 3))
@@ -117,6 +173,71 @@ class TestLassoFit:
         y = X[:, 0] * 2.0 + rng.normal(0, 0.1, 50)
         model = lasso_fit(X, y, 0.01)
         assert model.coefficients[1] == 0.0
+
+
+def synth_rows(degree, rows=2000):
+    fm = build_features(generate(), TARGET_COLUMN, FeatureSpec(polynomial_degree=degree))
+    return fm.X[:rows], fm.y[:rows]
+
+
+def correlated_design(seed, n, d):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(0, 1, (n, d))
+    h = d // 2
+    X[:, h:2 * h] = X[:, :h] * 0.95 + rng.normal(0, 0.1, (n, h))
+    return X, X @ rng.normal(0, 1, d) + rng.normal(0, 0.5, n)
+
+
+# (sha256 of coefficients.tobytes(), n_sweeps, converged) per solver case,
+# recorded with numpy 2.4.6 on x86-64 while the sweep still ran on numpy
+# scalars. The first four run the Gram path (n > 4d); "degree2" spends most
+# of its sweeps on the active set and ends with nine -0.0 coefficients.
+SOLVER_GOLDEN = {
+    "degree2": ("c90a6796961ab80ce4154758e547058f89fce119384fe502f6c3ad8d6bf16f7e",
+                1744, True),
+    "degree1": ("7323141678af5d92c0cc43321fe5408616f167cf126be68ce3a8ba397594fa3e",
+                10, True),
+    "not_converged": ("1d45e830eb0cf57adac44f682d8a2f4d838b0fb8479aba7b9417899229fe62f6",
+                      50, False),
+    "all_zero": ("f9d54bbe3ccaf08564c2928c55218a3f696989a05dffc8edf057773751aae153",
+                 1, True),
+    "residual": ("d04d19e63c150f81908cff987f4f09dc898c569ed7c770814cc23ee0e927e49e",
+                 1980, True),
+    "record_objective": ("b6c28bb7d8d963a13977917a106e14b21903fc56909f47d4e6bba38c9bde0ae5",
+                         1240, True),
+}
+OBJECTIVE_HISTORY_SHA = "036d49be6a437fcf87e4bd55df201509d7346e9dc87da139b0f3699b2315ce67"
+
+
+@pytest.fixture(scope="module")
+def solver_cases():
+    X2, y2 = synth_rows(2)
+    X1, y1 = synth_rows(1)
+    return {
+        "degree2": (X2, y2, 0.001, LassoConfig()),
+        "degree1": (X1, y1, 0.001, LassoConfig()),
+        "not_converged": (X2, y2, 0.001, LassoConfig(max_iter=50)),
+        "all_zero": (X2, y2, 0.1, LassoConfig()),
+        "residual": (*correlated_design(11, 40, 12), 0.01, LassoConfig()),
+        "record_objective": (*correlated_design(12, 60, 10), 0.01, LassoConfig()),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(SOLVER_GOLDEN))
+def test_solver_golden_bits(solver_cases, case):
+    X, y, alpha, config = solver_cases[case]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        model = lasso_fit(X, y, alpha, config, record_objective=case == "record_objective")
+    got = (hashlib.sha256(model.coefficients.tobytes()).hexdigest(),
+           model.n_sweeps, model.converged)
+    assert got == SOLVER_GOLDEN[case]
+    assert [w.category for w in caught] == ([DidNotConverge] if case == "not_converged" else [])
+    if case == "all_zero":
+        assert model.nonzero_count == 0
+    if case == "record_objective":
+        history = np.array(model.objective_history)
+        assert hashlib.sha256(history.tobytes()).hexdigest() == OBJECTIVE_HISTORY_SHA
 
 
 class TestFolds:
@@ -193,14 +314,30 @@ class TestLassoCV:
 
     @pytest.mark.filterwarnings("ignore")
     def test_no_finite_cv_score_is_typed(self):
-        # one target that overflows the squared error makes every fold's
-        # validation MSE infinite, whatever the alpha
+        # one target in the last validation block, which no fold trains on,
+        # overflows the squared error: every alpha's mean MSE is infinite
         rng = np.random.default_rng(12)
         X = rng.normal(0, 1, (60, 3))
         y = X[:, 0] + rng.normal(0, 0.1, 60)
-        y[0] = 1e300
-        with pytest.raises(NonFiniteLoss):
+        y[-1] = 1e300
+        with pytest.raises(NonFiniteLoss, match="cross-validation"):
             lasso_cv(feature_matrix(X, y), LassoConfig(max_iter=20))
+
+    def test_overflowing_target_fails_at_first_fit(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        X = rng.normal(0, 1, (60, 3))
+        y = X[:, 0] + rng.normal(0, 0.1, 60)
+        y[5] = 1e300  # inside the first fold's training rows
+        calls = []
+
+        def counting_fit(*args, **kwargs):
+            calls.append(args[2])
+            return lasso_fit(*args, **kwargs)
+
+        monkeypatch.setattr(lasso, "lasso_fit", counting_fit)
+        with pytest.raises(NonFiniteLoss, match="objective"):
+            lasso_cv(feature_matrix(X, y))
+        assert calls == [0.001]
 
     def test_non_finite_features_rejected_at_entry(self):
         rng = np.random.default_rng(13)
