@@ -2,9 +2,10 @@
 
 A sudden level shock lands late in the training block. The baseline MLP
 trains on everything and meets test inputs far outside the distribution it
-mostly saw; the drift-aware run detects the shock in the lag features,
-throws away everything before it, and retrains from scratch on the
-post-shock segment. Both are scored on a byte-identical test block.
+mostly saw; the drift-aware run detects the shock in the target series,
+throws away everything before it and the feature rows whose lags still
+reach back across it, and retrains from scratch on the post-shock segment.
+Both are scored on a byte-identical test block.
 
 Run:  python demos/demo_pipeline.py
 """

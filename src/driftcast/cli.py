@@ -5,7 +5,7 @@ Exit codes: 0 success, 2 usage or configuration error, 3 numeric failure
 emitted JSON/CSV artifacts are byte-stable for a fixed invocation and
 seed; SVG files carry no metadata.
 The environment variable ``DRIFTCAST_SEED`` supplies the default seed when
-``--seed`` is not given.
+``--seed`` is not given; a value that is not an integer exits 2.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def _default_seed() -> int:
     try:
         return int(env) if env else 0
     except ValueError:
-        return 0
+        raise InvalidConfig(f"DRIFTCAST_SEED must be an integer, got {env!r}") from None
 
 
 def _int_list(text: str, flag: str) -> tuple[int, ...]:
@@ -87,12 +87,14 @@ def cmd_synth(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    if args.per_column and not args.columns:
+        raise InvalidConfig("--per-column needs --columns")
     frame = load_csv(args.data, timestamp_column=args.timestamp_column)
     model = cp.CostModel(args.cost)
     penalty = cp.PenaltyConfig(args.beta) if args.beta is not None else None
     names = list(args.columns) if args.columns else [_pick_target(frame, args.target)]
     frame = _clean(frame, names)
-    if args.columns and args.per_column:
+    if args.per_column:
         per, markers = cp.per_column_detect(frame, names, model, penalty, args.min_size)
         payload = {
             "columns": {k: seg.to_dict() for k, seg in per.items()},
@@ -137,7 +139,6 @@ def _strategy_config(args, strategy) -> pipeline.StrategyConfig:
             spec = replace(spec, polynomial_degree=2)
     detection = pipeline.DetectionConfig(
         columns=tuple(args.detect_columns) if args.detect_columns else None,
-        on_target=args.detect_on == "target",
         beta=args.beta,
         min_size=args.min_size,
     )
@@ -351,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", choices=[pipeline.SCALE_STANDARDIZED,
                                        pipeline.SCALE_ORIGINAL],
                    default=pipeline.SCALE_STANDARDIZED)
-    p.add_argument("--detect-on", choices=["features", "target"], default="features")
-    p.add_argument("--detect-columns", type=lambda s: s.split(","), default=None)
+    p.add_argument("--detect-columns", type=lambda s: s.split(","), default=None,
+                   help="feature columns to detect on jointly (default: the target)")
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--min-size", type=int, default=2)
     p.add_argument("--lags", default="1,24,168")

@@ -2,11 +2,11 @@
 
 ``run_baseline`` trains once on the whole training block. ``run_retrain``
 detects distributional changepoints inside the training block (never the
-test block), discards every feature row before the last one, and refits
-the same model family from scratch — fresh initialization, fresh scalers —
-on the remainder. Both strategies are evaluated on byte-identical test
-features, so any score difference is attributable to the training-data
-selection alone.
+test block), discards every feature row whose inputs reach back before the
+last one, and refits the same model family from scratch — fresh
+initialization, fresh scalers — on the remainder. Both strategies are
+evaluated on byte-identical test features, so any score difference is
+attributable to the training-data selection alone.
 
 Feature rows for the test block may consume actual past observations
 across the split boundary (walk-forward, one step ahead with known
@@ -42,32 +42,17 @@ SCALE_STANDARDIZED = "standardized"
 SCALE_ORIGINAL = "original"
 
 
-def data_feature_columns(names) -> tuple[str, ...]:
-    """The feature columns drift detection watches by default: the lags.
-
-    Lag columns are shifted copies of the observed series, so their
-    first differences are the raw innovations and the variance-tracking
-    penalty is calibrated for them. The excluded columns misbehave under
-    a mean-shift cost: calendar encodings are deterministic functions of
-    the clock (their "shifts" are phase, not drift), and rolling stats
-    are smoothed aggregates whose tiny first differences make the
-    penalty far too cheap for their actual excursions.
-    """
-    return tuple(n for n in names if "*" not in n and n.startswith("lag_"))
-
-
 @dataclass(frozen=True)
 class DetectionConfig:
     """What the changepoint detector sees.
 
-    ``columns=None`` means the data-derived feature columns; set
-    ``on_target=True`` to detect on the raw target series instead (the
-    drift-visualization convention). ``beta=None`` derives the penalty
-    from first-difference variance, summed across detection columns.
+    ``columns=None`` detects on the training-block target; naming feature
+    columns detects jointly over them, standardized. ``beta=None`` derives
+    the penalty from first-difference variance, summed across detection
+    columns.
     """
 
     columns: tuple[str, ...] | None = None
-    on_target: bool = False
     cost_model: cp.CostModel = field(default_factory=cp.CostModel)
     beta: float | None = None
     min_size: int = 2
@@ -75,7 +60,6 @@ class DetectionConfig:
     def to_dict(self) -> dict:
         return {
             "columns": list(self.columns) if self.columns else None,
-            "on_target": self.on_target,
             "cost_model": self.cost_model.kind,
             "beta": self.beta,
             "min_size": self.min_size,
@@ -280,25 +264,30 @@ def run_baseline(frame: TimeSeriesFrame, target: str, config: StrategyConfig) ->
 def detect_training_drift(prep: _Prepared, config: StrategyConfig) -> cp.Segmentation:
     """Changepoints over the training block only (feature-row indexing).
 
-    Default mode watches the standardized data-derived feature columns
-    jointly; ``on_target`` mode watches the raw target values aligned with
-    the same rows instead.
+    By default the detector watches the target values aligned with the
+    training rows; ``DetectionConfig.columns`` names feature columns to
+    watch jointly instead.
     """
     det = config.detection
     train = prep.train
     penalty = cp.PenaltyConfig(det.beta) if det.beta is not None else None
-    if det.on_target:
+    if not det.columns:
         return cp.pelt_detect(train.y, det.cost_model, penalty, det.min_size)
-    names = det.columns or data_feature_columns(train.feature_names)
-    unknown = [n for n in names if n not in train.feature_names]
+    unknown = [n for n in det.columns if n not in train.feature_names]
     if unknown:
         raise UnknownColumn(f"no feature column named {unknown[0]!r} to detect on")
-    idx = [train.feature_names.index(n) for n in names]
+    idx = [train.feature_names.index(n) for n in det.columns]
     return cp.multivariate_detect(train.X[:, idx], det.cost_model, penalty, det.min_size)
 
 
 def run_retrain(frame: TimeSeriesFrame, target: str, config: StrategyConfig) -> RunResult:
     """Drift-aware strategy: drop training rows before the last changepoint.
+
+    A changepoint on the target starts a new regime, but the lags and
+    rolling windows of the next ``warmup`` feature rows still read
+    pre-drift values, so the cut lands where the whole input window has
+    cleared it (clamped to the training block). Changepoints on named
+    feature columns are already in feature space and cut where they fall.
 
     Falls back to the baseline training set (and flags the report) when no
     changepoint is found or the post-drift segment is below the model's
@@ -307,22 +296,24 @@ def run_retrain(frame: TimeSeriesFrame, target: str, config: StrategyConfig) -> 
     """
     prep = _prepare(frame, target, config)
     segmentation = detect_training_drift(prep, config)
-    tau = cp.last_changepoint(segmentation)
+    cut = cp.last_changepoint(segmentation)
+    if cut is not None and not config.detection.columns:
+        cut = min(cut + config.feature_spec.warmup, prep.train.rows)
 
     fallback_reason = None
-    if tau is None:
+    if cut is None:
         fallback_reason = "no_changepoints"
         log.info("no changepoints in training block; falling back to baseline")
-    elif prep.train.rows - tau < _min_rows(config):
+    elif prep.train.rows - cut < _min_rows(config):
         fallback_reason = "post_drift_too_short"
         warnings.warn(
-            f"post-drift segment has {prep.train.rows - tau} rows, below the "
+            f"post-drift segment has {prep.train.rows - cut} clean rows, below the "
             f"minimum of {_min_rows(config)}; falling back to baseline",
             PostDriftTooShort)
 
     if fallback_reason is None:
-        train_slice = prep.train.slice(tau, prep.train.rows)
-        rows_used = prep.train.rows - tau
+        train_slice = prep.train.slice(cut, prep.train.rows)
+        rows_used = prep.train.rows - cut
     else:
         train_slice = prep.train
         rows_used = prep.train.rows

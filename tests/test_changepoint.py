@@ -221,29 +221,31 @@ class TestPeltExactness:
             assert detect(np.array(y), L2, PenaltyConfig(beta), 1).changepoints == expect
 
     # sha256 of PeltState.F and .backpointers for l2_mean on what retrain's
-    # detection sees on the default synth (seed 1), recorded before the
-    # per-candidate kernel replaced per-step gathers
+    # detection sees on the default synth (seed 1): the target by default, or
+    # the three lag columns when named; recorded before the per-candidate
+    # kernel replaced per-step gathers
     GOLDEN = {
-        True: ("ceb109642a33b779a82f3ae6d55ecefdfb686d14ea19b044f174b63f48a1c6dc",
+        None: ("ceb109642a33b779a82f3ae6d55ecefdfb686d14ea19b044f174b63f48a1c6dc",
                "6c00cf010d7b73489fa36a06a87b7ac3cafc60b8d2038f010c2402a49b9dd288"),
-        False: ("1a147eb09a3167ef699b7f3b7c6486916154a55f19db0aaed1f0f75706e2fb0f",
-                "106b99ba2dddd9e96b5852687bd76c6ab9f6db8ffcd538dd530fb25004c3cb03"),
+        ("lag_1", "lag_24", "lag_168"): (
+            "1a147eb09a3167ef699b7f3b7c6486916154a55f19db0aaed1f0f75706e2fb0f",
+            "106b99ba2dddd9e96b5852687bd76c6ab9f6db8ffcd538dd530fb25004c3cb03"),
     }
 
-    @pytest.mark.parametrize("on_target", [True, False], ids=["target", "lags"])
-    def test_golden_state_on_default_synth(self, on_target):
+    @pytest.mark.parametrize("columns", list(GOLDEN), ids=["target", "lags"])
+    def test_golden_state_on_default_synth(self, columns):
         config = pipeline.StrategyConfig(
-            detection=pipeline.DetectionConfig(on_target=on_target))
+            detection=pipeline.DetectionConfig(columns=columns))
         frame = synth.generate(synth.SynthConfig(seed=1))
         prep = pipeline._prepare(frame, synth.TARGET_COLUMN, config)
         with mock.patch.object(pipeline.cp, "pelt_detect",
                                return_value=Segmentation((), 1, 0.0)) as fake:
             pipeline.detect_training_drift(prep, config)
         values, model, penalty, min_size = fake.call_args.args
-        assert np.shape(values) == ((27883,) if on_target else (27883, 3))
+        assert np.shape(values) == ((27883,) if columns is None else (27883, 3))
         _, state = pelt_detect(values, model, penalty, min_size, with_state=True)
         digest = lambda a: hashlib.sha256(a.tobytes()).hexdigest()
-        assert (digest(state.F), digest(state.backpointers)) == self.GOLDEN[on_target]
+        assert (digest(state.F), digest(state.backpointers)) == self.GOLDEN[columns]
 
 
 class TestNonFinite:

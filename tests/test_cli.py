@@ -132,6 +132,14 @@ class TestDetect:
         assert payload["union_changepoints"] == []
         assert [seg["beta"] for seg in payload["columns"].values()] == [1000000]
 
+    def test_per_column_needs_columns(self, workdir, tmp_path, capsys):
+        out = tmp_path / "per.json"
+        assert main(["detect", "--data", str(workdir / "data.csv"), "--per-column",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --per-column needs --columns"]
+        assert not out.exists()
+
     def test_columns_never_reads_unlisted_columns(self, workdir, tmp_path):
         lines = (workdir / "data.csv").read_text(encoding="utf-8").splitlines()
         junk = tmp_path / "junk.csv"
@@ -243,6 +251,16 @@ class TestRun:
                 "--strategy", "baseline", "--out", str(a)]
         assert main(args) == 0
         assert load_json(a)["seed"] == 3
+
+    def test_bad_env_seed_exits_2(self, workdir, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("DRIFTCAST_SEED", "abc")
+        out = tmp_path / "env.json"
+        args = ["run", "--data", str(workdir / "data.csv"), "--model", "lasso",
+                "--strategy", "baseline", "--out", str(out)]
+        assert main(args) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: DRIFTCAST_SEED must be an integer, got 'abc'"]
+        assert not out.exists()
 
     def test_numeric_failure_exits_3(self, workdir, tmp_path, monkeypatch):
         def boom(*a, **k):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftcast.errors import LagExceedsLength, UnsupportedDegree, WindowTooSmall
 from driftcast.features import (
@@ -178,6 +180,35 @@ class TestBuildFeatures:
         # rows at or before the perturbed instant keep identical features
         np.testing.assert_array_equal(fm_a.X[:r + 1], fm_b.X[:r + 1])
         assert not np.array_equal(fm_a.X[r + 1:], fm_b.X[r + 1:])
+
+    @settings(max_examples=150, deadline=None)
+    @given(lags=st.lists(st.integers(1, 12), max_size=3, unique=True),
+           windows=st.lists(st.integers(2, 12), max_size=2, unique=True),
+           degree=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_row_reads_only_its_window(self, lags, windows, degree, seed, data):
+        # feature row i reads source rows [origin + i - warmup, origin + i)
+        # and nothing else: the cut after a target changepoint relies on it
+        spec = FeatureSpec(lags, windows, polynomial_degree=degree)
+        warmup = spec.warmup
+        n = data.draw(st.integers(warmup + 1, warmup + 40), label="n")
+        i = data.draw(st.integers(0, n - warmup - 1), label="row")
+        rng = np.random.default_rng(seed)
+        vals = rng.normal(0, 1, n)
+        lo, hi = i, warmup + i  # origin_index == warmup
+        outside = vals.copy()
+        outside[:lo] = rng.normal(5, 3, lo)
+        outside[hi:] = rng.normal(-5, 3, n - hi)
+        a = build_features(hourly_frame(vals), "y", spec)
+        b = build_features(hourly_frame(outside), "y", spec)
+        assert a.origin_index == warmup
+        assert a.X[i].tobytes() == b.X[i].tobytes()
+        if warmup:
+            # the window's first value is read (by the longest lag or window)
+            inside = vals.copy()
+            inside[lo] += 50.0
+            c = build_features(hourly_frame(inside), "y", spec)
+            assert not np.array_equal(a.X[i], c.X[i])
 
     def test_determinism(self):
         rng = np.random.default_rng(6)

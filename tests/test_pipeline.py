@@ -7,7 +7,7 @@ import pytest
 from driftcast.errors import MismatchedTestBlocks, PostDriftTooShort, TooFewRows
 from driftcast.features import build_features
 from driftcast.frame import TimeSeriesFrame
-from driftcast.changepoint import op_detect, default_penalty_multi
+from driftcast.changepoint import op_detect
 from driftcast.mlp import MlpConfig
 from driftcast.pipeline import (
     BASELINE,
@@ -18,7 +18,6 @@ from driftcast.pipeline import (
     RunReport,
     StrategyConfig,
     compare,
-    data_feature_columns,
     run,
     run_baseline,
     run_retrain,
@@ -89,15 +88,18 @@ class TestBaseline:
 
 
 class TestRetrain:
+    WARMUP = 168  # the default feature spec's longest lag / window
+
     def test_detects_injected_drift(self, drifted_frame):
         res = run_retrain(drifted_frame, TARGET, strategy())
         seg = res.report.segmentation
         assert seg is not None and seg.m >= 1
-        assert res.report.training_rows_used < res.train_rows_total
         assert res.report.fallback_reason is None
-        # the step was injected at raw row 2904; in feature-row indexing the
-        # last lag finishes crossing it at the same raw position
-        assert abs(seg.changepoints[-1] - 2904) <= 24
+        # the step was injected at raw row 2904, which is feature row 2904 - 168;
+        # training starts once the longest lag has crossed it
+        tau = seg.changepoints[-1]
+        assert abs(tau - (2904 - self.WARMUP)) <= 24
+        assert res.report.training_rows_used == res.train_rows_total - (tau + self.WARMUP)
 
     def test_last_changepoint_oracle_checked(self, drifted_frame):
         cfg = strategy()
@@ -105,17 +107,23 @@ class TestRetrain:
         fm = build_features(drifted_frame, TARGET, cfg.feature_spec)
         boundary = cfg.split.boundary(drifted_frame.n)
         train = fm.slice(0, boundary - fm.origin_index)
-        names = data_feature_columns(train.feature_names)
-        idx = [train.feature_names.index(n) for n in names]
-        X = train.X[:, idx]
-        Xs = (X - X.mean(axis=0)) / X.std(axis=0)
-        oracle = op_detect(Xs, penalty=default_penalty_multi(Xs))
-        assert res.report.segmentation.changepoints == oracle.changepoints
+        assert res.report.segmentation.changepoints == op_detect(train.y).changepoints
 
     def test_training_rows_accounting(self, drifted_frame):
-        res = run_retrain(drifted_frame, TARGET, strategy())
+        cfg = strategy()
+        res = run_retrain(drifted_frame, TARGET, cfg)
+        cut = res.report.segmentation.changepoints[-1] + cfg.feature_spec.warmup
+        assert res.report.training_rows_used == res.train_rows_total - cut
+        assert res.report.config["detection"] == {
+            "columns": None, "cost_model": "l2_mean", "beta": None, "min_size": 2}
+
+    def test_named_columns_cut_where_they_fall(self, drifted_frame):
+        cfg = strategy(detection=DetectionConfig(columns=("lag_168",)))
+        res = run_retrain(drifted_frame, TARGET, cfg)
         tau = res.report.segmentation.changepoints[-1]
+        assert abs(tau - 2904) <= 24
         assert res.report.training_rows_used == res.train_rows_total - tau
+        assert res.report.config["detection"]["columns"] == ["lag_168"]
 
     def test_fallback_on_stationary_data(self, stationary_frame):
         cfg = strategy(seed=3)
@@ -127,23 +135,29 @@ class TestRetrain:
         assert np.array_equal(base.predictions, retr.predictions)
         assert retr.report.training_rows_used == base.report.training_rows_used
 
-    def test_fallback_when_post_drift_too_short(self):
+    @staticmethod
+    def step_before_split(hours):
         base_cfg = scaled_config(events="none")
         boundary_ts = int(base_cfg.start + 3494 * 3600)
-        cfg = SynthConfig(start=base_cfg.start, end=base_cfg.end,
-                          events=(DriftEvent(SUDDEN, boundary_ts - 4 * 3600, jump=3.0),),
-                          seed=1)
-        frame = generate(cfg)
+        return generate(SynthConfig(
+            start=base_cfg.start, end=base_cfg.end,
+            events=(DriftEvent(SUDDEN, boundary_ts - hours * 3600, jump=3.0),), seed=1))
+
+    def test_fallback_when_post_drift_too_short(self):
         with pytest.warns(PostDriftTooShort):
-            res = run_retrain(frame, TARGET, strategy(seed=1))
+            res = run_retrain(self.step_before_split(4), TARGET, strategy(seed=1))
         assert res.report.fallback_reason == "post_drift_too_short"
         assert res.report.training_rows_used == res.train_rows_total
 
-    def test_detect_on_target_mode(self, drifted_frame):
-        cfg = strategy(detection=DetectionConfig(on_target=True))
-        res = run_retrain(drifted_frame, TARGET, cfg)
-        assert res.report.segmentation.m >= 1
-        assert abs(res.report.segmentation.changepoints[-1] - (2904 - 168)) <= 24
+    def test_cut_clamps_to_training_block(self):
+        # the target changepoint is found, but no training row has a feature
+        # window clear of it
+        with pytest.warns(PostDriftTooShort, match="has 0 clean rows"):
+            res = run_retrain(self.step_before_split(100), TARGET, strategy(seed=1))
+        tau = res.report.segmentation.changepoints[-1]
+        assert res.train_rows_total - self.WARMUP < tau < res.train_rows_total - 10
+        assert res.report.fallback_reason == "post_drift_too_short"
+        assert res.report.training_rows_used == res.train_rows_total
 
     def test_run_dispatch(self, drifted_frame):
         a = run(drifted_frame, TARGET, strategy(strategy=BASELINE))
