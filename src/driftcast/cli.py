@@ -14,6 +14,7 @@ import argparse
 import glob as globmod
 import os
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import changepoint as cp
 from . import pipeline, serialize, svgplot, synth
-from .errors import DriftcastError, InvalidConfig, NonFiniteLoss, NonFiniteValues
+from .errors import DriftcastError, DriftcastWarning, InvalidConfig, NonFiniteLoss, NonFiniteValues
 from .features import FeatureSpec
 from .frame import SplitSpec, forward_fill, load_csv, resample_hourly, write_csv
 from .lasso import LassoConfig
@@ -394,6 +395,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    previous_format = warnings.formatwarning
+
+    def format_warning(message, category, filename, lineno, line=None):
+        # driftcast's own warnings print as one line, without the source
+        # location and line that the default format adds
+        if issubclass(category, DriftcastWarning):
+            return f"warning: {message}\n"
+        return previous_format(message, category, filename, lineno, line)
+
+    warnings.formatwarning = format_warning
     try:
         # non-finite results surface as typed errors below, so numpy's own
         # warnings would only print ahead of the one-line message
@@ -408,6 +419,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return IO_ERROR
+    finally:
+        warnings.formatwarning = previous_format
 
 
 if __name__ == "__main__":

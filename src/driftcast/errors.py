@@ -105,9 +105,13 @@ class InvalidRange(DriftcastError):
 
 # --- warnings (recoverable states) ---
 
-class DidNotConverge(UserWarning):
+class DriftcastWarning(UserWarning):
+    """Base class for all warnings issued by this package."""
+
+
+class DidNotConverge(DriftcastWarning):
     """Coordinate descent hit max_iter with coefficient changes >= tol."""
 
 
-class PostDriftTooShort(UserWarning):
+class PostDriftTooShort(DriftcastWarning):
     """Post-drift segment below model minimums; fell back to baseline."""

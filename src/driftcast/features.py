@@ -21,6 +21,9 @@ from .frame import TimeSeriesFrame, _readonly
 DEFAULT_LAGS = (1, 24, 168)
 DEFAULT_WINDOWS = (24, 168)
 
+# values per block of squared deviations in rolling_stats (1 MB of floats)
+_BLOCK_CELLS = 1 << 17
+
 
 @dataclass(frozen=True)
 class FeatureSpec:
@@ -150,11 +153,18 @@ def rolling_stats(values: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarr
     if n > window:
         # two-pass per window (not a running sum): each output depends
         # only on its own w past values, and a constant window yields an
-        # exact zero std instead of cancellation dust
+        # exact zero std instead of cancellation dust. Blocks of rows keep
+        # the squared deviations at _BLOCK_CELLS values instead of n * w;
+        # every row still reduces its own contiguous window as before.
         view = np.lib.stride_tricks.sliding_window_view(v, window)[:n - window]
-        mu = view.mean(axis=1)
-        mean[window:] = mu
-        std[window:] = np.sqrt(((view - mu[:, None]) ** 2).mean(axis=1))
+        step = max(1, _BLOCK_CELLS // window)
+        for lo in range(0, n - window, step):
+            block = view[lo:lo + step]
+            rows = slice(window + lo, window + lo + len(block))
+            mean[rows] = block.mean(axis=1)
+            dev = block - mean[rows, None]
+            dev *= dev
+            std[rows] = np.sqrt(dev.mean(axis=1))
     return mean, std
 
 
@@ -162,7 +172,8 @@ def polynomial_expand(X: np.ndarray, names, degree: int) -> tuple[np.ndarray, tu
     """Degree-2 expansion: inputs, then squares, then i<j products.
 
     Degree 1 returns the input unchanged. Product columns are named
-    ``a*b`` in input-index pair order.
+    ``a*b`` in input-index pair order. Every column is written straight
+    into one preallocated array.
     """
     if degree == 1:
         return np.asarray(X, float), tuple(names)
@@ -170,19 +181,18 @@ def polynomial_expand(X: np.ndarray, names, degree: int) -> tuple[np.ndarray, tu
         raise UnsupportedDegree(f"degree must be 1 or 2, got {degree}")
     X = np.asarray(X, float)
     names = list(names)
-    k = X.shape[1]
-    cols = [X]
-    out_names = list(names)
-    cols.append(X * X)
-    out_names.extend(f"{a}*{a}" for a in names)
-    prods = []
+    n, k = X.shape
+    out = np.empty((n, 2 * k + k * (k - 1) // 2))
+    out[:, :k] = X
+    np.multiply(X, X, out=out[:, k:2 * k])
+    out_names = names + [f"{a}*{a}" for a in names]
+    col = 2 * k
     for i in range(k):
         for j in range(i + 1, k):
-            prods.append(X[:, i] * X[:, j])
+            np.multiply(X[:, i], X[:, j], out=out[:, col])
             out_names.append(f"{names[i]}*{names[j]}")
-    if prods:
-        cols.append(np.column_stack(prods))
-    return np.hstack(cols), tuple(out_names)
+            col += 1
+    return out, tuple(out_names)
 
 
 def build_features(frame: TimeSeriesFrame, target: str,

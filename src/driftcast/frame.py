@@ -160,8 +160,14 @@ class Scaler:
         return cls(values.mean(axis=0), stds)
 
     def transform(self, values: np.ndarray) -> np.ndarray:
-        """Scale a (n, k) matrix or (n,) vector laid out like the fitted one."""
-        return (np.asarray(values, float) - self.means) / self.stds
+        """Scale a (n, k) matrix or (n,) vector laid out like the fitted one.
+
+        Divides the centered copy in place, so only one array of the
+        input's size is allocated; the bits are those of ``(v - m) / s``.
+        """
+        out = np.subtract(np.asarray(values, float), self.means)
+        out /= self.stds
+        return out
 
     def inverse(self, values: np.ndarray) -> np.ndarray:
         return np.asarray(values, float) * self.stds + self.means

@@ -83,7 +83,7 @@ class LassoModel:
         if X.ndim != 2 or X.shape[1] != self.coefficients.size:
             raise ShapeMismatch(
                 f"X must be (n, {self.coefficients.size}), got {X.shape}")
-        return (X - self.x_mean) / self.x_std @ self.coefficients + self.intercept
+        return Scaler(self.x_mean, self.x_std).transform(X) @ self.coefficients + self.intercept
 
     @property
     def nonzero_count(self) -> int:
@@ -197,9 +197,39 @@ def _residual_sweep(indices, beta: list, Xs: np.ndarray, r: np.ndarray,
     return max_delta
 
 
+@dataclass
+class _Standardized:
+    """The standardized design and centered target of one fit.
+
+    ``lasso_cv`` shares one across the alphas of a fold: the fold's first
+    :func:`lasso_fit` call builds it, and its Gram terms at most once.
+    """
+
+    scaler: Scaler
+    Xs: np.ndarray
+    yc: np.ndarray
+    y_mean: float
+    gram: tuple | None = None  # (rows of G.T, X'y / n, diag(G) as floats)
+
+
+def _standardize(X: np.ndarray, y: np.ndarray) -> _Standardized:
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise NonFiniteLoss("lasso input contains non-finite values")
+    scaler = Scaler.fit(X)
+    Xs = scaler.transform(X)
+    with np.errstate(over="ignore"):
+        y_mean = float(y.mean())
+        yc = y - y_mean
+        start = float(yc @ yc)
+    if not math.isfinite(start):
+        raise NonFiniteLoss("the starting objective overflows: the target is too large")
+    return _Standardized(scaler, Xs, yc, y_mean)
+
+
 def lasso_fit(X: np.ndarray, y: np.ndarray, alpha: float,
               config: LassoConfig | None = None,
-              record_objective: bool = False) -> LassoModel:
+              record_objective: bool = False, *,
+              _shared: dict | None = None) -> LassoModel:
     """Fit one lasso at a fixed alpha.
 
     Standardizes columns and centers the target internally (the returned
@@ -210,6 +240,10 @@ def lasso_fit(X: np.ndarray, y: np.ndarray, alpha: float,
     cross-validation survives hard alpha/fold combinations. Non-finite
     ``X`` or ``y``, or a target whose starting objective overflows, raises
     :class:`NonFiniteLoss` before any sweep.
+
+    ``_shared`` is :func:`lasso_cv`'s per-fold cache: the first call with
+    an empty dict stores its standardized inputs there, and later calls
+    on the same ``X`` and ``y`` reuse them instead of redoing the work.
     """
     config = config or LassoConfig()
     X = np.asarray(X, float)
@@ -221,17 +255,11 @@ def lasso_fit(X: np.ndarray, y: np.ndarray, alpha: float,
         raise TooFewRows("need at least 2 rows to fit")
     if not 0.0 <= alpha < math.inf:
         raise InvalidConfig(f"alpha must be finite and >= 0, got {alpha}")
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise NonFiniteLoss("lasso input contains non-finite values")
-
-    scaler = Scaler.fit(X)
-    Xs = scaler.transform(X)
-    with np.errstate(over="ignore"):
-        y_mean = float(y.mean())
-        yc = y - y_mean
-        start = float(yc @ yc)
-    if not math.isfinite(start):
-        raise NonFiniteLoss("the starting objective overflows: the target is too large")
+    shared = {} if _shared is None else _shared
+    if "prep" not in shared:
+        shared["prep"] = _standardize(X, y)
+    prep = shared["prep"]
+    Xs, yc = prep.Xs, prep.yc
 
     alpha = float(alpha)
     beta = [0.0] * d
@@ -241,10 +269,11 @@ def lasso_fit(X: np.ndarray, y: np.ndarray, alpha: float,
     # makes a coordinate update O(d) instead of O(n); the residual form is
     # kept for small problems and when the per-sweep objective is recorded.
     if not record_objective and n > 4 * d:
-        G = Xs.T @ Xs / n
-        gram_rows = list(np.ascontiguousarray(G.T))
-        corr = Xs.T @ yc / n            # stays equal to X' r / n
-        col_norm2 = np.diag(G).tolist()
+        if prep.gram is None:
+            G = Xs.T @ Xs / n
+            prep.gram = (list(np.ascontiguousarray(G.T)), Xs.T @ yc / n, np.diag(G).tolist())
+        gram_rows, xty, col_norm2 = prep.gram
+        corr = xty.copy()               # stays equal to X' r / n
 
         def sweep(indices) -> float:
             return _gram_sweep(indices, beta, corr, gram_rows, col_norm2, alpha)
@@ -290,7 +319,7 @@ def lasso_fit(X: np.ndarray, y: np.ndarray, alpha: float,
             f"coordinate descent stopped after {sweeps} sweeps with "
             f"coefficient changes above tol={config.tol}", DidNotConverge)
 
-    return LassoModel(np.array(beta), y_mean, alpha, scaler.means, scaler.stds,
+    return LassoModel(np.array(beta), prep.y_mean, alpha, prep.scaler.means, prep.scaler.stds,
                       converged=converged, n_sweeps=sweeps,
                       objective_history=history)
 
@@ -316,6 +345,28 @@ def timeseries_folds(n_rows: int, k: int) -> list[tuple[np.ndarray, np.ndarray]]
     return folds
 
 
+def _fold_mses(features: FeatureMatrix, alphas: list[float],
+               config: LassoConfig) -> list[list[float]]:
+    """Validation MSE per fold (outer) and alpha (inner).
+
+    A fold's training rows are a row-prefix view of ``X``. Its first
+    :func:`lasso_fit` standardizes them and builds the Gram terms; the
+    other alphas reuse those, and only one fold's copy is alive at a time.
+    """
+    X, y = features.X, features.y
+    table = []
+    for train, val in timeseries_folds(features.rows, config.cv_folds):
+        edge, stop = train.size, train.size + val.size  # train is rows [0, edge)
+        shared: dict = {}
+        mses = []
+        for alpha in alphas:
+            fit = lasso_fit(X[:edge], y[:edge], alpha, config, _shared=shared)
+            pred = fit.predict(X[edge:stop])
+            mses.append(float(np.mean((pred - y[edge:stop]) ** 2)))
+        table.append(mses)
+    return table
+
+
 def lasso_cv(features: FeatureMatrix, config: LassoConfig | None = None) -> LassoModel:
     """Pick alpha by expanding-window CV, then refit on all rows.
 
@@ -329,18 +380,15 @@ def lasso_cv(features: FeatureMatrix, config: LassoConfig | None = None) -> Lass
         raise TooFewRows(
             f"need at least {config.cv_folds + 1} rows, have {rows}")
 
-    folds = timeseries_folds(rows, config.cv_folds)
+    alphas = sorted(config.alpha_grid)
+    table = _fold_mses(features, alphas, config)
     cv_results: list[tuple[float, int, float]] = []
     best_alpha = None
     best_mse = np.inf
-    for alpha in sorted(config.alpha_grid):
-        fold_mses = []
-        for fold_no, (train, val) in enumerate(folds, start=1):
-            fit = lasso_fit(features.X[train], features.y[train], alpha, config)
-            pred = fit.predict(features.X[val])
-            fold_mse = float(np.mean((pred - features.y[val]) ** 2))
-            fold_mses.append(fold_mse)
-            cv_results.append((alpha, fold_no, fold_mse))
+    for a, alpha in enumerate(alphas):
+        fold_mses = [mses[a] for mses in table]
+        cv_results.extend((alpha, fold_no, mse)
+                          for fold_no, mse in enumerate(fold_mses, start=1))
         mean_mse = float(np.mean(fold_mses))
         if mean_mse <= best_mse:  # ties resolve toward the larger alpha
             best_mse = mean_mse

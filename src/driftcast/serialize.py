@@ -64,9 +64,16 @@ def dump(obj, path) -> None:
         fh.write("\n")
 
 
+def _parse_int(text: str):
+    # fmt_float writes -0.0 as "-0", which JSON reads as the int 0
+    return -0.0 if text == "-0" else int(text)
+
+
 def load(path):
+    """Read a JSON file; a bare ``-0`` comes back as -0.0, so every finite
+    float that :func:`dump` wrote reads back with the same bits."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_int=_parse_int)
 
 
 def sha256_file(path) -> str:

@@ -37,6 +37,17 @@ def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def cli_process(argv, cwd):
+    """Run the CLI in a fresh interpreter, so numpy's and driftcast's
+    warnings reach stderr as they would for a user instead of pytest's
+    warning capture."""
+    src = str(Path(driftcast.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "driftcast.cli", *argv],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+
+
 def with_values(src, dst, value_of_row):
     """Copy a synth CSV, replacing row i's value by ``value_of_row(i, cell)``."""
     lines = src.read_text(encoding="utf-8").splitlines()
@@ -173,17 +184,10 @@ class TestDetect:
         ["detect"], ["detect", "--columns", "interest_rate"],
         ["run", "--model", "lasso", "--strategy", "baseline"]])
     def test_overflow_prints_one_error_line(self, workdir, tmp_path, argv):
-        # a fresh interpreter, so numpy's warnings reach stderr as they
-        # would for a user instead of pytest's warning capture
         data = with_values(workdir / "data.csv", tmp_path / "huge.csv",
                            lambda i, cell: "1e200" if i % 2 else "-1e200")
-        src = str(Path(driftcast.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "driftcast.cli", argv[0], "--data", str(data),
-             *argv[1:], "--out", str(tmp_path / "out.json")],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        proc = cli_process([argv[0], "--data", str(data), *argv[1:],
+                            "--out", str(tmp_path / "out.json")], tmp_path)
         assert proc.returncode == 3
         err = proc.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), proc.stderr
@@ -224,6 +228,23 @@ class TestRun:
                      "--strategy", "retrain", "--seed", "0", "--out", str(out)])
         assert code == 0
         assert load_json(out)["fallback_reason"] == "no_changepoints"
+
+    def test_warning_prints_one_line(self, tmp_path):
+        # a step four hours before the 80% split (row 3494 of 4368) leaves
+        # no training row whose feature window clears it: PostDriftTooShort
+        cfg = tmp_path / "late_step.json"
+        cfg.write_text(json.dumps(dict(STATIONARY_CONFIG, seed=1, events=[
+            {"kind": "sudden", "at": "2020-05-25T10:00", "jump": 3.0}])), encoding="utf-8")
+        data = tmp_path / "late_step.csv"
+        assert main(["synth", "--config", str(cfg), "--out", str(data)]) == 0
+        proc = cli_process(["run", "--data", str(data), "--model", "lasso",
+                            "--strategy", "retrain", "--out", str(tmp_path / "r.json")],
+                           tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert load_json(tmp_path / "r.json")["fallback_reason"] == "post_drift_too_short"
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("warning: post-drift segment has "), \
+            proc.stderr
 
     def test_mlp_emits_loss_artifacts(self, workdir, tmp_path):
         out = tmp_path / "m.json"

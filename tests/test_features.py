@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftcast import features
 from driftcast.errors import LagExceedsLength, UnsupportedDegree, WindowTooSmall
 from driftcast.features import (
     FeatureSpec,
@@ -15,6 +16,8 @@ from driftcast.features import (
     rolling_stats,
 )
 from driftcast.frame import HOUR, TimeSeriesFrame
+from driftcast.serialize import sha256_arrays
+from driftcast.synth import TARGET_COLUMN, generate
 
 
 def hourly_frame(values, start=0):
@@ -108,6 +111,22 @@ class TestRolling:
         np.testing.assert_array_equal(mean_a[:31], mean_b[:31])
         assert mean_a[31] != mean_b[31]
 
+    def test_blocks_match_the_whole_view(self, monkeypatch):
+        # the reference is the unblocked two-pass reduction over the whole
+        # sliding-window view; tiny blocks put many block edges in play
+        rng = np.random.default_rng(8)
+        v = rng.normal(0, 1, 97)
+        for window in (2, 5, 13, 96):
+            view = np.lib.stride_tricks.sliding_window_view(v, window)[:v.size - window]
+            mu = view.mean(axis=1)
+            sd = np.sqrt(((view - mu[:, None]) ** 2).mean(axis=1))
+            for cells in (1, 7, window * 3 + 1, 1 << 20):
+                monkeypatch.setattr(features, "_BLOCK_CELLS", cells)
+                mean, std = rolling_stats(v, window)
+                assert mean[window:].tobytes() == mu.tobytes()
+                assert std[window:].tobytes() == sd.tobytes()
+                assert np.isnan(mean[:window]).all() and np.isnan(std[:window]).all()
+
 
 class TestPolynomial:
     def test_degree_one_identity(self):
@@ -132,6 +151,16 @@ class TestPolynomial:
     def test_unsupported_degree(self):
         with pytest.raises(UnsupportedDegree):
             polynomial_expand(np.ones((2, 2)), ("a", "b"), 3)
+
+    def test_matches_stacked_products(self):
+        # reference: the products built one by one and stacked
+        rng = np.random.default_rng(9)
+        X = rng.normal(0, 3, (50, 6))
+        prods = [X[:, i] * X[:, j] for i in range(6) for j in range(i + 1, 6)]
+        expected = np.hstack([X, X * X, np.column_stack(prods)])
+        out, _ = polynomial_expand(X, tuple("abcdef"), 2)
+        assert out.flags.c_contiguous
+        assert out.tobytes() == expected.tobytes()
 
 
 class TestBuildFeatures:
@@ -231,3 +260,41 @@ class TestBuildFeatures:
         header = out.read_text().splitlines()[0]
         assert header.endswith(",y")
         assert len(out.read_text().splitlines()) == fm.rows + 1
+
+
+# sha256_arrays of the outputs on the default synth series (35,064 rows),
+# recorded with numpy 2.4.6 on x86-64 before the rolling windows were
+# blocked and the degree-2 expansion written into one array
+FEATURE_GOLDEN = {
+    1: "bcb5df9d87073ddd2cb95617f308dc3434dc6bae95c65d9cf47d225f53763dd9",
+    2: "bc4a1d040653f770d222bce991162c1e548bbd09c5b39dd250a87b9e2f19eb5b",
+}
+ROLLING_GOLDEN = {
+    2: "2544c972dced107af29725645dfd8f36cb490c83e0d409ae40e1c63e7cccea3d",
+    3: "4929366010a1fee315e9bee3e29b325f408308562a059571d34c4f812fbd13a3",
+    24: "2be67f7074df3c76a961db41e0fd491e2270e854ab89ea1c562eb99cad40defd",
+    168: "c6b42e7ab13910f7ab144dd324c7959a63f6615380eb3aa4b9d3014491b6c971",
+    "n-1": "22e0e3e9fbc431b14db075dda1693f5974563ce3b167eebb9951b73164fd54e0",
+    "constant": "a7cb474f6f6cd5f74f11699e1eac34dde5234ab5a2092847bbfc5e3449ebf120",
+}
+
+
+@pytest.fixture(scope="module")
+def default_series():
+    return generate()
+
+
+@pytest.mark.parametrize("degree", sorted(FEATURE_GOLDEN))
+def test_build_features_golden_bits(default_series, degree):
+    fm = build_features(default_series, TARGET_COLUMN, FeatureSpec(polynomial_degree=degree))
+    assert sha256_arrays(fm.X) == FEATURE_GOLDEN[degree]
+
+
+@pytest.mark.parametrize("case", sorted(ROLLING_GOLDEN, key=str))
+def test_rolling_stats_golden_bits(default_series, case):
+    y = default_series.column(TARGET_COLUMN)
+    if case == "constant":
+        y, window = np.full(500, 0.1), 24
+    else:
+        window = y.size - 1 if case == "n-1" else case
+    assert sha256_arrays(*rolling_stats(y, window)) == ROLLING_GOLDEN[case]

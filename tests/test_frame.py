@@ -11,6 +11,7 @@ from driftcast.errors import (
     NonFiniteValues,
     UnparseableTimestamp,
 )
+from driftcast.features import FeatureSpec, build_features
 from driftcast.frame import (
     HOUR,
     STD_FLOOR,
@@ -22,6 +23,8 @@ from driftcast.frame import (
     resample_hourly,
     write_csv,
 )
+from driftcast.serialize import sha256_arrays
+from driftcast.synth import TARGET_COLUMN, generate
 
 
 def hourly_frame(values, start=0, name="v"):
@@ -252,3 +255,21 @@ class TestScaler:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteValues):
                 Scaler.fit(X)
+
+
+# sha256_arrays of Scaler.transform on the default synth series' training
+# block (27,883 rows; degree-2 features, 77 columns, and the target),
+# recorded with numpy 2.4.6 on x86-64 before transform scaled in place
+TRANSFORM_GOLDEN = {
+    "matrix": "1fb57acc4c49221729fff3ffc4f8e44e1306ea80aa31c3ab58a9d84243d929a9",
+    "vector": "d036dc7444773102fd418022e0cb4ec797bbda90fdd40d6cd59050f898efcb73",
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRANSFORM_GOLDEN))
+def test_transform_golden_bits(case):
+    frame = generate()
+    fm = build_features(frame, TARGET_COLUMN, FeatureSpec(polynomial_degree=2))
+    train = fm.slice(0, SplitSpec().boundary(frame.n) - fm.origin_index)
+    values = train.X if case == "matrix" else train.y
+    assert sha256_arrays(Scaler.fit(values).transform(values)) == TRANSFORM_GOLDEN[case]

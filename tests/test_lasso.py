@@ -8,6 +8,7 @@ import pytest
 from driftcast import lasso
 from driftcast.errors import DidNotConverge, InvalidConfig, NonFiniteLoss, TooFewRows
 from driftcast.features import FeatureMatrix, FeatureSpec, build_features
+from driftcast.frame import SplitSpec
 from driftcast.lasso import (
     LassoConfig,
     _gram_sweep,
@@ -17,6 +18,7 @@ from driftcast.lasso import (
     soft_threshold,
     timeseries_folds,
 )
+from driftcast.serialize import dumps
 from driftcast.synth import TARGET_COLUMN, generate
 
 GRID = (0.001, 0.01, 0.1, 1.0)
@@ -238,6 +240,28 @@ def test_solver_golden_bits(solver_cases, case):
     if case == "record_objective":
         history = np.array(model.objective_history)
         assert hashlib.sha256(history.tobytes()).hexdigest() == OBJECTIVE_HISTORY_SHA
+
+
+# lasso_cv on the default synth series' training block (27,883 rows):
+# (sha256 of coefficients.tobytes(), sha256 of dumps(cv_results), n_sweeps),
+# recorded with numpy 2.4.6 on x86-64 while CV still looped alpha-outer
+# and standardized each fold once per alpha
+CV_GOLDEN = {
+    1: ("488413fddffd4592f15603806ea4644dd08696dc361551aa5b14f0146206f655",
+        "34e8d9a2042f4314b37967981794f1983a98c9e702c2767cd045e7ceebf30538", 2180),
+    2: ("05377335cde5905811af8abe106caa7bc2476a46465b2b458f9dccafadb70335",
+        "b3eb157c4c67db8be4e3610cb6a2e7eba359771a70fbed618c4ad0fba94b6143", 6988),
+}
+
+
+@pytest.mark.parametrize("degree", sorted(CV_GOLDEN))
+def test_cv_golden_bits(degree):
+    frame = generate()
+    fm = build_features(frame, TARGET_COLUMN, FeatureSpec(polynomial_degree=degree))
+    model = lasso_cv(fm.slice(0, SplitSpec().boundary(frame.n) - fm.origin_index))
+    assert (hashlib.sha256(model.coefficients.tobytes()).hexdigest(),
+            hashlib.sha256(dumps(model.cv_results).encode()).hexdigest(),
+            model.n_sweeps) == CV_GOLDEN[degree]
 
 
 class TestFolds:
