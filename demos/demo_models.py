@@ -47,7 +47,7 @@ keep = w[0, 0]
 def loss_at(v):
     w[0, 0] = v
     from driftcast.mlp import mlp_forward
-    out = mlp_forward(probe, Xs8, "eval")
+    out = mlp_forward(probe, Xs8)
     return float(np.mean((out - y8) ** 2))
 
 

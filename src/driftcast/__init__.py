@@ -21,7 +21,6 @@ from .changepoint import (
     multivariate_detect,
     op_detect,
     pelt_detect,
-    segment_cost,
 )
 from .features import FeatureMatrix, FeatureSpec, build_features
 from .frame import (

@@ -33,6 +33,9 @@ from .frame import Scaler, TimeSeriesFrame
 
 L2_MEAN = "l2_mean"
 GAUSSIAN_NLL = "gaussian_nll"
+# lower bound on a segment's variance under ``gaussian_nll``, so a constant
+# segment costs a finite amount
+VARIANCE_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -42,20 +45,17 @@ class CostModel:
     ``l2_mean``: sum of squared deviations from the segment mean (Gaussian
     fixed-variance likelihood, the default). ``gaussian_nll``: Gaussian
     negative log-likelihood with free mean and variance, up to an additive
-    constant, i.e. ``(len/2) * ln(max(var, variance_floor))``.
+    constant, i.e. ``(len/2) * ln(max(var, VARIANCE_FLOOR))``.
 
     Both are subadditive — splitting a segment never increases total fit
     cost — which is what makes pruning with K = 0 exact.
     """
 
     kind: str = L2_MEAN
-    variance_floor: float = 1e-8
 
     def __post_init__(self):
         if self.kind not in (L2_MEAN, GAUSSIAN_NLL):
             raise InvalidConfig(f"unknown cost model {self.kind!r}")
-        if self.variance_floor <= 0:
-            raise InvalidConfig("variance_floor must be positive")
 
     @property
     def min_len(self) -> int:
@@ -131,11 +131,7 @@ class SegmentCosts:
     """
 
     def __init__(self, values: np.ndarray, model: CostModel | None = None):
-        X = np.asarray(values, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[:, None]
-        if X.ndim != 2:
-            raise ValueError("values must be 1-D or 2-D")
+        X = _as_matrix(values)
         self.model = model or CostModel()
         self.n = X.shape[0]
         self.k = X.shape[1]
@@ -157,7 +153,6 @@ class SegmentCosts:
         """
         k = self.k
         tail = self.prefix[:, stop]
-        floor = self.model.variance_floor
         nll = self.model.kind == GAUSSIAN_NLL
         np.subtract(stop, starts, out=lenf)
         for c in range(k):
@@ -169,7 +164,7 @@ class SegmentCosts:
                 np.divide(w1, lenf, out=w1)
                 np.multiply(w1, w1, out=w1)
                 np.subtract(b, w1, out=b)
-                np.maximum(b, floor, out=b)
+                np.maximum(b, VARIANCE_FLOOR, out=b)
                 np.log(b, out=b)
                 np.multiply(b, lenf, out=b)
                 np.multiply(b, 0.5, out=b)
@@ -189,26 +184,14 @@ class SegmentCosts:
                         out, np.empty(m), np.empty(m), np.empty(m))
         return out if np.asarray(start).ndim else float(out[0])
 
-    def cost(self, t1: int, t2: int) -> float:
-        """Cost of the inclusive segment [t1, t2]."""
-        n = self.n
-        if not (0 <= t1 <= t2 < n):
-            raise SegmentTooShort(f"invalid segment [{t1}, {t2}] for n={n}")
-        if t2 - t1 + 1 < self.model.min_len:
-            raise SegmentTooShort(
-                f"{self.model.kind} needs segments of >= {self.model.min_len} points"
-            )
-        return float(self.cost_open(t1, t2 + 1))
-
-
-def segment_cost(values, t1: int, t2: int, model: CostModel | None = None) -> float:
-    """Cost of the inclusive segment ``values[t1..t2]`` under ``model``."""
-    return SegmentCosts(values, model).cost(t1, t2)
-
 
 def _as_matrix(values) -> np.ndarray:
     X = np.asarray(values, dtype=np.float64)
-    return X[:, None] if X.ndim == 1 else X
+    if X.ndim == 1:
+        X = X[:, None]
+    if X.ndim != 2:
+        raise ValueError("values must be 1-D or 2-D")
+    return X
 
 
 def _chain_of(bp: np.ndarray, t: int) -> tuple[int, ...]:
@@ -257,7 +240,7 @@ def _setup(values, model: CostModel, penalty: PenaltyConfig | None, min_size: in
     if not np.isfinite(costs.prefix[:, -1]).all():
         raise NonFiniteValues("series too large: its sum of squares overflows")
     if penalty is None:
-        penalty = default_penalty_multi(X)
+        penalty = default_penalty(X)
     return n, penalty.beta, costs
 
 
@@ -394,30 +377,26 @@ def pelt_detect(values, model: CostModel | None = None,
 
 
 def default_penalty(values) -> PenaltyConfig:
-    """BIC-style penalty ``beta = 2 * sigma2 * ln(n)``.
+    """BIC-style penalty ``beta = 2 * sigma2 * ln(n)`` per column, summed.
 
-    ``sigma2`` is the first-difference variance estimate
+    ``values`` is a 1-D series or an (n, k) matrix, whose summed
+    multi-column cost gets the sum of its columns' penalties, added from
+    left to right. ``sigma2`` is the first-difference variance estimate
     ``mean((y[t+1] - y[t])^2) / 2``, which tracks the noise level while
-    staying robust to level shifts. Floored at 1e-12 so an exactly
-    constant series (sigma2 = 0) still carries a positive penalty.
+    staying robust to level shifts. Each column's term is floored at 1e-12
+    so an exactly constant series (sigma2 = 0) still carries a positive
+    penalty.
     """
-    y = np.asarray(values, dtype=np.float64)
-    if y.ndim != 1:
-        raise ValueError("default_penalty expects a 1-D series")
-    if y.size < 3:
-        raise SeriesTooShort("need n >= 3 to estimate a penalty")
-    sigma2 = float(np.mean(np.diff(y) ** 2) / 2.0)
-    if not math.isfinite(sigma2):
-        raise NonFiniteValues("cannot derive a penalty: first differences are not finite")
-    return PenaltyConfig(max(2.0 * sigma2 * math.log(y.size), 1e-12))
-
-
-def default_penalty_multi(values) -> PenaltyConfig:
-    """Sum of per-column default penalties (for the summed multi-column cost)."""
     X = _as_matrix(values)
-    if X.shape[0] < 3:
+    n = X.shape[0]
+    if n < 3:
         raise SeriesTooShort("need n >= 3 to estimate a penalty")
-    beta = sum(default_penalty(X[:, j]).beta for j in range(X.shape[1]))
+    beta = 0
+    for j in range(X.shape[1]):
+        sigma2 = float(np.mean(np.diff(X[:, j]) ** 2) / 2.0)
+        if not math.isfinite(sigma2):
+            raise NonFiniteValues("cannot derive a penalty: first differences are not finite")
+        beta += max(2.0 * sigma2 * math.log(n), 1e-12)
     return PenaltyConfig(beta)
 
 

@@ -125,19 +125,12 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def _strategy_config(args, strategy) -> pipeline.StrategyConfig:
+def _strategy_config(args) -> pipeline.StrategyConfig:
     spec = FeatureSpec(
         lags=_int_list(args.lags, "--lags"),
         rolling_windows=_int_list(args.windows, "--windows"),
         polynomial_degree=args.poly_degree,
     )
-    if args.enriched:
-        # the asymmetric protocol: the static model keeps the reduced
-        # calendar + rolling set, the retrained one gets lags and squares
-        if strategy == pipeline.BASELINE:
-            spec = replace(spec, lags=(), polynomial_degree=1)
-        else:
-            spec = replace(spec, polynomial_degree=2)
     detection = pipeline.DetectionConfig(
         columns=tuple(args.detect_columns) if args.detect_columns else None,
         beta=args.beta,
@@ -145,9 +138,9 @@ def _strategy_config(args, strategy) -> pipeline.StrategyConfig:
     )
     seed = args.seed if args.seed is not None else _default_seed()
     return pipeline.StrategyConfig(
-        strategy=strategy,
+        strategy=args.strategy,
         model=args.model,
-        mlp=MlpConfig(max_epochs=args.max_epochs, seed=seed),
+        mlp=MlpConfig(max_epochs=args.max_epochs),
         lasso=LassoConfig(),
         feature_spec=spec,
         detection=detection,
@@ -162,7 +155,7 @@ def cmd_run(args) -> int:
     frame = load_csv(args.data, timestamp_column=args.timestamp_column)
     target = _pick_target(frame, args.target)
     frame = _clean(frame, [target])
-    config = _strategy_config(args, args.strategy)
+    config = _strategy_config(args)
     result = pipeline.run(frame, target, config)
     report = result.report
     report.dataset_sha256 = serialize.sha256_file(args.data)
@@ -360,8 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lags", default="1,24,168")
     p.add_argument("--windows", default="24,168")
     p.add_argument("--poly-degree", type=int, choices=[1, 2], default=1)
-    p.add_argument("--enriched", action="store_true",
-                   help="asymmetric feature sets (reduced baseline, enriched retrain)")
     p.add_argument("--max-epochs", type=int, default=300)
     p.add_argument("--timestamp-column", default="timestamp")
     p.add_argument("--out", default="report.json")

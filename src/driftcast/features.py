@@ -9,7 +9,6 @@ leaving a fully observed matrix.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -97,14 +96,6 @@ class FeatureMatrix:
             self.X[start:stop], self.y[start:stop], self.feature_names,
             self.origin_index + start, self.timestamps[start:stop],
         )
-
-    def to_csv(self, path, target_name: str = "target") -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(list(self.feature_names) + [target_name])
-            for i in range(self.rows):
-                writer.writerow([format(v, ".17g") for v in self.X[i]]
-                                + [format(self.y[i], ".17g")])
 
 
 def cyclic_encode(timestamps: np.ndarray) -> dict[str, np.ndarray]:

@@ -103,9 +103,6 @@ class TimeSeriesFrame:
         cols.update(extra)
         return TimeSeriesFrame(self.timestamps, cols)
 
-    def select(self, names) -> "TimeSeriesFrame":
-        return TimeSeriesFrame(self.timestamps, {n: self.column(n) for n in names})
-
     def slice_rows(self, start: int, stop: int) -> "TimeSeriesFrame":
         return TimeSeriesFrame(
             self.timestamps[start:stop],

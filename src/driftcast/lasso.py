@@ -48,6 +48,12 @@ class LassoConfig:
         if self.tol <= 0 or self.max_iter < 1:
             raise InvalidConfig("tol must be positive and max_iter >= 1")
 
+    @property
+    def min_rows(self) -> int:
+        """Fewest rows :func:`lasso_cv` accepts: the first fold then trains
+        on two rows, the least :func:`lasso_fit` can standardize."""
+        return self.cv_folds + 2
+
     def to_dict(self) -> dict:
         return {
             "alpha_grid": list(self.alpha_grid),
@@ -376,9 +382,9 @@ def lasso_cv(features: FeatureMatrix, config: LassoConfig | None = None) -> Lass
     """
     config = config or LassoConfig()
     rows = features.rows
-    if rows < config.cv_folds + 1:
-        raise TooFewRows(
-            f"need at least {config.cv_folds + 1} rows, have {rows}")
+    if rows < config.min_rows:
+        raise TooFewRows(f"need at least {config.min_rows} rows for "
+                         f"{config.cv_folds} folds, have {rows}")
 
     alphas = sorted(config.alpha_grid)
     table = _fold_mses(features, alphas, config)

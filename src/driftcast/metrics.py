@@ -75,9 +75,8 @@ class EvalReport:
                           dict(d.get("provenance", {})))
 
 
-def evaluate(y, y_hat, n=None, scale="standardized", **provenance) -> EvalReport:
+def evaluate(y, y_hat, scale="standardized", **provenance) -> EvalReport:
     """Bundle all three metrics over one prediction vector."""
     y = np.asarray(y, float)
-    return EvalReport(mae(y, y_hat), rmse(y, y_hat), r2(y, y_hat),
-                      n=int(y.size) if n is None else n,
+    return EvalReport(mae(y, y_hat), rmse(y, y_hat), r2(y, y_hat), n=int(y.size),
                       scale=scale, provenance=provenance)

@@ -27,6 +27,9 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# fewest feature rows :func:`mlp_train` accepts
+MIN_ROWS = 10
+
 
 @dataclass(frozen=True)
 class MlpConfig:
@@ -157,27 +160,14 @@ def _forward_cached(model: MlpModel, X: np.ndarray, masks):
     return out[:, 0], zs, acts
 
 
-def mlp_forward(model: MlpModel, X: np.ndarray, mode: str = "eval",
-                masks=None, rng: np.random.Generator | None = None) -> np.ndarray:
+def mlp_forward(model: MlpModel, X: np.ndarray, *, masks=None) -> np.ndarray:
     """Predictions in the model's (standardized) output space.
 
-    ``mode="train"`` applies inverted dropout using ``masks`` (or masks
-    drawn from ``rng``); ``mode="eval"`` is deterministic.
+    Deterministic unless ``masks`` (one keep mask per hidden layer, as
+    :func:`draw_masks` returns) are given; then inverted dropout is
+    applied with them, as in one training step's forward pass.
     """
-    X = _inputs(model, X)
-    if mode == "eval":
-        masks = None
-    elif mode == "train":
-        if model.dropout_rate > 0.0 and masks is None:
-            if rng is None:
-                raise ValueError("train mode with dropout needs masks or an rng")
-            hidden = [w.shape[1] for w in model.weights[:-1]]
-            masks = draw_masks(rng, X.shape[0], hidden, model.dropout_rate)
-        elif model.dropout_rate == 0.0:
-            masks = None
-    else:
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    out, _, _ = _forward_cached(model, X, masks)
+    out, _, _ = _forward_cached(model, _inputs(model, X), masks)
     return out
 
 
@@ -243,8 +233,8 @@ def mlp_train(config: MlpConfig, features: FeatureMatrix) -> tuple[MlpModel, Tra
     best-validation epoch are restored.
     """
     rows = features.rows
-    if rows < 10:
-        raise TooFewRows(f"need at least 10 rows to train, have {rows}")
+    if rows < MIN_ROWS:
+        raise TooFewRows(f"need at least {MIN_ROWS} rows to train, have {rows}")
 
     n_val = max(1, int(math.floor(rows * config.val_fraction)))
     n_train = rows - n_val
@@ -307,7 +297,7 @@ def mlp_train(config: MlpConfig, features: FeatureMatrix) -> tuple[MlpModel, Tra
                         np.sqrt(v_b[i] / corr2) + ADAM_EPS)
 
             train_loss = float(np.mean(batch_losses))
-            val_loss = mse(mlp_forward(model, X_va, "eval"), y_va)
+            val_loss = mse(mlp_forward(model, X_va), y_va)
             if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
                 raise NonFiniteLoss(f"training diverged at epoch {epoch}")
             train_hist.append(train_loss)
@@ -340,5 +330,5 @@ def mlp_predict(model: MlpModel, X: np.ndarray) -> np.ndarray:
     :meth:`LassoModel.predict` does with its statistics.
     """
     X = model.input_scaler.transform(_inputs(model, X))
-    out = mlp_forward(model, X, "eval")
+    out = mlp_forward(model, X)
     return model.target_scaler.inverse(out)

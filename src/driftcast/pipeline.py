@@ -28,7 +28,7 @@ from .features import FeatureMatrix, FeatureSpec, build_features
 from .frame import Scaler, SplitSpec, TimeSeriesFrame
 from .lasso import LassoConfig, lasso_cv
 from .metrics import EvalReport, evaluate
-from .mlp import MlpConfig, TrainReport, mlp_predict, mlp_train
+from .mlp import MIN_ROWS as MLP_MIN_ROWS, MlpConfig, TrainReport, mlp_predict, mlp_train
 from .serialize import sha256_arrays
 
 log = logging.getLogger(__name__)
@@ -86,6 +86,8 @@ class StrategyConfig:
             raise InvalidConfig(f"unknown model family {self.model!r}")
         if self.metric_scale not in (SCALE_STANDARDIZED, SCALE_ORIGINAL):
             raise InvalidConfig(f"unknown metric scale {self.metric_scale!r}")
+        # one seed per run: the MLP trains with (and reports) the run's seed
+        object.__setattr__(self, "mlp", replace(self.mlp, seed=self.seed))
 
     def to_dict(self) -> dict:
         d = {
@@ -172,10 +174,8 @@ class RunResult:
 
 @dataclass
 class _Prepared:
-    features: FeatureMatrix
     train: FeatureMatrix
     test: FeatureMatrix
-    boundary: int
     eval_scaler: Scaler
     test_sha: str
     test_target_sha: str
@@ -201,14 +201,8 @@ def _prepare(frame: TimeSeriesFrame, target: str, config: StrategyConfig) -> _Pr
     test_sha = sha256_arrays(test.X, test.y)
     test_target_sha = sha256_arrays(test.timestamps, test.y)
     dataset_sha = sha256_arrays(frame.timestamps, *[frame.columns[c] for c in frame.columns])
-    return _Prepared(features, train, test, boundary, eval_scaler,
+    return _Prepared(train, test, eval_scaler,
                      test_sha, test_target_sha, dataset_sha)
-
-
-def _min_rows(config: StrategyConfig) -> int:
-    if config.model == MLP:
-        return 10
-    return config.lasso.cv_folds + 1
 
 
 def _fit_and_eval(config: StrategyConfig, prep: _Prepared, train_slice: FeatureMatrix,
@@ -216,8 +210,7 @@ def _fit_and_eval(config: StrategyConfig, prep: _Prepared, train_slice: FeatureM
     train_report = None
     cv_results = None
     if config.model == MLP:
-        mlp_config = replace(config.mlp, seed=config.seed)
-        model, train_report = mlp_train(mlp_config, train_slice)
+        model, train_report = mlp_train(config.mlp, train_slice)
         preds = mlp_predict(model, prep.test.X)
     else:
         model = lasso_cv(train_slice, config.lasso)
@@ -300,15 +293,16 @@ def run_retrain(frame: TimeSeriesFrame, target: str, config: StrategyConfig) -> 
     if cut is not None and not config.detection.columns:
         cut = min(cut + config.feature_spec.warmup, prep.train.rows)
 
+    min_rows = MLP_MIN_ROWS if config.model == MLP else config.lasso.min_rows
     fallback_reason = None
     if cut is None:
         fallback_reason = "no_changepoints"
         log.info("no changepoints in training block; falling back to baseline")
-    elif prep.train.rows - cut < _min_rows(config):
+    elif prep.train.rows - cut < min_rows:
         fallback_reason = "post_drift_too_short"
         warnings.warn(
             f"post-drift segment has {prep.train.rows - cut} clean rows, below the "
-            f"minimum of {_min_rows(config)}; falling back to baseline",
+            f"minimum of {min_rows}; falling back to baseline",
             PostDriftTooShort)
 
     if fallback_reason is None:

@@ -155,7 +155,7 @@ def test_c4_mlp_gradient_check():
         gw, gb = mlp_gradients(model, X, y)
 
         def loss():
-            out = mlp_forward(model, X, "eval")
+            out = mlp_forward(model, X)
             return float(np.mean((out - y) ** 2))
 
         for params, grads in ((model.weights, gw), (model.biases, gb)):

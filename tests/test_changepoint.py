@@ -20,7 +20,6 @@ from driftcast.changepoint import (
     op_detect,
     pelt_detect,
     per_column_detect,
-    segment_cost,
 )
 from driftcast.errors import (InvalidConfig, NonFiniteValues, SegmentTooShort, SeriesTooShort,
                              UnknownColumn)
@@ -69,10 +68,10 @@ def exhaustive_min(values, model, beta, min_size=2):
 
 class TestSegmentCost:
     def test_constant_segment_is_free(self):
-        assert segment_cost([5.0, 5.0, 5.0], 0, 2) == 0.0
+        assert SegmentCosts([5.0, 5.0, 5.0]).cost_open(0, 3) == 0.0
 
     def test_one_two_three(self):
-        assert abs(segment_cost([1.0, 2.0, 3.0], 0, 2) - 2.0) < 1e-12
+        assert abs(SegmentCosts([1.0, 2.0, 3.0]).cost_open(0, 3) - 2.0) < 1e-12
 
     def test_prefix_sums_match_naive(self):
         rng = np.random.default_rng(0)
@@ -83,24 +82,18 @@ class TestSegmentCost:
             t2 = int(rng.integers(t1, 400))
             seg = y[t1:t2 + 1]
             naive = float(np.sum((seg - seg.mean()) ** 2))
-            got = costs.cost(t1, t2)
+            got = costs.cost_open(t1, t2 + 1)
             assert abs(got - naive) <= 1e-9 * max(1.0, abs(naive))
 
     def test_gaussian_nll_formula(self):
         rng = np.random.default_rng(1)
         y = rng.normal(0, 2, 50)
-        model = CostModel("gaussian_nll", variance_floor=1e-8)
+        costs = SegmentCosts(y, NLL)
         for (t1, t2) in [(0, 49), (3, 17), (10, 11)]:
             seg = y[t1:t2 + 1]
             var = float(np.mean((seg - seg.mean()) ** 2))
             expect = 0.5 * (t2 - t1 + 1) * math.log(max(var, 1e-8))
-            assert abs(segment_cost(y, t1, t2, model) - expect) < 1e-9
-
-    def test_too_short(self):
-        with pytest.raises(SegmentTooShort):
-            segment_cost([1.0, 2.0, 3.0], 1, 1, NLL)  # variance needs 2 points
-        with pytest.raises(SegmentTooShort):
-            segment_cost([1.0, 2.0], 1, 0)
+            assert abs(costs.cost_open(t1, t2 + 1) - expect) < 1e-9
 
 
 class TestPelt:
@@ -118,6 +111,11 @@ class TestPelt:
     def test_series_too_short(self):
         with pytest.raises(SeriesTooShort):
             pelt_detect(np.array([1.0, 2.0, 3.0]), min_size=2)
+
+    def test_min_size_below_the_cost_minimum(self):
+        for detect in (pelt_detect, op_detect):
+            with pytest.raises(SegmentTooShort):  # a variance needs 2 points
+                detect(np.arange(10.0), NLL, PenaltyConfig(1.0), min_size=1)
 
     def test_agrees_with_op_on_random_series(self):
         rng = np.random.default_rng(7)
@@ -317,6 +315,30 @@ class TestDefaultPenalty:
     def test_too_short(self):
         with pytest.raises(SeriesTooShort):
             default_penalty(np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("values", [5.0, np.zeros((4, 2, 2))])
+    def test_takes_a_series_or_a_matrix_only(self, values):
+        for use in (default_penalty, pelt_detect):
+            with pytest.raises(ValueError, match="1-D or 2-D"):
+                use(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matrix_sums_its_columns(self, data):
+        n = data.draw(st.integers(3, 40), label="n")
+        k = data.draw(st.integers(1, 5), label="k")
+        values = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+        X = np.array(data.draw(st.lists(st.lists(values, min_size=k, max_size=k),
+                                        min_size=n, max_size=n)), dtype=np.float64)
+        flat = data.draw(st.integers(0, k - 1), label="constant column")
+        X[:, flat] = X[0, flat]
+        expect = 0
+        for j in range(k):  # left to right, as the summed cost adds columns
+            expect += default_penalty(X[:, j]).beta
+        assert default_penalty(X[:, flat]).beta == 1e-12
+        assert default_penalty(X).beta == expect
+        y = X[:, 0].copy()
+        assert default_penalty(y).beta == default_penalty(y[:, None]).beta
 
 
 def make_frame(columns):

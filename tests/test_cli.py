@@ -37,15 +37,19 @@ def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def src_env():
+    """The environment with this driftcast's source first on PYTHONPATH."""
+    src = str(Path(driftcast.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def cli_process(argv, cwd):
     """Run the CLI in a fresh interpreter, so numpy's and driftcast's
     warnings reach stderr as they would for a user instead of pytest's
     warning capture."""
-    src = str(Path(driftcast.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "driftcast.cli", *argv],
-                          cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+                          cwd=cwd, env=src_env(), capture_output=True, text=True, timeout=120)
 
 
 def with_values(src, dst, value_of_row):
@@ -326,6 +330,33 @@ class TestRun:
                      "lasso", "--strategy", "baseline",
                      "--out", str(tmp_path / "x.json")])
         assert code == 4
+
+
+class TestTraceContract:
+    """perfbench's traced run wraps pipeline and lasso globals by name; a
+    refactor that bypasses them leaves layers unmeasured."""
+
+    PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+    EXPECTED = {
+        "mlp": {"mlp.mlp_train": 1, "mlp.mlp_predict": 1},
+        "lasso": {"lasso.lasso_cv": 1, "lasso.lasso_fit": 21},
+    }
+
+    @pytest.mark.parametrize("model", sorted(EXPECTED))
+    def test_traced_retrain_spans(self, workdir, tmp_path, model):
+        result = tmp_path / "RESULT.json"
+        proc = subprocess.run(
+            [sys.executable, str(self.PERFBENCH / "child.py"), str(result), "1", "run",
+             "--data", str(workdir / "data.csv"), "--model", model,
+             "--strategy", "retrain", "--seed", "0", "--max-epochs", "3",
+             "--out", str(tmp_path / "r.json")],
+            cwd=tmp_path, env=src_env(), capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        record = json.loads(result.read_text(encoding="utf-8"))
+        assert record["code"] == 0
+        names = [span["name"] for span in record["spans"]]
+        expected = dict(self.EXPECTED[model], **{"pipeline.detect_training_drift": 1})
+        assert {name: names.count(name) for name in expected} == expected
 
 
 @pytest.fixture(scope="module")

@@ -252,15 +252,6 @@ class TestBuildFeatures:
         with pytest.raises(ValueError):
             build_features(hourly_frame(vals), "y")
 
-    def test_csv_export(self, tmp_path):
-        frame = hourly_frame(np.arange(30.0))
-        fm = build_features(frame, "y", FeatureSpec(lags=(1,), rolling_windows=(2,)))
-        out = tmp_path / "fm.csv"
-        fm.to_csv(out, target_name="y")
-        header = out.read_text().splitlines()[0]
-        assert header.endswith(",y")
-        assert len(out.read_text().splitlines()) == fm.rows + 1
-
 
 # sha256_arrays of the outputs on the default synth series (35,064 rows),
 # recorded with numpy 2.4.6 on x86-64 before the rolling windows were

@@ -376,6 +376,27 @@ class TestLassoCV:
         with pytest.raises(TooFewRows):
             lasso_cv(feature_matrix(rng.normal(0, 1, (5, 2)), rng.normal(0, 1, 5)))
 
+    def test_row_minimum_leaves_the_first_fold_two_rows(self, monkeypatch):
+        config = LassoConfig()
+        rng = np.random.default_rng(14)
+        calls = []
+
+        def counting_fit(*args, **kwargs):
+            calls.append(args[0].shape[0])
+            return lasso_fit(*args, **kwargs)
+
+        monkeypatch.setattr(lasso, "lasso_fit", counting_fit)
+        short = config.cv_folds + 1  # its first fold would train on one row
+        with pytest.raises(TooFewRows, match=f"need at least {short + 1} rows"):
+            lasso_cv(feature_matrix(rng.normal(0, 1, (short, 2)), rng.normal(0, 1, short)),
+                     config)
+        assert calls == []
+        n = short + 1
+        model = lasso_cv(feature_matrix(rng.normal(0, 1, (n, 2)), rng.normal(0, 1, n)), config)
+        assert min(calls) == 2
+        assert len(model.cv_results) == len(GRID) * config.cv_folds
+        assert config.min_rows == n
+
 
 class TestSerialization:
     def test_to_dict_names(self):

@@ -34,8 +34,7 @@ def feature_matrix(X, y):
 
 def numeric_gradients(model, X, y, masks, eps=1e-5):
     def loss():
-        mode = "train" if masks is not None else "eval"
-        yh = mlp_forward(model, X, mode, masks=masks)
+        yh = mlp_forward(model, X, masks=masks)
         return float(np.mean((yh - y) ** 2))
 
     out_w, out_b = [], []
@@ -67,22 +66,29 @@ class TestForward:
         for w in model.weights:
             w[:] = 0.0
         model.biases[-1][:] = 2.5
-        out = mlp_forward(model, rng.normal(0, 1, (6, 3)), "eval")
+        out = mlp_forward(model, rng.normal(0, 1, (6, 3)))
         np.testing.assert_allclose(out, 2.5)
 
     def test_zero_dropout_train_equals_eval(self):
         rng = np.random.default_rng(1)
         model = toy_model(rng, 4, [8, 8], dropout=0.0)
         X = rng.normal(0, 1, (10, 4))
-        np.testing.assert_array_equal(mlp_forward(model, X, "train", rng=rng),
-                                      mlp_forward(model, X, "eval"))
+        masks = draw_masks(rng, 10, [8, 8], 0.0)
+        np.testing.assert_array_equal(mlp_forward(model, X, masks=masks),
+                                      mlp_forward(model, X))
+
+    def test_masks_are_keyword_only(self):
+        rng = np.random.default_rng(1)
+        model = toy_model(rng, 4, [8])
+        with pytest.raises(TypeError):
+            mlp_forward(model, rng.normal(0, 1, (3, 4)), "eval")
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(2)
         model = toy_model(rng, 3, [4])
         for X in (rng.normal(0, 1, (5, 2)), rng.normal(0, 1, (5, 1))):
             with pytest.raises(ShapeMismatch):
-                mlp_forward(model, X, "eval")
+                mlp_forward(model, X)
             with pytest.raises(ShapeMismatch):  # not broadcast by the input scaler
                 mlp_predict(model, X)
 
@@ -92,7 +98,7 @@ class TestGradients:
         rng = np.random.default_rng(3)
         model = toy_model(rng, 3, [5])
         X = rng.normal(0, 1, (7, 3))
-        y = mlp_forward(model, X, "eval")
+        y = mlp_forward(model, X)
         gw, gb = mlp_gradients(model, X, y)
         assert all(np.allclose(g, 0.0) for g in gw + gb)
 
@@ -101,7 +107,7 @@ class TestGradients:
         model = toy_model(rng, 3, [5])
         X = rng.normal(0, 1, (9, 3))
         y = rng.normal(0, 1, 9)
-        yh = mlp_forward(model, X, "eval")
+        yh = mlp_forward(model, X)
         _, gb = mlp_gradients(model, X, y)
         assert abs(gb[-1][0] - np.mean(2.0 * (yh - y))) < 1e-12
 
@@ -147,12 +153,11 @@ class TestDropout:
         rng = np.random.default_rng(6)
         model = toy_model(rng, 3, [16], dropout=0.3)
         X = rng.normal(0, 1, (4, 3))
-        eval_out = mlp_forward(model, X, "eval")
+        eval_out = mlp_forward(model, X)
         acc = np.zeros(4)
         n_masks = 20_000
         for _ in range(n_masks):
-            acc += mlp_forward(model, X, "train",
-                               masks=draw_masks(rng, 4, [16], 0.3))
+            acc += mlp_forward(model, X, masks=draw_masks(rng, 4, [16], 0.3))
         rel = np.abs(acc / n_masks - eval_out) / np.max(np.abs(eval_out))
         assert float(rel.max()) < 0.02
 
@@ -239,7 +244,7 @@ class TestPredict:
         model = toy_model(rng, 2, [4])
         model.target_scaler = Scaler(np.array([10.0]), np.array([3.0]))
         X = rng.normal(0, 1, (5, 2))
-        raw = mlp_forward(model, X, "eval")
+        raw = mlp_forward(model, X)
         np.testing.assert_allclose(mlp_predict(model, X), raw * 3.0 + 10.0)
 
     def test_raw_features_go_through_the_input_scaler(self):
@@ -247,7 +252,7 @@ class TestPredict:
         model = toy_model(rng, 2, [4])
         model.input_scaler = Scaler(np.array([5.0, -1.0]), np.array([2.0, 0.5]))
         X = rng.normal(3, 2, (7, 2))
-        expect = mlp_forward(model, (X - [5.0, -1.0]) / [2.0, 0.5], "eval")
+        expect = mlp_forward(model, (X - [5.0, -1.0]) / [2.0, 0.5])
         np.testing.assert_array_equal(mlp_predict(model, X), expect)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ import pytest
 from driftcast.errors import MismatchedTestBlocks, PostDriftTooShort, TooFewRows
 from driftcast.features import build_features
 from driftcast.frame import TimeSeriesFrame
-from driftcast.changepoint import op_detect
-from driftcast.mlp import MlpConfig
+from driftcast import pipeline
+from driftcast.changepoint import Segmentation, op_detect
+from driftcast.mlp import MlpConfig, mlp_train
 from driftcast.pipeline import (
     BASELINE,
     DRIFT_RETRAIN,
@@ -149,6 +151,23 @@ class TestRetrain:
         assert res.report.fallback_reason == "post_drift_too_short"
         assert res.report.training_rows_used == res.train_rows_total
 
+    def test_lasso_falls_back_below_its_row_minimum(self, drifted_frame):
+        # six clean rows pass cv_folds + 1 but leave the first CV fold one
+        # row; the lasso minimum (cv_folds + 2 = 7) sends this to the baseline
+        cfg = strategy(model=LASSO)
+
+        def six_clean_rows(prep, config):
+            rows = prep.train.rows
+            return Segmentation((rows - 6 - self.WARMUP,), rows, 0.0)
+
+        with mock.patch.object(pipeline, "detect_training_drift", six_clean_rows), \
+                pytest.warns(PostDriftTooShort, match="has 6 clean rows, below the minimum of 7"):
+            retr = run_retrain(drifted_frame, TARGET, cfg)
+        base = run_baseline(drifted_frame, TARGET, cfg)
+        assert retr.report.fallback_reason == "post_drift_too_short"
+        assert retr.report.training_rows_used == base.report.training_rows_used
+        assert metrics_equal(base.report, retr.report)
+
     def test_cut_clamps_to_training_block(self):
         # the target changepoint is found, but no training row has a feature
         # window clear of it
@@ -164,6 +183,18 @@ class TestRetrain:
         b = run(drifted_frame, TARGET, strategy(strategy=DRIFT_RETRAIN))
         assert a.report.segmentation is None
         assert b.report.segmentation is not None
+
+
+class TestSeed:
+    def test_mlp_trains_with_the_run_seed(self, drifted_frame):
+        assert StrategyConfig(seed=4, mlp=MlpConfig(seed=0)).to_dict()["mlp"]["seed"] == 4
+        small = replace(SMALL_MLP, max_epochs=3)
+        cfg = strategy(seed=4, mlp=small)
+        res = run_baseline(drifted_frame, TARGET, cfg)
+        assert res.report.config["mlp"]["seed"] == res.report.seed == 4
+        train = pipeline._prepare(drifted_frame, TARGET, cfg).train
+        model, _ = mlp_train(replace(small, seed=4), train)
+        assert dumps(res.model.to_dict()) == dumps(model.to_dict())
 
 
 class TestLeakage:
