@@ -22,7 +22,8 @@ import numpy as np
 
 from . import changepoint as cp
 from . import pipeline, serialize, svgplot, synth
-from .errors import DriftcastError, DriftcastWarning, InvalidConfig, NonFiniteLoss, NonFiniteValues
+from .errors import (DriftcastError, DriftcastWarning, InvalidConfig, MissingColumn,
+                     NonFiniteLoss, NonFiniteValues)
 from .features import FeatureSpec
 from .frame import SplitSpec, forward_fill, load_csv, resample_hourly, write_csv
 from .lasso import LassoConfig
@@ -189,10 +190,10 @@ def cmd_run(args) -> int:
                 title=f"{args.model} {args.strategy} training loss",
                 xlabel="epoch", ylabel="MSE")
             Path(args.loss_plot).write_text(svg, encoding="utf-8")
-    if result.cv_results:
+    if args.model == pipeline.LASSO:
         with open(f"{stem}_cv.csv", "w", encoding="utf-8", newline="") as fh:
             fh.write("alpha,fold,val_mse\n")
-            for alpha, fold, val_mse in result.cv_results:
+            for alpha, fold, val_mse in result.model.cv_results:
                 fh.write(f"{serialize.fmt_float(alpha)},{fold},"
                          f"{serialize.fmt_float(val_mse)}\n")
     if args.model_out:
@@ -213,7 +214,7 @@ def cmd_compare(args) -> int:
         paths.extend(hits if hits else [pattern])
     if not paths:
         raise DriftcastError("no report files matched")
-    reports = [pipeline.RunReport.from_dict(serialize.load(p)) for p in paths]
+    reports = [pipeline.RunReport.from_dict(serialize.load(p), p) for p in paths]
     table = pipeline.compare(reports)
     table.to_csv(args.out)
     if args.plot:
@@ -237,14 +238,15 @@ def cmd_plot(args) -> int:
         if args.segmentation:
             seg = serialize.load(args.segmentation)
             ts = frame.timestamps
-            markers = [float(ts[i]) for i in seg.get("changepoints", []) if i < len(ts)]
+            cps = seg.get("union_changepoints", seg.get("changepoints", []))
+            markers = [float(ts[i]) for i in cps if i < len(ts)]
         svg = svgplot.line_plot(
             [(column, frame.timestamps.astype(float), frame.column(column))],
             title=f"Series with detected changepoints ({column})" if markers
             else f"Series ({column})",
             xlabel="time", ylabel=column, vlines=markers, x_is_time=True)
     elif args.kind == "predictions":
-        rows = _read_csv_columns(args.data)
+        rows = _read_csv_columns(args.data, "timestamp", "actual", "predicted")
         ts = np.array([_iso_to_float(s) for s in rows["timestamp"]])
         svg = svgplot.line_plot(
             [("actual", ts, np.array(rows["actual"], float)),
@@ -252,14 +254,14 @@ def cmd_plot(args) -> int:
             title="Actual vs predicted", xlabel="time", ylabel="target",
             x_is_time=True)
     elif args.kind == "loss":
-        rows = _read_csv_columns(args.data)
+        rows = _read_csv_columns(args.data, "epoch", "train_loss", "val_loss")
         epochs = np.array(rows["epoch"], float)
         svg = svgplot.line_plot(
             [("train_loss", epochs, np.array(rows["train_loss"], float)),
              ("val_loss", epochs, np.array(rows["val_loss"], float))],
             title="Training loss", xlabel="epoch", ylabel="MSE")
     elif args.kind == "cv":
-        rows = _read_csv_columns(args.data)
+        rows = _read_csv_columns(args.data, "alpha", "fold", "val_mse")
         alphas = np.array(rows["alpha"], float)
         mses = np.array(rows["val_mse"], float)
         grid = sorted(set(alphas))
@@ -274,7 +276,7 @@ def cmd_plot(args) -> int:
         svg = svgplot.line_plot(series, title="Validation MSE vs regularization",
                                 xlabel="log10(alpha)", ylabel="MSE")
     else:  # comparison
-        rows = _read_csv_columns(args.data)
+        rows = _read_csv_columns(args.data, "model", "strategy", "mae", "rmse", "r2")
         labels = [f"{m}-{s}" for m, s in zip(rows["model"], rows["strategy"])]
         panels = [
             ("MAE", list(zip(labels, map(float, rows["mae"])))),
@@ -287,7 +289,7 @@ def cmd_plot(args) -> int:
     return 0
 
 
-def _read_csv_columns(path) -> dict[str, list[str]]:
+def _read_csv_columns(path, *needed: str) -> dict[str, list[str]]:
     import csv as _csv
 
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -296,6 +298,9 @@ def _read_csv_columns(path) -> dict[str, list[str]]:
         for row in reader:
             for k, v in row.items():
                 out[k].append(v)
+    missing = [name for name in needed if name not in out]
+    if missing:
+        raise MissingColumn(f"{path} has no {missing[0]!r} column")
     return out
 
 

@@ -36,8 +36,6 @@ class FeatureSpec:
 
     lags: tuple[int, ...] = DEFAULT_LAGS
     rolling_windows: tuple[int, ...] = DEFAULT_WINDOWS
-    cyclic_hour: bool = True
-    cyclic_dow: bool = True
     polynomial_degree: int = 1
 
     def __post_init__(self):
@@ -58,8 +56,6 @@ class FeatureSpec:
         return {
             "lags": list(self.lags),
             "rolling_windows": list(self.rolling_windows),
-            "cyclic_hour": self.cyclic_hour,
-            "cyclic_dow": self.cyclic_dow,
             "polynomial_degree": self.polynomial_degree,
         }
 
@@ -205,17 +201,9 @@ def build_features(frame: TimeSeriesFrame, target: str,
             f"warmup {warmup} consumes the whole series of length {frame.n}"
         )
 
-    names: list[str] = []
-    cols: list[np.ndarray] = []
     cyc = cyclic_encode(frame.timestamps)
-    if spec.cyclic_hour:
-        for name in ("hour_sin", "hour_cos"):
-            names.append(name)
-            cols.append(cyc[name])
-    if spec.cyclic_dow:
-        for name in ("dow_sin", "dow_cos"):
-            names.append(name)
-            cols.append(cyc[name])
+    names = list(cyc)
+    cols = list(cyc.values())
     for name, col in make_lags(y, spec.lags).items():
         names.append(name)
         cols.append(col)
@@ -226,6 +214,6 @@ def build_features(frame: TimeSeriesFrame, target: str,
         names.append(f"roll_std_{w}")
         cols.append(std)
 
-    X = np.column_stack(cols)[warmup:] if cols else np.empty((frame.n - warmup, 0))
+    X = np.column_stack(cols)[warmup:]
     X, out_names = polynomial_expand(X, names, spec.polynomial_degree)
     return FeatureMatrix(X, y[warmup:], out_names, warmup, frame.timestamps[warmup:])

@@ -37,7 +37,6 @@ class LassoConfig:
     cv_folds: int = 5
     max_iter: int = 10_000
     tol: float = 1e-7
-    seed: int = 0  # reserved; the solver is deterministic
 
     def __post_init__(self):
         object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
@@ -60,7 +59,6 @@ class LassoConfig:
             "cv_folds": self.cv_folds,
             "max_iter": self.max_iter,
             "tol": self.tol,
-            "seed": self.seed,
         }
 
 
@@ -82,7 +80,6 @@ class LassoModel:
     n_sweeps: int = 0
     feature_names: tuple[str, ...] | None = None
     cv_results: list[tuple[float, int, float]] = field(default_factory=list)
-    objective_history: list[float] | None = None
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, float)
@@ -124,11 +121,6 @@ def soft_threshold(z: float, t: float) -> float:
     if excess != excess:
         return excess
     return -0.0 if z < 0.0 else 0.0
-
-
-def lasso_objective(Xs: np.ndarray, yc: np.ndarray, beta: np.ndarray, alpha: float) -> float:
-    r = yc - Xs @ beta
-    return float(r @ r / (2.0 * yc.size) + alpha * np.abs(beta).sum())
 
 
 def kkt_violation(Xs: np.ndarray, yc: np.ndarray, beta: np.ndarray, alpha: float) -> float:
@@ -184,38 +176,21 @@ def _gram_sweep(indices, beta: list, corr: np.ndarray, gram_rows,
     return max_delta
 
 
-def _residual_sweep(indices, beta: list, Xs: np.ndarray, r: np.ndarray,
-                    col_norm2: list, alpha: float) -> float:
-    """One cyclic pass against the residual ``r``, updated in place."""
-    n = r.size
-    max_delta = 0.0
-    for j in indices:
-        nj = col_norm2[j]
-        if nj <= 0.0:
-            continue
-        old = beta[j]
-        rho = (Xs[:, j] @ r) / n + nj * old
-        new = soft_threshold(rho, alpha) / nj
-        if new != old:
-            r -= Xs[:, j] * (new - old)
-            beta[j] = new
-            max_delta = max(max_delta, abs(new - old))
-    return max_delta
-
-
 @dataclass
 class _Standardized:
-    """The standardized design and centered target of one fit.
+    """The standardized design, centered target and Gram terms of one fit.
 
     ``lasso_cv`` shares one across the alphas of a fold: the fold's first
-    :func:`lasso_fit` call builds it, and its Gram terms at most once.
+    :func:`lasso_fit` call builds it.
     """
 
     scaler: Scaler
     Xs: np.ndarray
     yc: np.ndarray
     y_mean: float
-    gram: tuple | None = None  # (rows of G.T, X'y / n, diag(G) as floats)
+    gram_rows: list     # rows of G.T, G = X'X / n
+    xty: np.ndarray     # X'y / n
+    col_norm2: list     # diag(G) as floats
 
 
 def _standardize(X: np.ndarray, y: np.ndarray) -> _Standardized:
@@ -229,12 +204,14 @@ def _standardize(X: np.ndarray, y: np.ndarray) -> _Standardized:
         start = float(yc @ yc)
     if not math.isfinite(start):
         raise NonFiniteLoss("the starting objective overflows: the target is too large")
-    return _Standardized(scaler, Xs, yc, y_mean)
+    n = yc.size
+    G = Xs.T @ Xs / n
+    return _Standardized(scaler, Xs, yc, y_mean, list(np.ascontiguousarray(G.T)),
+                         Xs.T @ yc / n, np.diag(G).tolist())
 
 
 def lasso_fit(X: np.ndarray, y: np.ndarray, alpha: float,
-              config: LassoConfig | None = None,
-              record_objective: bool = False, *,
+              config: LassoConfig | None = None, *,
               _shared: dict | None = None) -> LassoModel:
     """Fit one lasso at a fixed alpha.
 
@@ -265,37 +242,17 @@ def lasso_fit(X: np.ndarray, y: np.ndarray, alpha: float,
     if "prep" not in shared:
         shared["prep"] = _standardize(X, y)
     prep = shared["prep"]
-    Xs, yc = prep.Xs, prep.yc
 
     alpha = float(alpha)
     beta = [0.0] * d
-    history = [lasso_objective(Xs, yc, np.array(beta), alpha)] if record_objective else None
+    corr = prep.xty.copy()  # stays equal to X' r / n
 
-    # With many more rows than columns, sweeping against the Gram matrix
-    # makes a coordinate update O(d) instead of O(n); the residual form is
-    # kept for small problems and when the per-sweep objective is recorded.
-    if not record_objective and n > 4 * d:
-        if prep.gram is None:
-            G = Xs.T @ Xs / n
-            prep.gram = (list(np.ascontiguousarray(G.T)), Xs.T @ yc / n, np.diag(G).tolist())
-        gram_rows, xty, col_norm2 = prep.gram
-        corr = xty.copy()               # stays equal to X' r / n
-
-        def sweep(indices) -> float:
-            return _gram_sweep(indices, beta, corr, gram_rows, col_norm2, alpha)
-    else:
-        r = yc.copy()
-        col_norm2 = ((Xs * Xs).sum(axis=0) / n).tolist()
-
-        def sweep(indices) -> float:
-            max_delta = _residual_sweep(indices, beta, Xs, r, col_norm2, alpha)
-            if history is not None:
-                history.append(lasso_objective(Xs, yc, np.array(beta), alpha))
-            return max_delta
+    def sweep(indices) -> float:
+        return _gram_sweep(indices, beta, corr, prep.gram_rows, prep.col_norm2, alpha)
 
     def stationary() -> bool:
         # exact residual correlations (the running ones can drift a hair)
-        return kkt_violation(Xs, yc, np.array(beta), alpha) <= 0.5 * KKT_TOL
+        return kkt_violation(prep.Xs, prep.yc, np.array(beta), alpha) <= 0.5 * KKT_TOL
 
     all_idx = range(d)
     converged = False
@@ -326,8 +283,7 @@ def lasso_fit(X: np.ndarray, y: np.ndarray, alpha: float,
             f"coefficient changes above tol={config.tol}", DidNotConverge)
 
     return LassoModel(np.array(beta), prep.y_mean, alpha, prep.scaler.means, prep.scaler.stds,
-                      converged=converged, n_sweeps=sweeps,
-                      objective_history=history)
+                      converged=converged, n_sweeps=sweeps)
 
 
 def timeseries_folds(n_rows: int, k: int) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import changepoint as cp
-from .errors import (InvalidConfig, MismatchedTestBlocks, PostDriftTooShort, TooFewRows,
-                     UnknownColumn)
+from .errors import (DriftcastError, InvalidConfig, MismatchedTestBlocks, PostDriftTooShort,
+                     TooFewRows, UnknownColumn)
 from .features import FeatureMatrix, FeatureSpec, build_features
 from .frame import Scaler, SplitSpec, TimeSeriesFrame
 from .lasso import LassoConfig, lasso_cv
@@ -136,8 +136,13 @@ class RunReport:
         }
 
     @staticmethod
-    def from_dict(d: dict) -> "RunReport":
-        seg = d.get("segmentation")
+    def from_dict(d: dict, source: str = "report") -> "RunReport":
+        ev = d.get("eval") if isinstance(d, dict) else None
+        seg = d.get("segmentation") if isinstance(ev, dict) else None
+        if not (isinstance(ev, dict) and {"mae", "rmse", "r2", "n"} <= ev.keys()
+                and "training_rows_used" in d and (seg is None or isinstance(seg, dict)
+                and {"changepoints", "n", "total_cost"} <= seg.keys())):
+            raise DriftcastError(f"{source} is not a run report")
         segmentation = None
         if seg is not None:
             segmentation = cp.Segmentation(
@@ -168,7 +173,6 @@ class RunResult:
     test_y: np.ndarray               # original target units
     test_timestamps: np.ndarray
     train_report: TrainReport | None = None
-    cv_results: list | None = None
     train_rows_total: int = 0
 
 
@@ -208,13 +212,11 @@ def _prepare(frame: TimeSeriesFrame, target: str, config: StrategyConfig) -> _Pr
 def _fit_and_eval(config: StrategyConfig, prep: _Prepared, train_slice: FeatureMatrix,
                   strategy: str):
     train_report = None
-    cv_results = None
     if config.model == MLP:
         model, train_report = mlp_train(config.mlp, train_slice)
         preds = mlp_predict(model, prep.test.X)
     else:
         model = lasso_cv(train_slice, config.lasso)
-        cv_results = model.cv_results
         preds = model.predict(prep.test.X)
 
     if config.metric_scale == SCALE_STANDARDIZED:
@@ -226,11 +228,11 @@ def _fit_and_eval(config: StrategyConfig, prep: _Prepared, train_slice: FeatureM
         y_eval, p_eval, scale=config.metric_scale,
         dataset=config.dataset_id, model=config.model,
         strategy=strategy, seed=config.seed)
-    return model, preds, report, train_report, cv_results
+    return model, preds, report, train_report
 
 
 def _package(config, prep, strategy, fitted, segmentation, rows_used, fallback_reason):
-    model, preds, eval_report, train_report, cv_results = fitted
+    model, preds, eval_report, train_report = fitted
     report = RunReport(
         eval=eval_report,
         segmentation=segmentation,
@@ -243,7 +245,7 @@ def _package(config, prep, strategy, fitted, segmentation, rows_used, fallback_r
         fallback_reason=fallback_reason,
     )
     return RunResult(report, model, preds, prep.test.y.copy(),
-                     prep.test.timestamps.copy(), train_report, cv_results,
+                     prep.test.timestamps.copy(), train_report,
                      train_rows_total=prep.train.rows)
 
 

@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+from .errors import DriftcastError
+
 
 def fmt_float(x: float) -> str:
     if isinstance(x, float) and not math.isfinite(x):
@@ -73,7 +75,10 @@ def load(path):
     """Read a JSON file; a bare ``-0`` comes back as -0.0, so every finite
     float that :func:`dump` wrote reads back with the same bits."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, parse_int=_parse_int)
+        try:
+            return json.load(fh, parse_int=_parse_int)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise DriftcastError(f"{path} is not a JSON file: {exc}") from None
 
 
 def sha256_file(path) -> str:

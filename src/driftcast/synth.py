@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidRange
+from .errors import InvalidConfig, InvalidRange
 from .frame import HOUR, TimeSeriesFrame, _parse_timestamp
 
 TARGET_COLUMN = "interest_rate"
@@ -47,9 +47,9 @@ class DriftEvent:
     def __post_init__(self):
         object.__setattr__(self, "at", _as_epoch(self.at))
         if self.kind not in (SUDDEN, GRADUAL):
-            raise ValueError(f"kind must be '{SUDDEN}' or '{GRADUAL}'")
+            raise InvalidConfig(f"kind must be '{SUDDEN}' or '{GRADUAL}', got {self.kind!r}")
         if self.kind == GRADUAL and self.duration_hours < 1:
-            raise ValueError("gradual events need duration_hours >= 1")
+            raise InvalidConfig("gradual events need duration_hours >= 1")
 
     def contribution(self, ts: np.ndarray) -> np.ndarray:
         hours_since = (ts - self.at) / HOUR
@@ -122,11 +122,15 @@ class SynthConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "SynthConfig":
+        raw = d.get("events", []) if isinstance(d, dict) else None
+        if not (isinstance(raw, list)
+                and all(isinstance(ev, dict) and {"kind", "at"} <= ev.keys() for ev in raw)):
+            raise InvalidConfig("a synth config is an object, and each of its events needs kind and at")
         events = tuple(
             DriftEvent(ev["kind"], ev["at"], jump=ev.get("jump", 0.0),
                        total_shift=ev.get("total_shift", 0.0),
                        duration_hours=ev.get("duration_hours", 0))
-            for ev in d.get("events", [])
+            for ev in raw
         )
         base = SynthConfig()
         return SynthConfig(

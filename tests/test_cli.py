@@ -404,6 +404,20 @@ class TestCompare:
 
 
 class TestPlot:
+    def test_series_with_per_column_segmentation(self, workdir, tmp_path):
+        data = str(workdir / "data.csv")
+        per, joint = tmp_path / "per.json", tmp_path / "joint.json"
+        assert main(["detect", "--data", data, "--columns", "interest_rate", "--per-column",
+                     "--out", str(per)]) == 0
+        assert main(["detect", "--data", data, "--out", str(joint)]) == 0
+        assert load_json(per)["union_changepoints"] == load_json(joint)["changepoints"] != []
+        svgs = []
+        for seg in (per, joint):
+            svgs.append(tmp_path / f"{seg.stem}.svg")
+            assert main(["plot", "--kind", "series", "--data", data,
+                         "--segmentation", str(seg), "--out", str(svgs[-1])]) == 0
+        assert svgs[0].read_text() == svgs[1].read_text()
+
     def test_series_with_segmentation(self, workdir, tmp_path):
         seg = tmp_path / "seg.json"
         assert main(["detect", "--data", str(workdir / "data.csv"),
@@ -428,3 +442,34 @@ class TestPlot:
         assert main(["compare", "--reports", str(rep), "--out", str(cmp_csv)]) == 0
         assert main(["plot", "--kind", "comparison", "--data", str(cmp_csv),
                      "--out", str(tmp_path / "c.svg")]) == 0
+
+
+@pytest.fixture(scope="module")
+def wrong_files(workdir, tmp_path_factory):
+    """Files of the wrong kind for the commands that read them."""
+    root = tmp_path_factory.mktemp("wrong")
+    assert main(["detect", "--data", str(workdir / "data.csv"),
+                 "--out", str(root / "seg.json")]) == 0
+    (root / "text.json").write_text("not json\n", encoding="utf-8")
+    (root / "kind.json").write_text(json.dumps(dict(STATIONARY_CONFIG, events=[
+        {"kind": "bogus", "at": "2020-02-01T00:00"}])), encoding="utf-8")
+    (root / "list.json").write_text("[1, 2]\n", encoding="utf-8")
+    return root
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--reports", "{wrong}/seg.json"],
+    ["compare", "--reports", "{wrong}/text.json"],
+    ["plot", "--kind", "series", "--data", "{data}", "--segmentation", "{wrong}/text.json",
+     "--out", "s.svg"],
+    ["synth", "--config", "{wrong}/kind.json"],
+    ["synth", "--config", "{wrong}/list.json"],
+    ["plot", "--kind", "cv", "--data", "{data}", "--out", "cv.svg"],
+], ids=["segmentation_as_report", "text_as_report", "text_as_segmentation",
+        "unknown_event_kind", "config_not_an_object", "series_as_cv_table"])
+def test_wrong_file_exits_2(workdir, wrong_files, tmp_path, argv):
+    argv = [a.format(wrong=wrong_files, data=workdir / "data.csv") for a in argv]
+    proc = cli_process(argv, tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), proc.stderr

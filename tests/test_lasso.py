@@ -8,7 +8,7 @@ import pytest
 from driftcast import lasso
 from driftcast.errors import DidNotConverge, InvalidConfig, NonFiniteLoss, TooFewRows
 from driftcast.features import FeatureMatrix, FeatureSpec, build_features
-from driftcast.frame import SplitSpec
+from driftcast.frame import Scaler, SplitSpec
 from driftcast.lasso import (
     LassoConfig,
     _gram_sweep,
@@ -37,6 +37,11 @@ def feature_matrix(X, y):
 
 def numpy_threshold(z, t):
     return float(np.sign(z) * max(abs(z) - t, 0.0))
+
+
+def lasso_objective(Xs, yc, beta, alpha):
+    r = yc - Xs @ beta
+    return float(r @ r / (2.0 * yc.size) + alpha * np.abs(beta).sum())
 
 
 # z at the edges of the threshold t = 1: signed zeros, |z| = t, inside and
@@ -86,12 +91,12 @@ class TestLassoFit:
 
     def test_orthonormal_closed_form(self):
         rng = np.random.default_rng(1)
-        for _ in range(10):
-            d = int(rng.integers(2, 21))
-            X = orthonormal_design(rng, 150, d)
-            y = X @ (rng.normal(0, 1, d) * 0.5) + rng.normal(0, 0.3, 150)
+        # a random d on 150 rows, then n <= 4d: few rows per column
+        for n, d in [(150, None)] * 10 + [(40, 12)] * 10 + [(30, 8)] * 10:
+            d = d or int(rng.integers(2, 21))
+            X = orthonormal_design(rng, n, d)
+            y = X @ (rng.normal(0, 1, d) * 0.5) + rng.normal(0, 0.3, n)
             yc = y - y.mean()
-            n = 150
             for alpha in GRID:
                 model = lasso_fit(X, y, alpha)
                 expect = np.array(
@@ -107,14 +112,23 @@ class TestLassoFit:
         beta_ols = np.linalg.lstsq(Xs, y - y.mean(), rcond=None)[0]
         np.testing.assert_allclose(model.coefficients, beta_ols, atol=1e-6)
 
-    def test_objective_monotone_over_sweeps(self):
+    def test_objective_monotone_over_sweeps(self, monkeypatch):
         rng = np.random.default_rng(3)
         X = rng.normal(0, 1, (60, 10))
         X[:, 5:] = X[:, :5] * 0.95 + rng.normal(0, 0.1, (60, 5))
         y = X @ rng.normal(0, 1, 10) + rng.normal(0, 0.5, 60)
-        model = lasso_fit(X, y, 0.01, record_objective=True)
-        hist = model.objective_history
-        assert len(hist) >= 2
+        Xs = Scaler.fit(X).transform(X)
+        yc = y - y.mean()
+        hist = [lasso_objective(Xs, yc, np.zeros(10), 0.01)]
+
+        def recording_sweep(indices, beta, *args):
+            max_delta = _gram_sweep(indices, beta, *args)
+            hist.append(lasso_objective(Xs, yc, np.array(beta), 0.01))
+            return max_delta
+
+        monkeypatch.setattr(lasso, "_gram_sweep", recording_sweep)
+        model = lasso_fit(X, y, 0.01)
+        assert len(hist) == model.n_sweeps + 1 >= 2
         assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
 
     def test_kkt_at_convergence(self):
@@ -191,9 +205,10 @@ def correlated_design(seed, n, d):
 
 
 # (sha256 of coefficients.tobytes(), n_sweeps, converged) per solver case,
-# recorded with numpy 2.4.6 on x86-64 while the sweep still ran on numpy
-# scalars. The first four run the Gram path (n > 4d); "degree2" spends most
-# of its sweeps on the active set and ends with nine -0.0 coefficients.
+# recorded with numpy 2.4.6 on x86-64; the first four while the sweep still
+# ran on numpy scalars. "degree2" spends most of its sweeps on the active
+# set and ends with nine -0.0 coefficients. 40x12 has n <= 4d rows; 60x10
+# has n > 4d and is the design that used to record its objective.
 SOLVER_GOLDEN = {
     "degree2": ("c90a6796961ab80ce4154758e547058f89fce119384fe502f6c3ad8d6bf16f7e",
                 1744, True),
@@ -203,12 +218,11 @@ SOLVER_GOLDEN = {
                       50, False),
     "all_zero": ("f9d54bbe3ccaf08564c2928c55218a3f696989a05dffc8edf057773751aae153",
                  1, True),
-    "residual": ("d04d19e63c150f81908cff987f4f09dc898c569ed7c770814cc23ee0e927e49e",
-                 1980, True),
-    "record_objective": ("b6c28bb7d8d963a13977917a106e14b21903fc56909f47d4e6bba38c9bde0ae5",
-                         1240, True),
+    "small_40x12": ("483e978866508dfd1d940a6a408c99228f449b97a797581f5b379aff0b09dcba",
+                    1980, True),
+    "small_60x10": ("f5ab46a0a0e674b69b94dc95bcf8573b0089c9bc58c5abac9985b48c2b7bb6c1",
+                    1240, True),
 }
-OBJECTIVE_HISTORY_SHA = "036d49be6a437fcf87e4bd55df201509d7346e9dc87da139b0f3699b2315ce67"
 
 
 @pytest.fixture(scope="module")
@@ -220,8 +234,8 @@ def solver_cases():
         "degree1": (X1, y1, 0.001, LassoConfig()),
         "not_converged": (X2, y2, 0.001, LassoConfig(max_iter=50)),
         "all_zero": (X2, y2, 0.1, LassoConfig()),
-        "residual": (*correlated_design(11, 40, 12), 0.01, LassoConfig()),
-        "record_objective": (*correlated_design(12, 60, 10), 0.01, LassoConfig()),
+        "small_40x12": (*correlated_design(11, 40, 12), 0.01, LassoConfig()),
+        "small_60x10": (*correlated_design(12, 60, 10), 0.01, LassoConfig()),
     }
 
 
@@ -230,16 +244,13 @@ def test_solver_golden_bits(solver_cases, case):
     X, y, alpha, config = solver_cases[case]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        model = lasso_fit(X, y, alpha, config, record_objective=case == "record_objective")
+        model = lasso_fit(X, y, alpha, config)
     got = (hashlib.sha256(model.coefficients.tobytes()).hexdigest(),
            model.n_sweeps, model.converged)
     assert got == SOLVER_GOLDEN[case]
     assert [w.category for w in caught] == ([DidNotConverge] if case == "not_converged" else [])
     if case == "all_zero":
         assert model.nonzero_count == 0
-    if case == "record_objective":
-        history = np.array(model.objective_history)
-        assert hashlib.sha256(history.tobytes()).hexdigest() == OBJECTIVE_HISTORY_SHA
 
 
 # lasso_cv on the default synth series' training block (27,883 rows):

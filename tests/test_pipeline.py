@@ -1,15 +1,16 @@
 import hashlib
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from driftcast.errors import MismatchedTestBlocks, PostDriftTooShort, TooFewRows
-from driftcast.features import build_features
+from driftcast.features import FeatureSpec, build_features
 from driftcast.frame import TimeSeriesFrame
 from driftcast import pipeline
 from driftcast.changepoint import Segmentation, op_detect
+from driftcast.lasso import LassoConfig
 from driftcast.mlp import MlpConfig, mlp_train
 from driftcast.pipeline import (
     BASELINE,
@@ -80,7 +81,7 @@ class TestBaseline:
     def test_lasso_runs(self, drifted_frame):
         res = run_baseline(drifted_frame, TARGET, strategy(model=LASSO))
         assert res.report.eval.provenance["model"] == LASSO
-        assert res.cv_results
+        assert res.model.cv_results
 
     def test_too_few_training_rows(self):
         frame = generate(SynthConfig(start="2020-01-01T00:00", end="2020-01-08T23:00",
@@ -291,6 +292,11 @@ class TestRunReportSerialization:
         back = RunReport.from_dict(d)
         assert back.to_dict() == d
         assert back.segmentation.changepoints == res.report.segmentation.changepoints
+
+    @pytest.mark.parametrize("cls", [LassoConfig, MlpConfig, FeatureSpec, DetectionConfig])
+    def test_config_dicts_name_every_field(self, cls):
+        # a setting reaches report bytes only as a field, and every field does
+        assert list(cls().to_dict()) == [f.name for f in fields(cls)]
 
 
 # sha256 of the test-block predictions and of ``serialize.dumps(model.to_dict())``
