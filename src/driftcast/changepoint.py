@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (InvalidConfig, NonFiniteValues, SegmentTooShort, SeriesTooShort,
-                     UnknownColumn)
-from .frame import Scaler, TimeSeriesFrame
+from .errors import (DriftcastError, InvalidConfig, NonFiniteValues, SegmentTooShort,
+                     SeriesTooShort, UnknownColumn)
+from .frame import Scaler
 
 L2_MEAN = "l2_mean"
 GAUSSIAN_NLL = "gaussian_nll"
@@ -87,10 +87,6 @@ class Segmentation:
     def m(self) -> int:
         return len(self.changepoints)
 
-    def segments(self) -> list[tuple[int, int]]:
-        bounds = (0,) + self.changepoints + (self.n,)
-        return [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
-
     def to_dict(self) -> dict:
         return {
             "n": self.n,
@@ -99,6 +95,18 @@ class Segmentation:
             "beta": self.beta,
             "cost_model": self.cost_model,
         }
+
+    @staticmethod
+    def from_dict(d: dict, source: str = "segmentation") -> "Segmentation":
+        """Inverse of :meth:`to_dict`; anything else raises
+        :class:`DriftcastError` naming ``source``."""
+        try:
+            return Segmentation(
+                tuple(int(t) for t in d["changepoints"]), int(d["n"]),
+                float(d["total_cost"]), float(d.get("beta", 0.0)),
+                d.get("cost_model", L2_MEAN))
+        except (KeyError, TypeError, ValueError):
+            raise DriftcastError(f"{source} is not a segmentation") from None
 
 
 @dataclass
@@ -415,25 +423,6 @@ def multivariate_detect(values, model: CostModel | None = None,
     if X.shape[1] == 0:
         raise UnknownColumn("detection needs at least one column")
     return pelt_detect(Scaler.fit(X).transform(X), model, penalty, min_size)
-
-
-def per_column_detect(frame: TimeSeriesFrame, columns,
-                      model: CostModel | None = None,
-                      penalty: PenaltyConfig | None = None,
-                      min_size: int = 2) -> tuple[dict[str, Segmentation], list[int]]:
-    """Detect each column independently and union the changepoints.
-
-    Each column gets ``penalty``, or its own default penalty when that is
-    None. Returns the per-column segmentations plus the sorted union of
-    all detected indices.
-    """
-    per: dict[str, Segmentation] = {}
-    union: set[int] = set()
-    for name in columns:
-        seg = pelt_detect(frame.column(name), model, penalty, min_size)
-        per[name] = seg
-        union.update(seg.changepoints)
-    return per, sorted(union)
 
 
 def last_changepoint(seg: Segmentation) -> int | None:

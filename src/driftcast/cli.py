@@ -88,41 +88,39 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _series_svg(frame, column, changepoints) -> str:
+    """The figure of ``detect --plot`` and ``plot --kind series``."""
+    ts = frame.timestamps
+    return svgplot.line_plot(
+        [(column, ts.astype(float), frame.column(column))],
+        title=f"Detected changepoints ({column})",
+        xlabel="time", ylabel=column,
+        vlines=[float(ts[i]) for i in changepoints if i < len(ts)],
+        x_is_time=True)
+
+
+def _comparison_svg(table) -> str:
+    """The figure of ``compare --plot`` and ``plot --kind comparison``."""
+    return svgplot.grouped_bars(table.panels(), title="Baseline vs drift-aware retraining")
+
+
 def cmd_detect(args) -> int:
-    if args.per_column and not args.columns:
-        raise InvalidConfig("--per-column needs --columns")
     frame = load_csv(args.data, timestamp_column=args.timestamp_column)
     model = cp.CostModel(args.cost)
     penalty = cp.PenaltyConfig(args.beta) if args.beta is not None else None
     names = list(args.columns) if args.columns else [_pick_target(frame, args.target)]
     frame = _clean(frame, names)
-    if args.per_column:
-        per, markers = cp.per_column_detect(frame, names, model, penalty, args.min_size)
-        payload = {
-            "columns": {k: seg.to_dict() for k, seg in per.items()},
-            "union_changepoints": markers,
-        }
+    if args.columns:
+        X = np.column_stack([frame.column(name) for name in names])
+        seg = cp.multivariate_detect(X, model, penalty, args.min_size)
     else:
-        if args.columns:
-            X = np.column_stack([frame.column(name) for name in names])
-            seg = cp.multivariate_detect(X, model, penalty, args.min_size)
-        else:
-            seg = cp.pelt_detect(frame.column(names[0]), model, penalty, args.min_size)
-        payload = seg.to_dict()
-        markers = list(seg.changepoints)
-    serialize.dump(payload, args.out)
+        seg = cp.pelt_detect(frame.column(names[0]), model, penalty, args.min_size)
+    serialize.dump(seg.to_dict(), args.out)
 
-    print(f"changepoints: {markers}")
+    print(f"changepoints: {list(seg.changepoints)}")
     if args.plot:
-        plot_column = names[0]
-        ts = frame.timestamps
-        svg = svgplot.line_plot(
-            [(plot_column, ts.astype(float), frame.column(plot_column))],
-            title=f"Detected changepoints ({plot_column})",
-            xlabel="time", ylabel=plot_column,
-            vlines=[float(ts[i]) for i in markers if i < len(ts)],
-            x_is_time=True)
-        Path(args.plot).write_text(svg, encoding="utf-8")
+        Path(args.plot).write_text(_series_svg(frame, names[0], seg.changepoints),
+                                   encoding="utf-8")
     return 0
 
 
@@ -164,32 +162,15 @@ def cmd_run(args) -> int:
 
     stem = str(args.out)
     stem = stem[:-5] if stem.endswith(".json") else stem
-    pred_csv = args.predictions or f"{stem}_predictions.csv"
-    with open(pred_csv, "w", encoding="utf-8", newline="") as fh:
+    with open(f"{stem}_predictions.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("timestamp,actual,predicted\n")
         dts = result.test_timestamps.astype("datetime64[s]")
         for i in range(result.predictions.size):
             fh.write(f"{str(dts[i]).replace(' ', 'T')},"
                      f"{serialize.fmt_float(result.test_y[i])},"
                      f"{serialize.fmt_float(result.predictions[i])}\n")
-    if args.plot:
-        ts = result.test_timestamps.astype(float)
-        svg = svgplot.line_plot(
-            [("actual", ts, result.test_y), ("predicted", ts, result.predictions)],
-            title=f"{args.model} {args.strategy}: actual vs predicted",
-            xlabel="time", ylabel=target, x_is_time=True)
-        Path(args.plot).write_text(svg, encoding="utf-8")
     if result.train_report is not None:
-        loss_csv = args.loss_csv or f"{stem}_loss.csv"
-        result.train_report.to_csv(loss_csv)
-        if args.loss_plot:
-            epochs = np.arange(1, len(result.train_report.train_loss) + 1, dtype=float)
-            svg = svgplot.line_plot(
-                [("train_loss", epochs, np.asarray(result.train_report.train_loss)),
-                 ("val_loss", epochs, np.asarray(result.train_report.val_loss))],
-                title=f"{args.model} {args.strategy} training loss",
-                xlabel="epoch", ylabel="MSE")
-            Path(args.loss_plot).write_text(svg, encoding="utf-8")
+        result.train_report.to_csv(f"{stem}_loss.csv")
     if args.model == pipeline.LASSO:
         with open(f"{stem}_cv.csv", "w", encoding="utf-8", newline="") as fh:
             fh.write("alpha,fold,val_mse\n")
@@ -218,8 +199,7 @@ def cmd_compare(args) -> int:
     table = pipeline.compare(reports)
     table.to_csv(args.out)
     if args.plot:
-        svg = svgplot.grouped_bars(table.panels(), title="Baseline vs drift-aware retraining")
-        Path(args.plot).write_text(svg, encoding="utf-8")
+        Path(args.plot).write_text(_comparison_svg(table), encoding="utf-8")
     for row in table.rows:
         extra = ""
         if row["mae_reduction_rel"] is not None:
@@ -234,36 +214,30 @@ def cmd_plot(args) -> int:
     if args.kind == "series":
         frame = load_csv(args.data, timestamp_column=args.timestamp_column)
         column = _pick_target(frame, args.column)
-        markers = []
+        changepoints = ()
         if args.segmentation:
-            seg = serialize.load(args.segmentation)
-            ts = frame.timestamps
-            cps = seg.get("union_changepoints", seg.get("changepoints", []))
-            markers = [float(ts[i]) for i in cps if i < len(ts)]
-        svg = svgplot.line_plot(
-            [(column, frame.timestamps.astype(float), frame.column(column))],
-            title=f"Series with detected changepoints ({column})" if markers
-            else f"Series ({column})",
-            xlabel="time", ylabel=column, vlines=markers, x_is_time=True)
+            changepoints = cp.Segmentation.from_dict(
+                serialize.load(args.segmentation), args.segmentation).changepoints
+        svg = _series_svg(_clean(frame, [column]), column, changepoints)
     elif args.kind == "predictions":
-        rows = _read_csv_columns(args.data, "timestamp", "actual", "predicted")
-        ts = np.array([_iso_to_float(s) for s in rows["timestamp"]])
+        frame = load_csv(args.data, columns=["actual", "predicted"])
+        ts = frame.timestamps.astype(float)
         svg = svgplot.line_plot(
-            [("actual", ts, np.array(rows["actual"], float)),
-             ("predicted", ts, np.array(rows["predicted"], float))],
+            [("actual", ts, frame.column("actual")),
+             ("predicted", ts, frame.column("predicted"))],
             title="Actual vs predicted", xlabel="time", ylabel="target",
             x_is_time=True)
     elif args.kind == "loss":
-        rows = _read_csv_columns(args.data, "epoch", "train_loss", "val_loss")
-        epochs = np.array(rows["epoch"], float)
+        rows = _read_csv_columns(args.data, ["epoch", "train_loss", "val_loss"])
+        epochs = np.array(rows["epoch"])
         svg = svgplot.line_plot(
-            [("train_loss", epochs, np.array(rows["train_loss"], float)),
-             ("val_loss", epochs, np.array(rows["val_loss"], float))],
+            [("train_loss", epochs, np.array(rows["train_loss"])),
+             ("val_loss", epochs, np.array(rows["val_loss"]))],
             title="Training loss", xlabel="epoch", ylabel="MSE")
     elif args.kind == "cv":
-        rows = _read_csv_columns(args.data, "alpha", "fold", "val_mse")
-        alphas = np.array(rows["alpha"], float)
-        mses = np.array(rows["val_mse"], float)
+        rows = _read_csv_columns(args.data, ["alpha", "val_mse"], text=["fold"])
+        alphas = np.array(rows["alpha"])
+        mses = np.array(rows["val_mse"])
         grid = sorted(set(alphas))
         x = np.log10(grid)
         mean = np.array([mses[alphas == a].mean() for a in grid])
@@ -276,38 +250,39 @@ def cmd_plot(args) -> int:
         svg = svgplot.line_plot(series, title="Validation MSE vs regularization",
                                 xlabel="log10(alpha)", ylabel="MSE")
     else:  # comparison
-        rows = _read_csv_columns(args.data, "model", "strategy", "mae", "rmse", "r2")
-        labels = [f"{m}-{s}" for m, s in zip(rows["model"], rows["strategy"])]
-        panels = [
-            ("MAE", list(zip(labels, map(float, rows["mae"])))),
-            ("RMSE", list(zip(labels, map(float, rows["rmse"])))),
-            ("R2", list(zip(labels, map(float, rows["r2"])))),
-        ]
-        svg = svgplot.grouped_bars(panels, title="Cross-model metrics")
+        rows = _read_csv_columns(args.data, ["mae", "rmse", "r2"], text=["model", "strategy"])
+        svg = _comparison_svg(pipeline.ComparisonTable(
+            [dict(zip(rows, values)) for values in zip(*rows.values())]))
     Path(args.out).write_text(svg, encoding="utf-8")
     print(f"wrote {args.out}")
     return 0
 
 
-def _read_csv_columns(path, *needed: str) -> dict[str, list[str]]:
+def _read_csv_columns(path, numeric, text=()) -> dict[str, list]:
+    """The named columns of a CSV artifact, ``numeric`` ones as floats."""
     import csv as _csv
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = _csv.DictReader(fh)
-        out: dict[str, list[str]] = {name: [] for name in reader.fieldnames or []}
-        for row in reader:
-            for k, v in row.items():
-                out[k].append(v)
-    missing = [name for name in needed if name not in out]
-    if missing:
-        raise MissingColumn(f"{path} has no {missing[0]!r} column")
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = _csv.reader(fh)
+            header = next(reader, [])
+            rows = [row for row in reader if row]
+    except UnicodeDecodeError:
+        raise DriftcastError(f"{path} is not a UTF-8 text file") from None
+    for i, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise DriftcastError(
+                f"{path}: row {i} has {len(row)} fields, the header has {len(header)}")
+    out = {}
+    for name in [*text, *numeric]:
+        if name not in header:
+            raise MissingColumn(f"{path} has no {name!r} column")
+        cells = [row[header.index(name)] for row in rows]
+        try:
+            out[name] = cells if name in text else [float(c) for c in cells]
+        except ValueError:
+            raise DriftcastError(f"{path}: column {name!r} holds a non-number") from None
     return out
-
-
-def _iso_to_float(text: str) -> float:
-    from .frame import _parse_timestamp
-
-    return float(_parse_timestamp(text))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,8 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", help="target column (default: inferred)")
     p.add_argument("--columns", type=lambda s: s.split(","), default=None,
                    help="comma-separated columns for joint detection")
-    p.add_argument("--per-column", action="store_true",
-                   help="detect each column separately and union the results")
     p.add_argument("--beta", type=float, default=None,
                    help="penalty (default: derived from first differences)")
     p.add_argument("--cost", choices=[cp.L2_MEAN, cp.GAUSSIAN_NLL], default=cp.L2_MEAN)
@@ -361,10 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-epochs", type=int, default=300)
     p.add_argument("--timestamp-column", default="timestamp")
     p.add_argument("--out", default="report.json")
-    p.add_argument("--predictions", help="predictions CSV (default <out stem>_predictions.csv)")
-    p.add_argument("--plot", help="actual-vs-predicted SVG path")
-    p.add_argument("--loss-csv", help="per-epoch loss CSV (mlp only)")
-    p.add_argument("--loss-plot", help="loss-curve SVG path (mlp only)")
     p.add_argument("--model-out", help="trained-model JSON dump path")
     p.set_defaults(func=cmd_run)
 
@@ -375,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plot", help="grouped-bar SVG path")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("plot", help="re-render an SVG figure from an artifact")
+    p = sub.add_parser("plot", help="draw an SVG figure from an artifact")
     p.add_argument("--kind",
                    choices=["series", "predictions", "loss", "cv", "comparison"],
                    required=True)

@@ -17,6 +17,7 @@ from datetime import datetime
 import numpy as np
 
 from .errors import (
+    DriftcastError,
     DuplicateTimestamp,
     EmptyFile,
     InvalidConfig,
@@ -221,39 +222,43 @@ def load_csv(path, timestamp_column: str = "timestamp", columns=None) -> TimeSer
 
     Raises
     ------
-    EmptyFile, MissingColumn, UnparseableTimestamp, DuplicateTimestamp
+    DriftcastError (not UTF-8), EmptyFile, MissingColumn, UnparseableTimestamp,
+    DuplicateTimestamp
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFile(f"{path}: no header row") from None
-        header = [h.strip() for h in header]
-        if timestamp_column not in header:
-            raise MissingColumn(f"{path}: no {timestamp_column!r} column in header {header}")
-        ts_idx = header.index(timestamp_column)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise EmptyFile(f"{path}: no header row") from None
+            header = [h.strip() for h in header]
+            if timestamp_column not in header:
+                raise MissingColumn(f"{path}: no {timestamp_column!r} column in header {header}")
+            ts_idx = header.index(timestamp_column)
 
-        if columns is None:
-            mapping = {h: h for h in header if h != timestamp_column}
-        elif isinstance(columns, dict):
-            mapping = dict(columns)
-        else:
-            mapping = {c: c for c in columns}
-        for src in mapping:
-            if src not in header:
-                raise MissingColumn(f"{path}: no {src!r} column in header {header}")
-        src_idx = {src: header.index(src) for src in mapping}
+            if columns is None:
+                mapping = {h: h for h in header if h != timestamp_column}
+            elif isinstance(columns, dict):
+                mapping = dict(columns)
+            else:
+                mapping = {c: c for c in columns}
+            for src in mapping:
+                if src not in header:
+                    raise MissingColumn(f"{path}: no {src!r} column in header {header}")
+            src_idx = {src: header.index(src) for src in mapping}
 
-        stamps: list[int] = []
-        data: dict[str, list[float]] = {dst: [] for dst in mapping.values()}
-        for row in reader:
-            if not row or all(not c.strip() for c in row):
-                continue
-            stamps.append(_parse_timestamp(row[ts_idx]))
-            for src, dst in mapping.items():
-                idx = src_idx[src]
-                data[dst].append(_parse_value(row[idx]) if idx < len(row) else math.nan)
+            stamps: list[int] = []
+            data: dict[str, list[float]] = {dst: [] for dst in mapping.values()}
+            for row in reader:
+                if not row or all(not c.strip() for c in row):
+                    continue
+                stamps.append(_parse_timestamp(row[ts_idx]))
+                for src, dst in mapping.items():
+                    idx = src_idx[src]
+                    data[dst].append(_parse_value(row[idx]) if idx < len(row) else math.nan)
+    except UnicodeDecodeError:
+        raise DriftcastError(f"{path} is not a UTF-8 text file") from None
 
     if not stamps:
         raise EmptyFile(f"{path}: no data rows")

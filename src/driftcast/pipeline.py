@@ -137,29 +137,21 @@ class RunReport:
 
     @staticmethod
     def from_dict(d: dict, source: str = "report") -> "RunReport":
-        ev = d.get("eval") if isinstance(d, dict) else None
-        seg = d.get("segmentation") if isinstance(ev, dict) else None
-        if not (isinstance(ev, dict) and {"mae", "rmse", "r2", "n"} <= ev.keys()
-                and "training_rows_used" in d and (seg is None or isinstance(seg, dict)
-                and {"changepoints", "n", "total_cost"} <= seg.keys())):
-            raise DriftcastError(f"{source} is not a run report")
-        segmentation = None
-        if seg is not None:
-            segmentation = cp.Segmentation(
-                tuple(int(t) for t in seg["changepoints"]), int(seg["n"]),
-                float(seg["total_cost"]), float(seg.get("beta", 0.0)),
-                seg.get("cost_model", cp.L2_MEAN))
-        return RunReport(
-            eval=EvalReport.from_dict(d["eval"]),
-            segmentation=segmentation,
-            training_rows_used=int(d["training_rows_used"]),
-            config=dict(d.get("config", {})),
-            seed=int(d.get("seed", 0)),
-            dataset_sha256=d.get("dataset_sha256", ""),
-            test_sha256=d.get("test_sha256", ""),
-            test_target_sha256=d.get("test_target_sha256", ""),
-            fallback_reason=d.get("fallback_reason"),
-        )
+        try:
+            seg = d.get("segmentation")
+            return RunReport(
+                eval=EvalReport.from_dict(d["eval"]),
+                segmentation=None if seg is None else cp.Segmentation.from_dict(seg),
+                training_rows_used=int(d["training_rows_used"]),
+                config=dict(d.get("config", {})),
+                seed=int(d.get("seed", 0)),
+                dataset_sha256=d.get("dataset_sha256", ""),
+                test_sha256=d.get("test_sha256", ""),
+                test_target_sha256=d.get("test_target_sha256", ""),
+                fallback_reason=d.get("fallback_reason"),
+            )
+        except (AttributeError, DriftcastError, KeyError, TypeError, ValueError):
+            raise DriftcastError(f"{source} is not a run report") from None
 
 
 @dataclass

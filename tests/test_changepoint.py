@@ -19,11 +19,9 @@ from driftcast.changepoint import (
     multivariate_detect,
     op_detect,
     pelt_detect,
-    per_column_detect,
 )
 from driftcast.errors import (InvalidConfig, NonFiniteValues, SegmentTooShort, SeriesTooShort,
                              UnknownColumn)
-from driftcast.frame import HOUR, TimeSeriesFrame
 
 L2 = CostModel()
 NLL = CostModel("gaussian_nll")
@@ -341,12 +339,6 @@ class TestDefaultPenalty:
         assert default_penalty(y).beta == default_penalty(y[:, None]).beta
 
 
-def make_frame(columns):
-    n = len(next(iter(columns.values())))
-    ts = np.arange(0, n * HOUR, HOUR, dtype=np.int64)
-    return TimeSeriesFrame(ts, {k: np.asarray(v, float) for k, v in columns.items()})
-
-
 def standardized(X):
     return (X - X.mean(axis=0)) / X.std(axis=0)
 
@@ -380,18 +372,6 @@ class TestMultivariate:
     def test_no_columns_rejected(self):
         with pytest.raises(UnknownColumn):
             multivariate_detect(np.empty((40, 0)))
-
-    def test_per_column_union(self):
-        rng = np.random.default_rng(16)
-        a = np.concatenate([np.zeros(60), np.full(60, 6.0)]) + rng.normal(0, 0.3, 120)
-        b = np.concatenate([np.zeros(90), np.full(30, 6.0)]) + rng.normal(0, 0.3, 120)
-        per, union = per_column_detect(make_frame({"a": a, "b": b}), ["a", "b"])
-        assert any(abs(c - 60) <= 1 for c in per["a"].changepoints)
-        assert any(abs(c - 90) <= 1 for c in per["b"].changepoints)
-        assert union == sorted(set(per["a"].changepoints) | set(per["b"].changepoints))
-        quiet, none = per_column_detect(make_frame({"a": a, "b": b}), ["a", "b"],
-                                        L2, PenaltyConfig(1e6))
-        assert none == [] and all(seg.beta == 1e6 for seg in quiet.values())
 
 
 class TestLastChangepoint:

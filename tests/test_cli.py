@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 import driftcast
 from driftcast import pipeline
-from driftcast.cli import main
+from driftcast.cli import build_parser, main
 from driftcast.errors import NonFiniteLoss
 from driftcast.serialize import load as load_json
 
@@ -128,33 +129,6 @@ class TestDetect:
                      "--target", "nope", "--out", str(tmp_path / "s.json")])
         assert code == 2
 
-    def test_per_column_union(self, workdir, tmp_path):
-        out = tmp_path / "per.json"
-        code = main(["detect", "--data", str(workdir / "data.csv"),
-                     "--columns", "interest_rate", "--per-column",
-                     "--out", str(out)])
-        assert code == 0
-        payload = load_json(out)
-        assert "union_changepoints" in payload
-        assert payload["columns"]["interest_rate"]["changepoints"]
-
-    def test_per_column_honours_beta(self, workdir, tmp_path):
-        out = tmp_path / "per.json"
-        assert main(["detect", "--data", str(workdir / "data.csv"),
-                     "--columns", "interest_rate", "--per-column",
-                     "--beta", "1000000", "--out", str(out)]) == 0
-        payload = load_json(out)
-        assert payload["union_changepoints"] == []
-        assert [seg["beta"] for seg in payload["columns"].values()] == [1000000]
-
-    def test_per_column_needs_columns(self, workdir, tmp_path, capsys):
-        out = tmp_path / "per.json"
-        assert main(["detect", "--data", str(workdir / "data.csv"), "--per-column",
-                     "--out", str(out)]) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "error: --per-column needs --columns"]
-        assert not out.exists()
-
     def test_columns_never_reads_unlisted_columns(self, workdir, tmp_path):
         lines = (workdir / "data.csv").read_text(encoding="utf-8").splitlines()
         junk = tmp_path / "junk.csv"
@@ -252,13 +226,8 @@ class TestRun:
 
     def test_mlp_emits_loss_artifacts(self, workdir, tmp_path):
         out = tmp_path / "m.json"
-        code = self.run_one(workdir, out, "mlp", "baseline",
-                            extra=["--loss-plot", str(tmp_path / "loss.svg"),
-                                   "--plot", str(tmp_path / "pred.svg")])
-        assert code == 0
+        assert self.run_one(workdir, out, "mlp", "baseline") == 0
         assert (tmp_path / "m_loss.csv").read_text().startswith("epoch,")
-        assert (tmp_path / "loss.svg").exists()
-        assert (tmp_path / "pred.svg").exists()
 
     def test_byte_identical_reruns(self, workdir, tmp_path):
         a = tmp_path / "a.json"
@@ -383,6 +352,10 @@ class TestCompare:
         assert len(lines) == 5  # header + 4 rows
         svg = plot.read_text()
         assert svg.count("MAE") == 1 and svg.count("RMSE") == 1
+        replot = tmp_path / "replot.svg"
+        assert main(["plot", "--kind", "comparison", "--data", str(out),
+                     "--out", str(replot)]) == 0
+        assert replot.read_bytes() == plot.read_bytes()
 
     def test_single_report_blank_deltas(self, four_reports, tmp_path):
         out = tmp_path / "single.csv"
@@ -404,29 +377,21 @@ class TestCompare:
 
 
 class TestPlot:
-    def test_series_with_per_column_segmentation(self, workdir, tmp_path):
-        data = str(workdir / "data.csv")
-        per, joint = tmp_path / "per.json", tmp_path / "joint.json"
-        assert main(["detect", "--data", data, "--columns", "interest_rate", "--per-column",
-                     "--out", str(per)]) == 0
-        assert main(["detect", "--data", data, "--out", str(joint)]) == 0
-        assert load_json(per)["union_changepoints"] == load_json(joint)["changepoints"] != []
-        svgs = []
-        for seg in (per, joint):
-            svgs.append(tmp_path / f"{seg.stem}.svg")
-            assert main(["plot", "--kind", "series", "--data", data,
-                         "--segmentation", str(seg), "--out", str(svgs[-1])]) == 0
-        assert svgs[0].read_text() == svgs[1].read_text()
-
     def test_series_with_segmentation(self, workdir, tmp_path):
-        seg = tmp_path / "seg.json"
-        assert main(["detect", "--data", str(workdir / "data.csv"),
-                     "--out", str(seg)]) == 0
-        out = tmp_path / "series.svg"
-        code = main(["plot", "--kind", "series", "--data", str(workdir / "data.csv"),
-                     "--segmentation", str(seg), "--out", str(out)])
-        assert code == 0
-        assert out.read_text().startswith("<svg")
+        # a block of missing hours: plot must place the markers on the same
+        # hourly grid detect found them on
+        lines = (workdir / "data.csv").read_text(encoding="utf-8").splitlines()
+        gapped = tmp_path / "gapped.csv"
+        gapped.write_text("\n".join(lines[:1000] + lines[1500:]) + "\n", encoding="utf-8")
+        for data in (workdir / "data.csv", gapped):
+            seg, drawn = tmp_path / f"{data.stem}.json", tmp_path / f"{data.stem}.svg"
+            assert main(["detect", "--data", str(data), "--out", str(seg),
+                         "--plot", str(drawn)]) == 0
+            assert load_json(seg)["changepoints"]
+            out = tmp_path / f"{data.stem}_replot.svg"
+            assert main(["plot", "--kind", "series", "--data", str(data),
+                         "--segmentation", str(seg), "--out", str(out)]) == 0
+            assert out.read_bytes() == drawn.read_bytes()
 
     def test_predictions_loss_comparison(self, workdir, tmp_path):
         rep = tmp_path / "p.json"
@@ -454,6 +419,14 @@ def wrong_files(workdir, tmp_path_factory):
     (root / "kind.json").write_text(json.dumps(dict(STATIONARY_CONFIG, events=[
         {"kind": "bogus", "at": "2020-02-01T00:00"}])), encoding="utf-8")
     (root / "list.json").write_text("[1, 2]\n", encoding="utf-8")
+    (root / "bad_mae.json").write_text(json.dumps(
+        {"eval": {"mae": "x", "rmse": 1.0, "r2": 0.0, "n": 3}, "training_rows_used": 5}),
+        encoding="utf-8")
+    (root / "cv_text.csv").write_text("alpha,fold,val_mse\nx,0,1.0\n", encoding="utf-8")
+    (root / "cv_long.csv").write_text("alpha,fold,val_mse\n0.1,0,1.0,9\n", encoding="utf-8")
+    (root / "cmp_short.csv").write_text("model,strategy,mae,rmse,r2\nmlp,baseline,1.0\n",
+                                        encoding="utf-8")
+    (root / "latin1.csv").write_bytes(b"timestamp,interest_rate\n2020-01-01T00:00,caf\xe9\n")
     return root
 
 
@@ -465,11 +438,37 @@ def wrong_files(workdir, tmp_path_factory):
     ["synth", "--config", "{wrong}/kind.json"],
     ["synth", "--config", "{wrong}/list.json"],
     ["plot", "--kind", "cv", "--data", "{data}", "--out", "cv.svg"],
+    ["plot", "--kind", "series", "--data", "{data}", "--segmentation", "{wrong}/list.json",
+     "--out", "s.svg"],
+    ["compare", "--reports", "{wrong}/bad_mae.json"],
+    ["plot", "--kind", "cv", "--data", "{wrong}/cv_text.csv", "--out", "cv.svg"],
+    ["plot", "--kind", "cv", "--data", "{wrong}/latin1.csv", "--out", "cv.svg"],
+    ["plot", "--kind", "cv", "--data", "{wrong}/cv_long.csv", "--out", "cv.svg"],
+    ["plot", "--kind", "comparison", "--data", "{wrong}/cmp_short.csv", "--out", "c.svg"],
+    ["detect", "--data", "{wrong}/latin1.csv"],
+    ["run", "--data", "{wrong}/latin1.csv", "--model", "lasso", "--strategy", "baseline"],
+    ["plot", "--kind", "series", "--data", "{wrong}/latin1.csv", "--out", "s.svg"],
 ], ids=["segmentation_as_report", "text_as_report", "text_as_segmentation",
-        "unknown_event_kind", "config_not_an_object", "series_as_cv_table"])
+        "unknown_event_kind", "config_not_an_object", "series_as_cv_table",
+        "list_as_segmentation", "text_metric_in_report", "text_in_cv_table",
+        "latin1_cv_table", "cv_row_too_long", "comparison_row_too_short",
+        "latin1_data_detect", "latin1_data_run", "latin1_data_plot"])
 def test_wrong_file_exits_2(workdir, wrong_files, tmp_path, argv):
     argv = [a.format(wrong=wrong_files, data=workdir / "data.csv") for a in argv]
     proc = cli_process(argv, tmp_path)
     assert proc.returncode == 2, proc.stderr
     err = proc.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), proc.stderr
+
+
+def test_readme_commands_parse():
+    """Every ``driftcast`` command in README's code blocks is one the parser
+    accepts, so deleting a flag cannot leave the quick start broken."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = readme.split("```")[1::2]
+    commands = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("driftcast ")]
+    assert len(commands) >= 7
+    parser = build_parser()
+    for command in commands:
+        parser.parse_args(shlex.split(command, comments=True)[1:])
