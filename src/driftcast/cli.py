@@ -26,7 +26,6 @@ from .errors import (DriftcastError, DriftcastWarning, InvalidConfig, MissingCol
                      NonFiniteLoss, NonFiniteValues)
 from .features import FeatureSpec
 from .frame import SplitSpec, forward_fill, load_csv, resample_hourly, write_csv
-from .lasso import LassoConfig
 from .mlp import MlpConfig
 
 USAGE_ERROR = 2
@@ -140,7 +139,6 @@ def _strategy_config(args) -> pipeline.StrategyConfig:
         strategy=args.strategy,
         model=args.model,
         mlp=MlpConfig(max_epochs=args.max_epochs),
-        lasso=LassoConfig(),
         feature_spec=spec,
         detection=detection,
         split=SplitSpec(args.train_fraction),
@@ -169,14 +167,8 @@ def cmd_run(args) -> int:
             fh.write(f"{str(dts[i]).replace(' ', 'T')},"
                      f"{serialize.fmt_float(result.test_y[i])},"
                      f"{serialize.fmt_float(result.predictions[i])}\n")
-    if result.train_report is not None:
-        result.train_report.to_csv(f"{stem}_loss.csv")
-    if args.model == pipeline.LASSO:
-        with open(f"{stem}_cv.csv", "w", encoding="utf-8", newline="") as fh:
-            fh.write("alpha,fold,val_mse\n")
-            for alpha, fold, val_mse in result.model.cv_results:
-                fh.write(f"{serialize.fmt_float(alpha)},{fold},"
-                         f"{serialize.fmt_float(val_mse)}\n")
+    suffix, write_side_csv = result.side_csv
+    write_side_csv(f"{stem}{suffix}")
     if args.model_out:
         serialize.dump(result.model.to_dict(), args.model_out)
 
@@ -315,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run one forecasting strategy end to end")
     p.add_argument("--data", required=True)
     p.add_argument("--target")
-    p.add_argument("--model", choices=[pipeline.MLP, pipeline.LASSO], required=True)
+    p.add_argument("--model", choices=pipeline.FAMILIES, required=True)
     p.add_argument("--strategy", choices=[pipeline.BASELINE, pipeline.DRIFT_RETRAIN],
                    required=True)
     p.add_argument("--seed", type=int, default=None,

@@ -27,9 +27,6 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-# fewest feature rows :func:`mlp_train` accepts
-MIN_ROWS = 10
-
 
 @dataclass(frozen=True)
 class MlpConfig:
@@ -54,6 +51,11 @@ class MlpConfig:
             raise InvalidConfig("val_fraction must lie in (0, 0.5)")
         if any(h < 1 for h in self.hidden):
             raise InvalidConfig("hidden layer widths must be positive")
+
+    @property
+    def min_rows(self) -> int:
+        """Fewest feature rows :func:`mlp_train` accepts."""
+        return 10
 
     def to_dict(self) -> dict:
         return {
@@ -83,7 +85,6 @@ class MlpModel:
     dropout_rate: float
     input_scaler: Scaler
     target_scaler: Scaler
-    config: MlpConfig | None = None
 
     @property
     def n_inputs(self) -> int:
@@ -233,8 +234,8 @@ def mlp_train(config: MlpConfig, features: FeatureMatrix) -> tuple[MlpModel, Tra
     best-validation epoch are restored.
     """
     rows = features.rows
-    if rows < MIN_ROWS:
-        raise TooFewRows(f"need at least {MIN_ROWS} rows to train, have {rows}")
+    if rows < config.min_rows:
+        raise TooFewRows(f"need at least {config.min_rows} rows to train, have {rows}")
 
     n_val = max(1, int(math.floor(rows * config.val_fraction)))
     n_train = rows - n_val
@@ -250,8 +251,7 @@ def mlp_train(config: MlpConfig, features: FeatureMatrix) -> tuple[MlpModel, Tra
     d = features.X.shape[1]
     sizes = [d] + list(config.hidden) + [1]
     weights, biases = _init_params(rng, sizes)
-    model = MlpModel(weights, biases, config.dropout_rate,
-                     input_scaler, target_scaler, config)
+    model = MlpModel(weights, biases, config.dropout_rate, input_scaler, target_scaler)
 
     m_w = [np.zeros_like(w) for w in weights]
     v_w = [np.zeros_like(w) for w in weights]

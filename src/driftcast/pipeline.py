@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import logging
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,7 +29,7 @@ from .features import FeatureMatrix, FeatureSpec, build_features
 from .frame import Scaler, SplitSpec, TimeSeriesFrame
 from .lasso import LassoConfig, lasso_cv
 from .metrics import EvalReport, evaluate
-from .mlp import MIN_ROWS as MLP_MIN_ROWS, MlpConfig, TrainReport, mlp_predict, mlp_train
+from .mlp import MlpConfig, mlp_predict, mlp_train
 from .serialize import sha256_arrays
 
 log = logging.getLogger(__name__)
@@ -37,6 +38,7 @@ BASELINE = "baseline"
 DRIFT_RETRAIN = "retrain"
 MLP = "mlp"
 LASSO = "lasso"
+FAMILIES = (MLP, LASSO)
 
 SCALE_STANDARDIZED = "standardized"
 SCALE_ORIGINAL = "original"
@@ -82,12 +84,17 @@ class StrategyConfig:
     def __post_init__(self):
         if self.strategy not in (BASELINE, DRIFT_RETRAIN):
             raise InvalidConfig(f"unknown strategy {self.strategy!r}")
-        if self.model not in (MLP, LASSO):
+        if self.model not in FAMILIES:
             raise InvalidConfig(f"unknown model family {self.model!r}")
         if self.metric_scale not in (SCALE_STANDARDIZED, SCALE_ORIGINAL):
             raise InvalidConfig(f"unknown metric scale {self.metric_scale!r}")
         # one seed per run: the MLP trains with (and reports) the run's seed
         object.__setattr__(self, "mlp", replace(self.mlp, seed=self.seed))
+
+    @property
+    def family(self) -> MlpConfig | LassoConfig:
+        """The chosen family's settings: the field named like the family."""
+        return getattr(self, self.model)
 
     def to_dict(self) -> dict:
         d = {
@@ -98,11 +105,8 @@ class StrategyConfig:
             "seed": self.seed,
             "metric_scale": self.metric_scale,
             "dataset_id": self.dataset_id,
+            self.model: self.family.to_dict(),
         }
-        if self.model == MLP:
-            d["mlp"] = self.mlp.to_dict()
-        else:
-            d["lasso"] = self.lasso.to_dict()
         if self.strategy == DRIFT_RETRAIN:
             d["detection"] = self.detection.to_dict()
         return d
@@ -164,8 +168,7 @@ class RunResult:
     predictions: np.ndarray          # original target units, test block
     test_y: np.ndarray               # original target units
     test_timestamps: np.ndarray
-    train_report: TrainReport | None = None
-    train_rows_total: int = 0
+    side_csv: tuple[str, Callable[[str], None]]  # (stem suffix, writer) of the fit record
 
 
 @dataclass
@@ -185,7 +188,7 @@ def _prepare(frame: TimeSeriesFrame, target: str, config: StrategyConfig) -> _Pr
     test_rows = features.rows - train_rows
     if train_rows < 10:
         raise TooFewRows(
-            f"only {train_rows} training feature rows after warmup "
+            f"only {max(train_rows, 0)} training feature rows after warmup "
             f"{features.origin_index} (boundary {boundary})")
     if test_rows < 2:
         raise TooFewRows(f"only {test_rows} test feature rows")
@@ -201,34 +204,34 @@ def _prepare(frame: TimeSeriesFrame, target: str, config: StrategyConfig) -> _Pr
                      test_sha, test_target_sha, dataset_sha)
 
 
-def _fit_and_eval(config: StrategyConfig, prep: _Prepared, train_slice: FeatureMatrix,
-                  strategy: str):
-    train_report = None
+def _fit_and_report(config: StrategyConfig, prep: _Prepared, strategy: str,
+                    train_slice: FeatureMatrix, segmentation: cp.Segmentation | None = None,
+                    fallback_reason: str | None = None) -> RunResult:
+    """Fit the configured family on ``train_slice`` and score it on the test block.
+
+    The one place that branches on the model family: each branch yields the
+    model, its test-block predictions and the side CSV that records the fit.
+    """
     if config.model == MLP:
         model, train_report = mlp_train(config.mlp, train_slice)
         preds = mlp_predict(model, prep.test.X)
+        side_csv = ("_loss.csv", train_report.to_csv)
     else:
         model = lasso_cv(train_slice, config.lasso)
         preds = model.predict(prep.test.X)
+        side_csv = ("_cv.csv", model.cv_to_csv)
 
     if config.metric_scale == SCALE_STANDARDIZED:
         y_eval = prep.eval_scaler.transform(prep.test.y)
         p_eval = prep.eval_scaler.transform(preds)
     else:
         y_eval, p_eval = prep.test.y, preds
-    report = evaluate(
-        y_eval, p_eval, scale=config.metric_scale,
-        dataset=config.dataset_id, model=config.model,
-        strategy=strategy, seed=config.seed)
-    return model, preds, report, train_report
-
-
-def _package(config, prep, strategy, fitted, segmentation, rows_used, fallback_reason):
-    model, preds, eval_report, train_report = fitted
     report = RunReport(
-        eval=eval_report,
+        eval=evaluate(y_eval, p_eval, scale=config.metric_scale,
+                      dataset=config.dataset_id, model=config.model,
+                      strategy=strategy, seed=config.seed),
         segmentation=segmentation,
-        training_rows_used=rows_used,
+        training_rows_used=train_slice.rows,
         config=replace(config, strategy=strategy).to_dict(),
         seed=config.seed,
         dataset_sha256=prep.dataset_sha,
@@ -237,15 +240,13 @@ def _package(config, prep, strategy, fitted, segmentation, rows_used, fallback_r
         fallback_reason=fallback_reason,
     )
     return RunResult(report, model, preds, prep.test.y.copy(),
-                     prep.test.timestamps.copy(), train_report,
-                     train_rows_total=prep.train.rows)
+                     prep.test.timestamps.copy(), side_csv)
 
 
 def run_baseline(frame: TimeSeriesFrame, target: str, config: StrategyConfig) -> RunResult:
     """Static strategy: one model over the full training block, no detection."""
     prep = _prepare(frame, target, config)
-    fitted = _fit_and_eval(config, prep, prep.train, BASELINE)
-    return _package(config, prep, BASELINE, fitted, None, prep.train.rows, None)
+    return _fit_and_report(config, prep, BASELINE, prep.train)
 
 
 def detect_training_drift(prep: _Prepared, config: StrategyConfig) -> cp.Segmentation:
@@ -287,7 +288,7 @@ def run_retrain(frame: TimeSeriesFrame, target: str, config: StrategyConfig) -> 
     if cut is not None and not config.detection.columns:
         cut = min(cut + config.feature_spec.warmup, prep.train.rows)
 
-    min_rows = MLP_MIN_ROWS if config.model == MLP else config.lasso.min_rows
+    min_rows = config.family.min_rows
     fallback_reason = None
     if cut is None:
         fallback_reason = "no_changepoints"
@@ -299,16 +300,9 @@ def run_retrain(frame: TimeSeriesFrame, target: str, config: StrategyConfig) -> 
             f"minimum of {min_rows}; falling back to baseline",
             PostDriftTooShort)
 
-    if fallback_reason is None:
-        train_slice = prep.train.slice(cut, prep.train.rows)
-        rows_used = prep.train.rows - cut
-    else:
-        train_slice = prep.train
-        rows_used = prep.train.rows
-
-    fitted = _fit_and_eval(config, prep, train_slice, DRIFT_RETRAIN)
-    return _package(config, prep, DRIFT_RETRAIN, fitted, segmentation,
-                    rows_used, fallback_reason)
+    train_slice = prep.train if fallback_reason else prep.train.slice(cut, prep.train.rows)
+    return _fit_and_report(config, prep, DRIFT_RETRAIN, train_slice, segmentation,
+                           fallback_reason)
 
 
 def run(frame: TimeSeriesFrame, target: str, config: StrategyConfig) -> RunResult:

@@ -238,6 +238,49 @@ class TestRun:
         assert sha(tmp_path / "a_predictions.csv") == sha(tmp_path / "b_predictions.csv")
         assert sha(tmp_path / "a_loss.csv") == sha(tmp_path / "b_loss.csv")
 
+    # sha256 of the report, ``_predictions.csv``, the family's side CSV and
+    # the ``--model-out`` dump at ``--max-epochs 3``, seed 0, on the workdir
+    # data. Recorded with numpy 2.4.6 on x86-64; a moved or rewritten
+    # artifact writer that changes a byte shows up here.
+    ARTIFACT_SHA = {
+        ("mlp", "baseline"): (
+            "2150de5630d361c57919947a45af8e79b0e84563f6bc452a5c1b9f1e622d763a",
+            "da0eb819b8e6905074b0e2911e78e67b5141fb7549e9b67a1b287f7339a8b847",
+            "a65b0f4b54caa295181877deb2639144ff33f06edc94129fa52ce4a51938aac4",
+            "893e14177eede24db8816df9c989643b72eee6f2bb69e2ecf5ecc46ffb046375",
+        ),
+        ("mlp", "retrain"): (
+            "858027c36a08faf2f3d736873f1a3be201fa6ed8e558cf5255dc8baf72618d83",
+            "8053721c8f99fce15b89450d0758142a954b887e9d9b64696b29ce0ee062214c",
+            "79ce937774b07cbddd04a7758552365026a91727433f5390b9271ca4fdebe42a",
+            "249808ae9dea9c91f9b0f9062cafa749d16c5d04c8d3e34fff51324afd6817df",
+        ),
+        ("lasso", "baseline"): (
+            "e38d190451cad49e80a54665de90af283d2790f7958513dbd2001bd8f75563c7",
+            "8c319d1166b8482d45a4953bc722b419e288fe761a224ef2b2e61fbd124b6cc9",
+            "7fddd71bca9a49a91ee7e1435055943779a9956890e1e1aa26750ae7c4503df2",
+            "20400f8fa16780427e8270985f3f24645abe55993ca2b26309425c17779d5a8a",
+        ),
+        ("lasso", "retrain"): (
+            "fcfd8fb8a06fd8bb9cb991d393012d67a4007dc61ba4a143db9695b67b195fea",
+            "d46ef7b170f2cbdb13a694b4f9f0ff60265eef5854d0f937e2366d6bde208928",
+            "986097452642a4b50b12552566c32710a618df6a8134be6ccfaf9e9c7bb0826a",
+            "a83a411c8a441939b7270963cd8c23702942ba3a9cff57b5e1d3d39fd27eb4b8",
+        ),
+    }
+
+    @pytest.mark.parametrize("model,strategy", sorted(ARTIFACT_SHA))
+    def test_artifact_bytes_pinned(self, workdir, tmp_path, model, strategy):
+        side = {"mlp": "r_loss.csv", "lasso": "r_cv.csv"}[model]
+        args = ["run", "--data", str(workdir / "data.csv"), "--model", model,
+                "--strategy", strategy, "--seed", "0", "--max-epochs", "3",
+                "--out", str(tmp_path / "r.json"),
+                "--model-out", str(tmp_path / "model.json")]
+        assert main(args) == 0
+        digests = tuple(sha(tmp_path / name) for name in
+                        ("r.json", "r_predictions.csv", side, "model.json"))
+        assert digests == self.ARTIFACT_SHA[model, strategy]
+
     def test_env_seed_fallback(self, workdir, tmp_path, monkeypatch):
         monkeypatch.setenv("DRIFTCAST_SEED", "3")
         a = tmp_path / "env.json"

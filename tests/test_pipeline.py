@@ -60,6 +60,11 @@ def stationary_frame():
     return generate(scaled_config(events="none"))
 
 
+def train_rows(frame, cfg):
+    """Feature rows in the training block, the baseline's training set."""
+    return pipeline._prepare(frame, TARGET, cfg).train.rows
+
+
 def metrics_equal(a, b):
     return (a.eval.mae == b.eval.mae and a.eval.rmse == b.eval.rmse
             and a.eval.r2 == b.eval.r2 and a.eval.n == b.eval.n)
@@ -67,9 +72,10 @@ def metrics_equal(a, b):
 
 class TestBaseline:
     def test_uses_all_training_rows(self, drifted_frame):
-        res = run_baseline(drifted_frame, TARGET, strategy())
+        cfg = strategy()
+        res = run_baseline(drifted_frame, TARGET, cfg)
         assert res.report.segmentation is None
-        assert res.report.training_rows_used == res.train_rows_total
+        assert res.report.training_rows_used == train_rows(drifted_frame, cfg)
         assert res.report.fallback_reason is None
 
     def test_deterministic(self, drifted_frame):
@@ -86,7 +92,7 @@ class TestBaseline:
     def test_too_few_training_rows(self):
         frame = generate(SynthConfig(start="2020-01-01T00:00", end="2020-01-08T23:00",
                                      events=(), seed=0))
-        with pytest.raises(TooFewRows):
+        with pytest.raises(TooFewRows, match="only 0 training feature rows"):
             run_baseline(frame, TARGET, strategy())
 
 
@@ -94,7 +100,8 @@ class TestRetrain:
     WARMUP = 168  # the default feature spec's longest lag / window
 
     def test_detects_injected_drift(self, drifted_frame):
-        res = run_retrain(drifted_frame, TARGET, strategy())
+        cfg = strategy()
+        res = run_retrain(drifted_frame, TARGET, cfg)
         seg = res.report.segmentation
         assert seg is not None and seg.m >= 1
         assert res.report.fallback_reason is None
@@ -102,7 +109,8 @@ class TestRetrain:
         # training starts once the longest lag has crossed it
         tau = seg.changepoints[-1]
         assert abs(tau - (2904 - self.WARMUP)) <= 24
-        assert res.report.training_rows_used == res.train_rows_total - (tau + self.WARMUP)
+        assert res.report.training_rows_used == (
+            train_rows(drifted_frame, cfg) - (tau + self.WARMUP))
 
     def test_last_changepoint_oracle_checked(self, drifted_frame):
         cfg = strategy()
@@ -116,7 +124,7 @@ class TestRetrain:
         cfg = strategy()
         res = run_retrain(drifted_frame, TARGET, cfg)
         cut = res.report.segmentation.changepoints[-1] + cfg.feature_spec.warmup
-        assert res.report.training_rows_used == res.train_rows_total - cut
+        assert res.report.training_rows_used == train_rows(drifted_frame, cfg) - cut
         assert res.report.config["detection"] == {
             "columns": None, "cost_model": "l2_mean", "beta": None, "min_size": 2}
 
@@ -125,7 +133,7 @@ class TestRetrain:
         res = run_retrain(drifted_frame, TARGET, cfg)
         tau = res.report.segmentation.changepoints[-1]
         assert abs(tau - 2904) <= 24
-        assert res.report.training_rows_used == res.train_rows_total - tau
+        assert res.report.training_rows_used == train_rows(drifted_frame, cfg) - tau
         assert res.report.config["detection"]["columns"] == ["lag_168"]
 
     def test_fallback_on_stationary_data(self, stationary_frame):
@@ -147,10 +155,11 @@ class TestRetrain:
             events=(DriftEvent(SUDDEN, boundary_ts - hours * 3600, jump=3.0),), seed=1))
 
     def test_fallback_when_post_drift_too_short(self):
-        with pytest.warns(PostDriftTooShort):
-            res = run_retrain(self.step_before_split(4), TARGET, strategy(seed=1))
+        frame, cfg = self.step_before_split(4), strategy(seed=1)
+        with pytest.warns(PostDriftTooShort, match="below the minimum of 10"):
+            res = run_retrain(frame, TARGET, cfg)
         assert res.report.fallback_reason == "post_drift_too_short"
-        assert res.report.training_rows_used == res.train_rows_total
+        assert res.report.training_rows_used == train_rows(frame, cfg)
 
     def test_lasso_falls_back_below_its_row_minimum(self, drifted_frame):
         # six clean rows pass cv_folds + 1 but leave the first CV fold one
@@ -172,12 +181,14 @@ class TestRetrain:
     def test_cut_clamps_to_training_block(self):
         # the target changepoint is found, but no training row has a feature
         # window clear of it
+        frame, cfg = self.step_before_split(100), strategy(seed=1)
         with pytest.warns(PostDriftTooShort, match="has 0 clean rows"):
-            res = run_retrain(self.step_before_split(100), TARGET, strategy(seed=1))
+            res = run_retrain(frame, TARGET, cfg)
         tau = res.report.segmentation.changepoints[-1]
-        assert res.train_rows_total - self.WARMUP < tau < res.train_rows_total - 10
+        rows = train_rows(frame, cfg)
+        assert rows - self.WARMUP < tau < rows - 10
         assert res.report.fallback_reason == "post_drift_too_short"
-        assert res.report.training_rows_used == res.train_rows_total
+        assert res.report.training_rows_used == rows
 
     def test_run_dispatch(self, drifted_frame):
         a = run(drifted_frame, TARGET, strategy(strategy=BASELINE))
@@ -297,6 +308,14 @@ class TestRunReportSerialization:
     def test_config_dicts_name_every_field(self, cls):
         # a setting reaches report bytes only as a field, and every field does
         assert list(cls().to_dict()) == [f.name for f in fields(cls)]
+
+    @pytest.mark.parametrize("model", [MLP, LASSO])
+    def test_report_names_only_its_family(self, model):
+        cfg = StrategyConfig(model=model)
+        d = cfg.to_dict()
+        other = LASSO if model == MLP else MLP
+        assert d[model] == getattr(cfg, model).to_dict()
+        assert other not in d
 
 
 # sha256 of the test-block predictions and of ``serialize.dumps(model.to_dict())``
