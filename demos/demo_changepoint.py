@@ -15,8 +15,8 @@ import time
 import numpy as np
 
 from driftcast.changepoint import (
-    CostModel,
-    PenaltyConfig,
+    GAUSSIAN_NLL,
+    L2_MEAN,
     default_penalty,
     op_detect,
     pelt_detect,
@@ -31,14 +31,14 @@ y = np.concatenate([
     rng.normal(1.2, 0.4, 300),
 ])
 
-pen = default_penalty(y)
-print(f"derived penalty beta = {pen.beta:.3f}")
+beta = default_penalty(y)
+print(f"derived penalty beta = {beta:.3f}")
 
 t0 = time.time()
-fast = pelt_detect(y, CostModel(), pen)
+fast = pelt_detect(y, L2_MEAN, beta)
 t_fast = time.time() - t0
 t0 = time.time()
-slow = op_detect(y, CostModel(), pen)
+slow = op_detect(y, L2_MEAN, beta)
 t_slow = time.time() - t0
 
 print(f"pruned:  {fast.changepoints} cost {fast.total_cost:.2f} ({t_fast * 1e3:.1f} ms)")
@@ -49,12 +49,12 @@ print("true boundaries were (300, 500)")
 # --- penalty sweep: more penalty, fewer changepoints --------------------
 print("\npenalty sweep:")
 for beta in (0.1, 1.0, 5.0, 25.0, 250.0):
-    seg = pelt_detect(y, CostModel(), PenaltyConfig(beta))
+    seg = pelt_detect(y, L2_MEAN, beta)
     print(f"  beta {beta:>6.1f} -> {seg.m:2d} changepoints")
 
 # --- variance shifts need the free-variance cost ------------------------
 z = np.concatenate([rng.normal(0, 0.2, 400), rng.normal(0, 2.0, 400)])
-mean_only = pelt_detect(z, CostModel("l2_mean"), default_penalty(z))
-free_var = pelt_detect(z, CostModel("gaussian_nll"), PenaltyConfig(25.0), min_size=30)
+mean_only = pelt_detect(z, L2_MEAN, default_penalty(z))
+free_var = pelt_detect(z, GAUSSIAN_NLL, 25.0, min_size=30)
 print(f"\nvariance-shift series: mean-cost finds {mean_only.m}, "
       f"free-variance cost finds {free_var.m} at {free_var.changepoints} (true: 400)")

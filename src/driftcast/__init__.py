@@ -13,11 +13,8 @@ The package is organized as a small numpy library:
 """
 
 from .changepoint import (
-    CostModel,
-    PenaltyConfig,
     Segmentation,
     default_penalty,
-    last_changepoint,
     multivariate_detect,
     op_detect,
     pelt_detect,

@@ -23,7 +23,7 @@ the segment cost is the sum of per-column costs over shared boundaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,46 +31,20 @@ from .errors import (DriftcastError, InvalidConfig, NonFiniteValues, SegmentTooS
                      SeriesTooShort, UnknownColumn)
 from .frame import Scaler
 
+# Segment costs, named by string. ``l2_mean``: sum of squared deviations
+# from the segment mean (Gaussian fixed-variance likelihood, the default).
+# ``gaussian_nll``: Gaussian negative log-likelihood with free mean and
+# variance, up to an additive constant, i.e.
+# ``(len/2) * ln(max(var, VARIANCE_FLOOR))``. Both are subadditive —
+# splitting a segment never increases total fit cost — which is what makes
+# pruning with K = 0 exact. ``MIN_LEN`` maps each cost to its shortest
+# segment.
 L2_MEAN = "l2_mean"
 GAUSSIAN_NLL = "gaussian_nll"
+MIN_LEN = {L2_MEAN: 1, GAUSSIAN_NLL: 2}
 # lower bound on a segment's variance under ``gaussian_nll``, so a constant
 # segment costs a finite amount
 VARIANCE_FLOOR = 1e-8
-
-
-@dataclass(frozen=True)
-class CostModel:
-    """Segment cost family.
-
-    ``l2_mean``: sum of squared deviations from the segment mean (Gaussian
-    fixed-variance likelihood, the default). ``gaussian_nll``: Gaussian
-    negative log-likelihood with free mean and variance, up to an additive
-    constant, i.e. ``(len/2) * ln(max(var, VARIANCE_FLOOR))``.
-
-    Both are subadditive — splitting a segment never increases total fit
-    cost — which is what makes pruning with K = 0 exact.
-    """
-
-    kind: str = L2_MEAN
-
-    def __post_init__(self):
-        if self.kind not in (L2_MEAN, GAUSSIAN_NLL):
-            raise InvalidConfig(f"unknown cost model {self.kind!r}")
-
-    @property
-    def min_len(self) -> int:
-        return 2 if self.kind == GAUSSIAN_NLL else 1
-
-
-@dataclass(frozen=True)
-class PenaltyConfig:
-    """Linear penalty: adding m changepoints costs ``beta * m``."""
-
-    beta: float
-
-    def __post_init__(self):
-        if not 0 <= self.beta < math.inf:
-            raise InvalidConfig(f"beta must be a finite number >= 0, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -98,15 +72,20 @@ class Segmentation:
 
     @staticmethod
     def from_dict(d: dict, source: str = "segmentation") -> "Segmentation":
-        """Inverse of :meth:`to_dict`; anything else raises
-        :class:`DriftcastError` naming ``source``."""
+        """Inverse of :meth:`to_dict`; anything else, including changepoints
+        that do not strictly increase inside ``(0, n)`` or an unknown cost,
+        raises :class:`DriftcastError` naming ``source``."""
         try:
-            return Segmentation(
+            seg = Segmentation(
                 tuple(int(t) for t in d["changepoints"]), int(d["n"]),
                 float(d["total_cost"]), float(d.get("beta", 0.0)),
                 d.get("cost_model", L2_MEAN))
+            bounds = (0, *seg.changepoints, seg.n)
+            if seg.cost_model in MIN_LEN and all(a < b for a, b in zip(bounds, bounds[1:])):
+                return seg
         except (KeyError, TypeError, ValueError):
-            raise DriftcastError(f"{source} is not a segmentation") from None
+            pass
+        raise DriftcastError(f"{source} is not a segmentation")
 
 
 @dataclass
@@ -121,8 +100,7 @@ class PeltState:
 
     F: np.ndarray
     backpointers: np.ndarray
-    candidates: np.ndarray
-    pruned: list[tuple[int, int]] = field(default_factory=list)
+    pruned: list[tuple[int, int]]
 
 
 class SegmentCosts:
@@ -135,33 +113,34 @@ class SegmentCosts:
     come from: a contiguous slice of ``prefix`` when the starts are
     ``0..m-1`` (:func:`op_detect`), or the copy each live candidate keeps
     (:func:`pelt_detect`). Either way the inner loop gathers nothing and
-    allocates nothing.
+    allocates nothing: the result and the scratch (``lenf``, ``w1``,
+    ``w2``) are views of arrays allocated here, one slot per row boundary.
     """
 
-    def __init__(self, values: np.ndarray, model: CostModel | None = None):
+    def __init__(self, values: np.ndarray, cost: str = L2_MEAN):
         X = _as_matrix(values)
-        self.model = model or CostModel()
+        self.cost = cost
         self.n = X.shape[0]
         self.k = X.shape[1]
         self.prefix = np.zeros((2 * self.k, self.n + 1))
         for c in range(self.k):
             np.cumsum(X[:, c], out=self.prefix[c, 1:])
             np.cumsum(X[:, c] * X[:, c], out=self.prefix[self.k + c, 1:])
+        self.out, self.lenf, self.w1, self.w2 = np.empty((4, self.n + 1))
 
-    def accumulate(self, starts: np.ndarray, stop: int, heads: np.ndarray,
-                   out: np.ndarray, lenf: np.ndarray, w1: np.ndarray,
-                   w2: np.ndarray) -> None:
-        """Summed cost of segments [starts_i, stop) into ``out``.
+    def accumulate(self, starts: np.ndarray, stop: int, heads: np.ndarray) -> np.ndarray:
+        """Summed cost of segments [starts_i, stop), one per start.
 
         ``starts`` holds the start rows as floats and ``heads`` holds
-        ``prefix[:, starts]``. ``lenf``, ``w1`` and ``w2`` are scratch;
-        every buffer is a view of the candidate length. The first column's
-        cost is computed in ``out`` itself, so ``w2`` is only touched when
-        there are several columns.
+        ``prefix[:, starts]``. The result is a view of ``out``, valid until
+        the next call. The first column's cost is computed in it directly,
+        so ``w2`` is only touched when there are several columns.
         """
         k = self.k
+        m = starts.size
+        out, lenf, w1, w2 = self.out[:m], self.lenf[:m], self.w1[:m], self.w2[:m]
         tail = self.prefix[:, stop]
-        nll = self.model.kind == GAUSSIAN_NLL
+        nll = self.cost == GAUSSIAN_NLL
         np.subtract(stop, starts, out=lenf)
         for c in range(k):
             b = out if c == 0 else w2
@@ -182,15 +161,7 @@ class SegmentCosts:
                 np.subtract(b, w1, out=b)
             if c:
                 np.add(out, w2, out=out)
-
-    def cost_open(self, start, stop: int):
-        """Cost of rows [start, stop); ``start`` may be a vector."""
-        starts = np.atleast_1d(np.asarray(start, dtype=np.int64))
-        m = starts.size
-        out = np.empty(m)
-        self.accumulate(starts.astype(np.float64), stop, self.prefix[:, starts],
-                        out, np.empty(m), np.empty(m), np.empty(m))
-        return out if np.asarray(start).ndim else float(out[0])
+        return out
 
 
 def _as_matrix(values) -> np.ndarray:
@@ -232,50 +203,32 @@ def _select(cand: np.ndarray, vals: np.ndarray, bp: np.ndarray):
     return best_tau, float(v)
 
 
-def _setup(values, model: CostModel, penalty: PenaltyConfig | None, min_size: int):
+def _setup(values, cost: str, beta: float | None, min_size: int):
     """Validated inputs of a detector run: (n, beta, costs)."""
+    if cost not in MIN_LEN:
+        raise InvalidConfig(f"unknown cost model {cost!r}")
     X = _as_matrix(values)
     n = X.shape[0]
-    if min_size < model.min_len:
+    if min_size < MIN_LEN[cost]:
         raise SegmentTooShort(
-            f"min_size={min_size} below the {model.kind} minimum of {model.min_len}"
+            f"min_size={min_size} below the {cost} minimum of {MIN_LEN[cost]}"
         )
     if n < 2 * min_size:
         raise SeriesTooShort(f"need n >= {2 * min_size}, have {n}")
     if not np.isfinite(X).all():
         raise NonFiniteValues("series contains non-finite values")
-    costs = SegmentCosts(X, model)
+    costs = SegmentCosts(X, cost)
     if not np.isfinite(costs.prefix[:, -1]).all():
         raise NonFiniteValues("series too large: its sum of squares overflows")
-    if penalty is None:
-        penalty = default_penalty(X)
-    return n, penalty.beta, costs
+    if beta is None:
+        beta = default_penalty(X)
+    if not 0 <= beta < math.inf:
+        raise InvalidConfig(f"beta must be a finite number >= 0, got {beta}")
+    return n, beta, costs
 
 
-class _Buffers:
-    def __init__(self, n: int):
-        self.lenf = np.empty(n + 1)
-        self.w1 = np.empty(n + 1)
-        self.w2 = np.empty(n + 1)
-        self.vals = np.empty(n + 1)
-
-    def candidate_values(self, costs: SegmentCosts, starts: np.ndarray,
-                         heads: np.ndarray, f_heads: np.ndarray, t: int,
-                         beta: float) -> np.ndarray:
-        """F[tau] + C(tau, t) + beta for every tau in ``starts`` (a view);
-        ``f_heads`` and ``heads`` hold F and the prefix sums at ``starts``."""
-        m = starts.size
-        vals = self.vals[:m]
-        costs.accumulate(starts, t, heads, vals,
-                         self.lenf[:m], self.w1[:m], self.w2[:m])
-        np.add(f_heads, vals, out=vals)
-        np.add(vals, beta, out=vals)
-        return vals
-
-
-def op_detect(values, model: CostModel | None = None,
-              penalty: PenaltyConfig | None = None, min_size: int = 2,
-              with_state: bool = False):
+def op_detect(values, cost: str = L2_MEAN, beta: float | None = None,
+              min_size: int = 2, with_state: bool = False):
     """Exact minimizer by full dynamic programming over all predecessors.
 
     Quadratic in n; intended for n up to a few thousand. This is the
@@ -284,9 +237,7 @@ def op_detect(values, model: CostModel | None = None,
     ``0..t-min_size``, so the per-candidate F values and prefix sums are
     plain slices of ``F`` and ``SegmentCosts.prefix``.
     """
-    model = model or CostModel()
-    n, beta, costs = _setup(values, model, penalty, min_size)
-    bufs = _Buffers(n)
+    n, beta, costs = _setup(values, cost, beta, min_size)
     every = np.arange(n + 1, dtype=np.float64)
 
     F = np.full(n + 1, np.inf)
@@ -295,21 +246,22 @@ def op_detect(values, model: CostModel | None = None,
     for t in range(min_size, n + 1):
         m = t - min_size + 1
         starts = every[:m]
-        vals = bufs.candidate_values(costs, starts, costs.prefix[:, :m], F[:m], t, beta)
+        vals = costs.accumulate(starts, t, costs.prefix[:, :m])
+        vals += F[:m]
+        vals += beta
         tau, v = _select(starts, vals, bp)
         F[t] = v
         bp[t] = tau
 
     cps = _chain_of(bp, n)
-    seg = Segmentation(cps, n, float(F[n]), beta, model.kind)
+    seg = Segmentation(cps, n, float(F[n]), beta, cost)
     if with_state:
         return seg, bp
     return seg
 
 
-def pelt_detect(values, model: CostModel | None = None,
-                penalty: PenaltyConfig | None = None, min_size: int = 2,
-                with_state: bool = False):
+def pelt_detect(values, cost: str = L2_MEAN, beta: float | None = None,
+                min_size: int = 2, with_state: bool = False):
     """Exact minimizer with candidate pruning (PELT, K = 0).
 
     Returns the same segmentation as :func:`op_detect` on every input.
@@ -329,9 +281,7 @@ def pelt_detect(values, model: CostModel | None = None,
     nothing, and builds the pruning mask only when some candidate fails
     the test.
     """
-    model = model or CostModel()
-    n, beta, costs = _setup(values, model, penalty, min_size)
-    bufs = _Buffers(n)
+    n, beta, costs = _setup(values, cost, beta, min_size)
 
     F = np.full(n + 1, np.inf)
     F[0] = -beta
@@ -363,8 +313,9 @@ def pelt_detect(values, model: CostModel | None = None,
             next_removal = int(remove_at[:size].min()) if size else never
 
         active = cand[0, :size]
-        vals = bufs.candidate_values(costs, active, cand[2:, :size],
-                                     cand[1, :size], t, beta)
+        vals = costs.accumulate(active, t, cand[2:, :size])
+        vals += cand[1, :size]
+        vals += beta
         tau, v = _select(active, vals, bp)
         F[t] = v
         bp[t] = tau
@@ -378,13 +329,13 @@ def pelt_detect(values, model: CostModel | None = None,
             next_removal = min(next_removal, t + min_size)
 
     cps = _chain_of(bp, n)
-    seg = Segmentation(cps, n, float(F[n]), beta, model.kind)
+    seg = Segmentation(cps, n, float(F[n]), beta, cost)
     if with_state:
-        return seg, PeltState(F, bp, cand[0, :size].astype(np.int64), pruned)
+        return seg, PeltState(F, bp, pruned)
     return seg
 
 
-def default_penalty(values) -> PenaltyConfig:
+def default_penalty(values) -> float:
     """BIC-style penalty ``beta = 2 * sigma2 * ln(n)`` per column, summed.
 
     ``values`` is a 1-D series or an (n, k) matrix, whose summed
@@ -405,26 +356,20 @@ def default_penalty(values) -> PenaltyConfig:
         if not math.isfinite(sigma2):
             raise NonFiniteValues("cannot derive a penalty: first differences are not finite")
         beta += max(2.0 * sigma2 * math.log(n), 1e-12)
-    return PenaltyConfig(beta)
+    return beta
 
 
-def multivariate_detect(values, model: CostModel | None = None,
-                        penalty: PenaltyConfig | None = None,
+def multivariate_detect(values, cost: str = L2_MEAN, beta: float | None = None,
                         min_size: int = 2) -> Segmentation:
     """Joint detection over the columns of an (n, k) matrix, each
     standardized with its own :meth:`Scaler.fit` first.
 
     The segment cost is the sum of per-column costs over shared
     boundaries, so one segmentation is returned for the whole set.
-    ``penalty=None`` sums the per-column default penalties of the
+    ``beta=None`` sums the per-column default penalties of the
     standardized columns.
     """
     X = _as_matrix(values)
     if X.shape[1] == 0:
         raise UnknownColumn("detection needs at least one column")
-    return pelt_detect(Scaler.fit(X).transform(X), model, penalty, min_size)
-
-
-def last_changepoint(seg: Segmentation) -> int | None:
-    """The most recent changepoint, or None when no drift was detected."""
-    return seg.changepoints[-1] if seg.changepoints else None
+    return pelt_detect(Scaler.fit(X).transform(X), cost, beta, min_size)

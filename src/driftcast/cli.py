@@ -94,7 +94,7 @@ def _series_svg(frame, column, changepoints) -> str:
         [(column, ts.astype(float), frame.column(column))],
         title=f"Detected changepoints ({column})",
         xlabel="time", ylabel=column,
-        vlines=[float(ts[i]) for i in changepoints if i < len(ts)],
+        vlines=[float(ts[i]) for i in changepoints],
         x_is_time=True)
 
 
@@ -105,15 +105,13 @@ def _comparison_svg(table) -> str:
 
 def cmd_detect(args) -> int:
     frame = load_csv(args.data, timestamp_column=args.timestamp_column)
-    model = cp.CostModel(args.cost)
-    penalty = cp.PenaltyConfig(args.beta) if args.beta is not None else None
     names = list(args.columns) if args.columns else [_pick_target(frame, args.target)]
     frame = _clean(frame, names)
     if args.columns:
         X = np.column_stack([frame.column(name) for name in names])
-        seg = cp.multivariate_detect(X, model, penalty, args.min_size)
+        seg = cp.multivariate_detect(X, args.cost, args.beta, args.min_size)
     else:
-        seg = cp.pelt_detect(frame.column(names[0]), model, penalty, args.min_size)
+        seg = cp.pelt_detect(frame.column(names[0]), args.cost, args.beta, args.min_size)
     serialize.dump(seg.to_dict(), args.out)
 
     print(f"changepoints: {list(seg.changepoints)}")
@@ -206,11 +204,16 @@ def cmd_plot(args) -> int:
     if args.kind == "series":
         frame = load_csv(args.data, timestamp_column=args.timestamp_column)
         column = _pick_target(frame, args.column)
+        frame = _clean(frame, [column])
         changepoints = ()
         if args.segmentation:
-            changepoints = cp.Segmentation.from_dict(
-                serialize.load(args.segmentation), args.segmentation).changepoints
-        svg = _series_svg(_clean(frame, [column]), column, changepoints)
+            seg = cp.Segmentation.from_dict(serialize.load(args.segmentation),
+                                            args.segmentation)
+            if seg.n != frame.n:
+                raise DriftcastError(f"{args.segmentation} segments {seg.n} rows, "
+                                     f"the series has {frame.n}")
+            changepoints = seg.changepoints
+        svg = _series_svg(frame, column, changepoints)
     elif args.kind == "predictions":
         frame = load_csv(args.data, columns=["actual", "predicted"])
         ts = frame.timestamps.astype(float)

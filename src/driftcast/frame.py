@@ -82,10 +82,6 @@ class TimeSeriesFrame:
     def n(self) -> int:
         return int(self.timestamps.size)
 
-    @property
-    def column_names(self) -> tuple[str, ...]:
-        return tuple(self.columns)
-
     def column(self, name: str) -> np.ndarray:
         if name not in self.columns:
             raise UnknownColumn(f"no column named {name!r}")
@@ -103,12 +99,6 @@ class TimeSeriesFrame:
         cols = dict(self.columns)
         cols.update(extra)
         return TimeSeriesFrame(self.timestamps, cols)
-
-    def slice_rows(self, start: int, stop: int) -> "TimeSeriesFrame":
-        return TimeSeriesFrame(
-            self.timestamps[start:stop],
-            {k: v[start:stop] for k, v in self.columns.items()},
-        )
 
 
 @dataclass(frozen=True)
@@ -211,9 +201,8 @@ def load_csv(path, timestamp_column: str = "timestamp", columns=None) -> TimeSer
         which :func:`forward_fill` treats like any other gap.
     timestamp_column : str
         Header name of the timestamp column.
-    columns : None, list of str, or dict
-        Which value columns to keep. ``None`` keeps all; a dict maps CSV
-        header names to frame column names (rename on load).
+    columns : None or list of str
+        Which value columns to keep. ``None`` keeps all.
 
     Returns
     -------
@@ -238,25 +227,20 @@ def load_csv(path, timestamp_column: str = "timestamp", columns=None) -> TimeSer
             ts_idx = header.index(timestamp_column)
 
             if columns is None:
-                mapping = {h: h for h in header if h != timestamp_column}
-            elif isinstance(columns, dict):
-                mapping = dict(columns)
-            else:
-                mapping = {c: c for c in columns}
-            for src in mapping:
-                if src not in header:
-                    raise MissingColumn(f"{path}: no {src!r} column in header {header}")
-            src_idx = {src: header.index(src) for src in mapping}
+                columns = [h for h in header if h != timestamp_column]
+            for name in columns:
+                if name not in header:
+                    raise MissingColumn(f"{path}: no {name!r} column in header {header}")
+            col_idx = {name: header.index(name) for name in columns}
 
             stamps: list[int] = []
-            data: dict[str, list[float]] = {dst: [] for dst in mapping.values()}
+            data: dict[str, list[float]] = {name: [] for name in col_idx}
             for row in reader:
                 if not row or all(not c.strip() for c in row):
                     continue
                 stamps.append(_parse_timestamp(row[ts_idx]))
-                for src, dst in mapping.items():
-                    idx = src_idx[src]
-                    data[dst].append(_parse_value(row[idx]) if idx < len(row) else math.nan)
+                for name, idx in col_idx.items():
+                    data[name].append(_parse_value(row[idx]) if idx < len(row) else math.nan)
     except UnicodeDecodeError:
         raise DriftcastError(f"{path} is not a UTF-8 text file") from None
 
@@ -269,8 +253,8 @@ def load_csv(path, timestamp_column: str = "timestamp", columns=None) -> TimeSer
     if np.any(np.diff(ts) == 0):
         where = int(np.flatnonzero(np.diff(ts) == 0)[0])
         raise DuplicateTimestamp(f"{path}: duplicate timestamp at epoch {int(ts[where])}")
-    cols = {dst: np.asarray(vals, float)[order] for dst, vals in data.items()}
-    missing = {dst: int(np.isnan(v).sum()) for dst, v in cols.items()}
+    cols = {name: np.asarray(vals, float)[order] for name, vals in data.items()}
+    missing = {name: int(np.isnan(v).sum()) for name, v in cols.items()}
     log.info("loaded %d rows from %s (missing cells: %s)", ts.size, path, missing)
     return TimeSeriesFrame(ts, cols)
 

@@ -46,7 +46,7 @@ SCALE_ORIGINAL = "original"
 
 @dataclass(frozen=True)
 class DetectionConfig:
-    """What the changepoint detector sees.
+    """What the changepoint detector sees, under the ``l2_mean`` cost.
 
     ``columns=None`` detects on the training-block target; naming feature
     columns detects jointly over them, standardized. ``beta=None`` derives
@@ -55,14 +55,12 @@ class DetectionConfig:
     """
 
     columns: tuple[str, ...] | None = None
-    cost_model: cp.CostModel = field(default_factory=cp.CostModel)
     beta: float | None = None
     min_size: int = 2
 
     def to_dict(self) -> dict:
         return {
             "columns": list(self.columns) if self.columns else None,
-            "cost_model": self.cost_model.kind,
             "beta": self.beta,
             "min_size": self.min_size,
         }
@@ -258,14 +256,13 @@ def detect_training_drift(prep: _Prepared, config: StrategyConfig) -> cp.Segment
     """
     det = config.detection
     train = prep.train
-    penalty = cp.PenaltyConfig(det.beta) if det.beta is not None else None
     if not det.columns:
-        return cp.pelt_detect(train.y, det.cost_model, penalty, det.min_size)
+        return cp.pelt_detect(train.y, cp.L2_MEAN, det.beta, det.min_size)
     unknown = [n for n in det.columns if n not in train.feature_names]
     if unknown:
         raise UnknownColumn(f"no feature column named {unknown[0]!r} to detect on")
     idx = [train.feature_names.index(n) for n in det.columns]
-    return cp.multivariate_detect(train.X[:, idx], det.cost_model, penalty, det.min_size)
+    return cp.multivariate_detect(train.X[:, idx], cp.L2_MEAN, det.beta, det.min_size)
 
 
 def run_retrain(frame: TimeSeriesFrame, target: str, config: StrategyConfig) -> RunResult:
@@ -284,7 +281,7 @@ def run_retrain(frame: TimeSeriesFrame, target: str, config: StrategyConfig) -> 
     """
     prep = _prepare(frame, target, config)
     segmentation = detect_training_drift(prep, config)
-    cut = cp.last_changepoint(segmentation)
+    cut = segmentation.changepoints[-1] if segmentation.changepoints else None
     if cut is not None and not config.detection.columns:
         cut = min(cut + config.feature_spec.warmup, prep.train.rows)
 

@@ -56,10 +56,10 @@ def test_c1_pelt_exactness():
     worst_gap = 0.0
     for trial in range(500):
         y = random_mixture_series(rng)
-        model = cp.CostModel() if trial % 2 == 0 else cp.CostModel("gaussian_nll")
-        pen = cp.PenaltyConfig(float(rng.uniform(0.05, 30.0)))
-        fast = cp.pelt_detect(y, model, pen)
-        slow = cp.op_detect(y, model, pen)
+        cost = cp.L2_MEAN if trial % 2 == 0 else cp.GAUSSIAN_NLL
+        beta = float(rng.uniform(0.05, 30.0))
+        fast = cp.pelt_detect(y, cost, beta)
+        slow = cp.op_detect(y, cost, beta)
         gap = abs(fast.total_cost - slow.total_cost)
         worst_gap = max(worst_gap, gap)
         if fast.changepoints != slow.changepoints or gap > 1e-9:
@@ -88,11 +88,11 @@ def test_c2_pelt_scaling():
     medians = {}
     for n in (10_000, 40_000):
         y = piecewise_constant(n, 250, rng)
-        pen = cp.default_penalty(y)
+        beta = cp.default_penalty(y)
         times = []
         for _ in range(5):
             t0 = time.time()
-            cp.pelt_detect(y, cp.CostModel(), pen)
+            cp.pelt_detect(y, cp.L2_MEAN, beta)
             times.append(time.time() - t0)
         medians[n] = sorted(times)[2]
     ratio = medians[40_000] / medians[10_000]
@@ -113,7 +113,7 @@ def test_c3_detection_accuracy():
         truth = [e["at_index"] for e in synth.ground_truth(config)["events"]
                  if e["kind"] == synth.SUDDEN][0]
         y = frame.column(TARGET)
-        seg = cp.pelt_detect(y, penalty=cp.default_penalty(y))
+        seg = cp.pelt_detect(y, beta=cp.default_penalty(y))
         if seg.m and min(abs(c - truth) for c in seg.changepoints) <= 24:
             hits += 1
     check(3, hits >= 19, f"sudden drift located within ±24h in {hits}/20 seeds (≥ 19)")

@@ -10,21 +10,20 @@ from hypothesis import strategies as st
 
 from driftcast import pipeline, synth
 from driftcast.changepoint import (
-    CostModel,
-    PenaltyConfig,
+    GAUSSIAN_NLL,
+    L2_MEAN,
     SegmentCosts,
     Segmentation,
     default_penalty,
-    last_changepoint,
     multivariate_detect,
     op_detect,
     pelt_detect,
 )
-from driftcast.errors import (InvalidConfig, NonFiniteValues, SegmentTooShort, SeriesTooShort,
-                             UnknownColumn)
+from driftcast.errors import (DriftcastError, InvalidConfig, NonFiniteValues, SegmentTooShort,
+                             SeriesTooShort, UnknownColumn)
 
-L2 = CostModel()
-NLL = CostModel("gaussian_nll")
+L2 = L2_MEAN
+NLL = GAUSSIAN_NLL
 
 
 def step_series(n_left, n_right, lo=0.0, hi=10.0):
@@ -42,10 +41,15 @@ def random_step_series(rng, n_max=200):
     return y + rng.normal(0, rng.uniform(0.05, 1.5), n)
 
 
-def exhaustive_min(values, model, beta, min_size=2):
+def cost_of(costs, start, stop):
+    """Cost of rows [start, stop), through the detectors' kernel."""
+    return float(costs.accumulate(np.array([float(start)]), stop, costs.prefix[:, [start]])[0])
+
+
+def exhaustive_min(values, cost, beta, min_size=2):
     """Independent oracle: enumerate every admissible changepoint set."""
     n = len(values)
-    costs = SegmentCosts(values, model)
+    costs = SegmentCosts(values, cost)
     best = None
     positions = range(min_size, n - min_size + 1)
     for m in range(0, n // min_size):
@@ -55,7 +59,7 @@ def exhaustive_min(values, model, beta, min_size=2):
             if any(b - a < min_size for a, b in zip(bounds, bounds[1:])):
                 continue
             found = True
-            total = sum(costs.cost_open(a, b) for a, b in zip(bounds, bounds[1:]))
+            total = sum(cost_of(costs, a, b) for a, b in zip(bounds, bounds[1:]))
             key = (total + beta * m, m, cps)
             if best is None or key < best:
                 best = key
@@ -66,10 +70,10 @@ def exhaustive_min(values, model, beta, min_size=2):
 
 class TestSegmentCost:
     def test_constant_segment_is_free(self):
-        assert SegmentCosts([5.0, 5.0, 5.0]).cost_open(0, 3) == 0.0
+        assert cost_of(SegmentCosts([5.0, 5.0, 5.0]), 0, 3) == 0.0
 
     def test_one_two_three(self):
-        assert abs(SegmentCosts([1.0, 2.0, 3.0]).cost_open(0, 3) - 2.0) < 1e-12
+        assert abs(cost_of(SegmentCosts([1.0, 2.0, 3.0]), 0, 3) - 2.0) < 1e-12
 
     def test_prefix_sums_match_naive(self):
         rng = np.random.default_rng(0)
@@ -80,7 +84,7 @@ class TestSegmentCost:
             t2 = int(rng.integers(t1, 400))
             seg = y[t1:t2 + 1]
             naive = float(np.sum((seg - seg.mean()) ** 2))
-            got = costs.cost_open(t1, t2 + 1)
+            got = cost_of(costs, t1, t2 + 1)
             assert abs(got - naive) <= 1e-9 * max(1.0, abs(naive))
 
     def test_gaussian_nll_formula(self):
@@ -91,17 +95,17 @@ class TestSegmentCost:
             seg = y[t1:t2 + 1]
             var = float(np.mean((seg - seg.mean()) ** 2))
             expect = 0.5 * (t2 - t1 + 1) * math.log(max(var, 1e-8))
-            assert abs(costs.cost_open(t1, t2 + 1) - expect) < 1e-9
+            assert abs(cost_of(costs, t1, t2 + 1) - expect) < 1e-9
 
 
 class TestPelt:
     def test_constant_series_no_changepoints(self):
-        seg = pelt_detect(np.full(100, 3.0), L2, PenaltyConfig(0.5))
+        seg = pelt_detect(np.full(100, 3.0), L2, 0.5)
         assert seg.changepoints == ()
         assert seg.total_cost == 0.0
 
     def test_noiseless_step(self):
-        seg = pelt_detect(step_series(50, 50), L2, PenaltyConfig(5.0))
+        seg = pelt_detect(step_series(50, 50), L2, 5.0)
         assert seg.changepoints == (50,)
         # unsplit cost 50*25 + 50*25 = 2500 >> 0 + beta
         assert abs(seg.total_cost - 5.0) < 1e-12
@@ -113,24 +117,24 @@ class TestPelt:
     def test_min_size_below_the_cost_minimum(self):
         for detect in (pelt_detect, op_detect):
             with pytest.raises(SegmentTooShort):  # a variance needs 2 points
-                detect(np.arange(10.0), NLL, PenaltyConfig(1.0), min_size=1)
+                detect(np.arange(10.0), NLL, 1.0, min_size=1)
 
     def test_agrees_with_op_on_random_series(self):
         rng = np.random.default_rng(7)
         for trial in range(120):
             y = random_step_series(rng)
-            model = L2 if trial % 2 == 0 else NLL
-            pen = PenaltyConfig(float(rng.uniform(0.1, 30.0)))
-            a = pelt_detect(y, model, pen)
-            b = op_detect(y, model, pen)
+            cost = L2 if trial % 2 == 0 else NLL
+            beta = float(rng.uniform(0.1, 30.0))
+            a = pelt_detect(y, cost, beta)
+            b = op_detect(y, cost, beta)
             assert a.changepoints == b.changepoints
             assert abs(a.total_cost - b.total_cost) <= 1e-9
 
     def test_agrees_with_op_on_tie_heavy_series(self):
         y = np.array([0.0] * 30 + [4.0] * 30 + [0.0] * 30)
         for beta in (0.5, 2.0, 10.0, 1e4):
-            a = pelt_detect(y, L2, PenaltyConfig(beta))
-            b = op_detect(y, L2, PenaltyConfig(beta))
+            a = pelt_detect(y, L2, beta)
+            b = op_detect(y, L2, beta)
             assert a.changepoints == b.changepoints
             assert a.total_cost == b.total_cost
 
@@ -140,7 +144,7 @@ class TestPelt:
             y = rng.normal(0, 1, 60)
             y[30:] += 5.0
             for min_size in (2, 3, 7):
-                seg = pelt_detect(y, L2, PenaltyConfig(2.0), min_size=min_size)
+                seg = pelt_detect(y, L2, 2.0, min_size=min_size)
                 bounds = (0,) + seg.changepoints + (60,)
                 assert min(b - a for a, b in zip(bounds, bounds[1:])) >= min_size
 
@@ -150,9 +154,9 @@ class TestPelt:
         rng = np.random.default_rng(9)
         for _ in range(25):
             y = random_step_series(rng, n_max=150)
-            pen = PenaltyConfig(float(rng.uniform(0.5, 10.0)))
-            _, state = pelt_detect(y, L2, pen, with_state=True)
-            _, bp = op_detect(y, L2, pen, with_state=True)
+            beta = float(rng.uniform(0.5, 10.0))
+            _, state = pelt_detect(y, L2, beta, with_state=True)
+            _, bp = op_detect(y, L2, beta, with_state=True)
             for tau, step in state.pruned:
                 later = bp[step:]
                 assert not np.any(later == tau), (tau, step)
@@ -160,7 +164,7 @@ class TestPelt:
     def test_penalty_monotonicity(self):
         rng = np.random.default_rng(10)
         y = random_step_series(rng, n_max=180)
-        counts = [pelt_detect(y, L2, PenaltyConfig(b)).m
+        counts = [pelt_detect(y, L2, b).m
                   for b in (0.01, 0.1, 1.0, 5.0, 25.0, 125.0)]
         assert counts == sorted(counts, reverse=True)
 
@@ -181,13 +185,12 @@ def tie_prone_series(draw):
 class TestPeltExactness:
     @settings(max_examples=200, deadline=None)
     @given(X=tie_prone_series(), min_size=st.integers(2, 5),
-           model=st.sampled_from([L2, NLL]),
+           cost=st.sampled_from([L2, NLL]),
            beta=st.sampled_from([0.0, 0.25, 1.0, 4.0, 20.0]))
-    def test_pelt_equals_op(self, X, min_size, model, beta):
+    def test_pelt_equals_op(self, X, min_size, cost, beta):
         assume(len(X) >= 2 * min_size)
-        pen = PenaltyConfig(beta)
-        seg, state = pelt_detect(X, model, pen, min_size, with_state=True)
-        oracle, bp = op_detect(X, model, pen, min_size, with_state=True)
+        seg, state = pelt_detect(X, cost, beta, min_size, with_state=True)
+        oracle, bp = op_detect(X, cost, beta, min_size, with_state=True)
         assert seg.changepoints == oracle.changepoints
         assert seg.total_cost.hex() == oracle.total_cost.hex()
         assert state.backpointers.tobytes() == bp.tobytes()
@@ -203,7 +206,7 @@ class TestPeltExactness:
         assume(2 * min_size <= len(y) <= 12)
         _, m, cps = exhaustive_min(y, L2, 0.0, min_size)
         for detect in (pelt_detect, op_detect):
-            seg = detect(y, L2, PenaltyConfig(0.0), min_size)
+            seg = detect(y, L2, 0.0, min_size)
             assert (seg.m, seg.changepoints) == (m, cps)
 
     @pytest.mark.parametrize("y,beta,expect", [
@@ -214,7 +217,7 @@ class TestPeltExactness:
     ])
     def test_exact_tie_cases(self, y, beta, expect):
         for detect in (pelt_detect, op_detect):
-            assert detect(np.array(y), L2, PenaltyConfig(beta), 1).changepoints == expect
+            assert detect(np.array(y), L2, beta, 1).changepoints == expect
 
     # sha256 of PeltState.F and .backpointers for l2_mean on what retrain's
     # detection sees on the default synth (seed 1): the target by default, or
@@ -237,9 +240,9 @@ class TestPeltExactness:
         with mock.patch.object(pipeline.cp, "pelt_detect",
                                return_value=Segmentation((), 1, 0.0)) as fake:
             pipeline.detect_training_drift(prep, config)
-        values, model, penalty, min_size = fake.call_args.args
+        values, cost, beta, min_size = fake.call_args.args
         assert np.shape(values) == ((27883,) if columns is None else (27883, 3))
-        _, state = pelt_detect(values, model, penalty, min_size, with_state=True)
+        _, state = pelt_detect(values, cost, beta, min_size, with_state=True)
         digest = lambda a: hashlib.sha256(a.tobytes()).hexdigest()
         assert (digest(state.F), digest(state.backpointers)) == self.GOLDEN[columns]
 
@@ -251,29 +254,35 @@ class TestNonFinite:
         y[7] = bad
         for detect in (pelt_detect, op_detect):
             with pytest.raises(NonFiniteValues):
-                detect(y, L2, PenaltyConfig(1.0))
+                detect(y, L2, 1.0)
         with pytest.raises(NonFiniteValues):
             default_penalty(y)
 
     def test_overflowing_sum_of_squares(self):
         y = np.tile([1e200, -1e200], 10)
         with pytest.raises(NonFiniteValues), np.errstate(over="ignore"):
-            pelt_detect(y, L2, PenaltyConfig(1.0))
+            pelt_detect(y, L2, 1.0)
 
     @pytest.mark.parametrize("beta", [-1.0, np.nan, np.inf])
     def test_penalty_must_be_finite_and_non_negative(self, beta):
-        with pytest.raises(InvalidConfig):
-            PenaltyConfig(beta)
+        for detect in (pelt_detect, op_detect):
+            with pytest.raises(InvalidConfig, match="beta must be a finite number >= 0"):
+                detect(np.linspace(0.0, 1.0, 20), L2, beta)
+
+    def test_unknown_cost_rejected(self):
+        for detect in (pelt_detect, op_detect, multivariate_detect):
+            with pytest.raises(InvalidConfig, match="unknown cost model 'bogus'"):
+                detect(np.linspace(0.0, 1.0, 20), "bogus")
 
 
 class TestOpDetect:
     def test_constant(self):
-        assert op_detect(np.ones(40), L2, PenaltyConfig(1.0)).changepoints == ()
+        assert op_detect(np.ones(40), L2, 1.0).changepoints == ()
 
     def test_noiseless_step_small_n(self):
         for k in (5, 9, 14):
             y = step_series(k, 20 - k)
-            seg = op_detect(y, L2, PenaltyConfig(1.0))
+            seg = op_detect(y, L2, 1.0)
             assert seg.changepoints == (k,)
 
     def test_matches_exhaustive_enumeration(self):
@@ -284,7 +293,7 @@ class TestOpDetect:
             if rng.random() < 0.5:
                 y[n // 2:] += rng.uniform(2, 6)
             beta = float(rng.uniform(0.2, 8.0))
-            seg = op_detect(y, L2, PenaltyConfig(beta))
+            seg = op_detect(y, L2, beta)
             objective, m, cps = exhaustive_min(y, L2, beta)
             assert seg.changepoints == cps
             assert abs(seg.total_cost - objective) < 1e-9
@@ -292,23 +301,23 @@ class TestOpDetect:
 
 class TestDefaultPenalty:
     def test_constant_series_floor(self):
-        pen = default_penalty(np.full(50, 2.0))
-        assert pen.beta == 1e-12
-        assert pelt_detect(np.full(50, 2.0), L2, pen).changepoints == ()
+        beta = default_penalty(np.full(50, 2.0))
+        assert beta == 1e-12
+        assert pelt_detect(np.full(50, 2.0), L2, beta).changepoints == ()
 
     def test_white_noise_monte_carlo(self):
         expect = 2.0 * math.log(1000)
         betas = []
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            betas.append(default_penalty(rng.normal(0, 1, 1000)).beta)
+            betas.append(default_penalty(rng.normal(0, 1, 1000)))
         mean_beta = float(np.mean(betas))
         assert abs(mean_beta - expect) / expect < 0.2
 
     def test_step_series_arithmetic(self):
-        pen = default_penalty(step_series(50, 50))
+        beta = default_penalty(step_series(50, 50))
         expect = 2.0 * (100.0 / 2.0 / 99.0) * math.log(100)
-        assert abs(pen.beta - expect) < 1e-12
+        assert abs(beta - expect) < 1e-12
 
     def test_too_short(self):
         with pytest.raises(SeriesTooShort):
@@ -332,11 +341,11 @@ class TestDefaultPenalty:
         X[:, flat] = X[0, flat]
         expect = 0
         for j in range(k):  # left to right, as the summed cost adds columns
-            expect += default_penalty(X[:, j]).beta
-        assert default_penalty(X[:, flat]).beta == 1e-12
-        assert default_penalty(X).beta == expect
+            expect += default_penalty(X[:, j])
+        assert default_penalty(X[:, flat]) == 1e-12
+        assert default_penalty(X) == expect
         y = X[:, 0].copy()
-        assert default_penalty(y).beta == default_penalty(y[:, None]).beta
+        assert default_penalty(y) == default_penalty(y[:, None])
 
 
 def standardized(X):
@@ -347,15 +356,14 @@ class TestMultivariate:
     def test_single_column_identical(self):
         rng = np.random.default_rng(12)
         y = random_step_series(rng, n_max=150)
-        pen = PenaltyConfig(3.0)
-        assert multivariate_detect(y[:, None], L2, pen).changepoints == \
-            pelt_detect(standardized(y), L2, pen).changepoints
+        assert multivariate_detect(y[:, None], L2, 3.0).changepoints == \
+            pelt_detect(standardized(y), L2, 3.0).changepoints
 
     def test_two_identical_columns_halve_penalty(self):
         rng = np.random.default_rng(13)
         y = random_step_series(rng, n_max=150)
-        joint = multivariate_detect(np.column_stack([y, y]), L2, PenaltyConfig(6.0))
-        single = op_detect(standardized(y), L2, PenaltyConfig(3.0))
+        joint = multivariate_detect(np.column_stack([y, y]), L2, 6.0)
+        single = op_detect(standardized(y), L2, 3.0)
         assert joint.changepoints == single.changepoints
 
     def test_step_in_one_column_only(self):
@@ -364,8 +372,8 @@ class TestMultivariate:
         stepped = rng.normal(0, 0.5, 120)
         stepped[70:] += 8.0
         X = np.column_stack([stepped, flat])
-        joint = multivariate_detect(X, L2, PenaltyConfig(4.0))
-        oracle = op_detect(standardized(X), L2, PenaltyConfig(4.0))
+        joint = multivariate_detect(X, L2, 4.0)
+        oracle = op_detect(standardized(X), L2, 4.0)
         assert joint.changepoints == oracle.changepoints
         assert any(abs(c - 70) <= 1 for c in joint.changepoints)
 
@@ -374,16 +382,20 @@ class TestMultivariate:
             multivariate_detect(np.empty((40, 0)))
 
 
-class TestLastChangepoint:
-    def test_cases(self):
-        assert last_changepoint(Segmentation((50,), 100, 0.0)) == 50
-        assert last_changepoint(Segmentation((), 100, 0.0)) is None
-        assert last_changepoint(Segmentation((30, 70), 100, 0.0)) == 70
-
-
 class TestSerialization:
     def test_to_dict(self):
         seg = Segmentation((5, 9), 20, 1.25, beta=0.5, cost_model="l2_mean")
         d = seg.to_dict()
         assert d == {"n": 20, "changepoints": [5, 9], "total_cost": 1.25,
                      "beta": 0.5, "cost_model": "l2_mean"}
+        assert Segmentation.from_dict(d) == seg
+
+    @pytest.mark.parametrize("changepoints,cost_model", [
+        ([-5], "l2_mean"), ([0], "l2_mean"), ([20], "l2_mean"), ([40000], "l2_mean"),
+        ([9, 5], "l2_mean"), ([5, 5], "l2_mean"), ([5], "bogus"), ([5], ["l2_mean"]),
+    ])
+    def test_from_dict_rejects_impossible(self, changepoints, cost_model):
+        d = {"n": 20, "changepoints": changepoints, "total_cost": 1.0,
+             "beta": 0.5, "cost_model": cost_model}
+        with pytest.raises(DriftcastError, match="seg.json is not a segmentation"):
+            Segmentation.from_dict(d, "seg.json")

@@ -250,7 +250,7 @@ class TestRun:
             "893e14177eede24db8816df9c989643b72eee6f2bb69e2ecf5ecc46ffb046375",
         ),
         ("mlp", "retrain"): (
-            "858027c36a08faf2f3d736873f1a3be201fa6ed8e558cf5255dc8baf72618d83",
+            "6c247eefe7df0029cad94663903ef59e18480f38cc8895144cd3924ce943ee10",
             "8053721c8f99fce15b89450d0758142a954b887e9d9b64696b29ce0ee062214c",
             "79ce937774b07cbddd04a7758552365026a91727433f5390b9271ca4fdebe42a",
             "249808ae9dea9c91f9b0f9062cafa749d16c5d04c8d3e34fff51324afd6817df",
@@ -262,7 +262,7 @@ class TestRun:
             "20400f8fa16780427e8270985f3f24645abe55993ca2b26309425c17779d5a8a",
         ),
         ("lasso", "retrain"): (
-            "fcfd8fb8a06fd8bb9cb991d393012d67a4007dc61ba4a143db9695b67b195fea",
+            "946511e00c206ab701b459b8eb679ed6fcb689bd4d26a9b12c255ec0b5a9cbd5",
             "d46ef7b170f2cbdb13a694b4f9f0ff60265eef5854d0f937e2366d6bde208928",
             "986097452642a4b50b12552566c32710a618df6a8134be6ccfaf9e9c7bb0826a",
             "a83a411c8a441939b7270963cd8c23702942ba3a9cff57b5e1d3d39fd27eb4b8",
@@ -470,7 +470,21 @@ def wrong_files(workdir, tmp_path_factory):
     (root / "cmp_short.csv").write_text("model,strategy,mae,rmse,r2\nmlp,baseline,1.0\n",
                                         encoding="utf-8")
     (root / "latin1.csv").write_bytes(b"timestamp,interest_rate\n2020-01-01T00:00,caf\xe9\n")
+    seg = load_json(root / "seg.json")
+    for name, change in BAD_SEGMENTATIONS.items():
+        (root / f"{name}.json").write_text(json.dumps(dict(seg, **change)), encoding="utf-8")
     return root
+
+
+# well-formed segmentations of the series in data.csv that no detector can return
+BAD_SEGMENTATIONS = {
+    "changepoint_negative": {"changepoints": [-5]},
+    "changepoints_reversed": {"changepoints": [200, 100]},
+    "changepoint_at_zero": {"changepoints": [0]},
+    "changepoint_past_end": {"changepoints": [40000]},
+    "cost_model_unknown": {"cost_model": "bogus"},
+    "n_not_the_series": {"n": 40000},
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -491,11 +505,13 @@ def wrong_files(workdir, tmp_path_factory):
     ["detect", "--data", "{wrong}/latin1.csv"],
     ["run", "--data", "{wrong}/latin1.csv", "--model", "lasso", "--strategy", "baseline"],
     ["plot", "--kind", "series", "--data", "{wrong}/latin1.csv", "--out", "s.svg"],
+    *(["plot", "--kind", "series", "--data", "{data}", "--segmentation",
+       f"{{wrong}}/{name}.json", "--out", "s.svg"] for name in BAD_SEGMENTATIONS),
 ], ids=["segmentation_as_report", "text_as_report", "text_as_segmentation",
         "unknown_event_kind", "config_not_an_object", "series_as_cv_table",
         "list_as_segmentation", "text_metric_in_report", "text_in_cv_table",
         "latin1_cv_table", "cv_row_too_long", "comparison_row_too_short",
-        "latin1_data_detect", "latin1_data_run", "latin1_data_plot"])
+        "latin1_data_detect", "latin1_data_run", "latin1_data_plot", *BAD_SEGMENTATIONS])
 def test_wrong_file_exits_2(workdir, wrong_files, tmp_path, argv):
     argv = [a.format(wrong=wrong_files, data=workdir / "data.csv") for a in argv]
     proc = cli_process(argv, tmp_path)

@@ -112,7 +112,7 @@ class TestRetrain:
         assert res.report.training_rows_used == (
             train_rows(drifted_frame, cfg) - (tau + self.WARMUP))
 
-    def test_last_changepoint_oracle_checked(self, drifted_frame):
+    def test_final_changepoint_oracle_checked(self, drifted_frame):
         cfg = strategy()
         res = run_retrain(drifted_frame, TARGET, cfg)
         fm = build_features(drifted_frame, TARGET, cfg.feature_spec)
@@ -126,7 +126,7 @@ class TestRetrain:
         cut = res.report.segmentation.changepoints[-1] + cfg.feature_spec.warmup
         assert res.report.training_rows_used == train_rows(drifted_frame, cfg) - cut
         assert res.report.config["detection"] == {
-            "columns": None, "cost_model": "l2_mean", "beta": None, "min_size": 2}
+            "columns": None, "beta": None, "min_size": 2}
 
     def test_named_columns_cut_where_they_fall(self, drifted_frame):
         cfg = strategy(detection=DetectionConfig(columns=("lag_168",)))
@@ -238,8 +238,9 @@ class TestLeakage:
         cfg = strategy()
         boundary = cfg.split.boundary(drifted_frame.n)
         full = build_features(drifted_frame, TARGET, cfg.feature_spec)
-        train_only = build_features(drifted_frame.slice_rows(0, boundary),
-                                    TARGET, cfg.feature_spec)
+        head = TimeSeriesFrame(drifted_frame.timestamps[:boundary],
+                               {TARGET: drifted_frame.column(TARGET)[:boundary]})
+        train_only = build_features(head, TARGET, cfg.feature_spec)
         sliced = full.slice(0, boundary - full.origin_index)
         assert np.array_equal(sliced.X, train_only.X)
         assert np.array_equal(sliced.y, train_only.y)

@@ -28,7 +28,7 @@ class TestGenerate:
     def test_default_row_count(self):
         frame = generate(SynthConfig())
         assert frame.n == 35_064  # 4 years incl. a leap year, through 23:00
-        assert frame.column_names == (TARGET,)
+        assert list(frame.columns) == [TARGET]
         assert frame.is_hourly()
 
     def test_bit_identical_for_same_seed(self):
@@ -117,7 +117,7 @@ class TestDetectionProperties:
         for seed in range(10):
             frame = generate(self.scaled(seed, with_jump=False))
             y = frame.column(TARGET)
-            seg = pelt_detect(y, penalty=default_penalty(y))
+            seg = pelt_detect(y, beta=default_penalty(y))
             quiet += seg.m == 0
         assert quiet >= 9
 
@@ -128,7 +128,7 @@ class TestDetectionProperties:
             frame = generate(cfg)
             truth = ground_truth(cfg)["events"][0]["at_index"]
             y = frame.column(TARGET)
-            seg = pelt_detect(y, penalty=default_penalty(y))
+            seg = pelt_detect(y, beta=default_penalty(y))
             if seg.m and min(abs(c - truth) for c in seg.changepoints) <= 24:
                 hits += 1
         assert hits >= 9
