@@ -118,6 +118,7 @@ class SegmentCosts:
     """
 
     def __init__(self, values: np.ndarray, cost: str = L2_MEAN):
+        _check_cost(cost)
         X = _as_matrix(values)
         self.cost = cost
         self.n = X.shape[0]
@@ -164,6 +165,11 @@ class SegmentCosts:
         return out
 
 
+def _check_cost(cost: str) -> None:
+    if cost not in MIN_LEN:
+        raise InvalidConfig(f"unknown cost model {cost!r}")
+
+
 def _as_matrix(values) -> np.ndarray:
     X = np.asarray(values, dtype=np.float64)
     if X.ndim == 1:
@@ -204,9 +210,8 @@ def _select(cand: np.ndarray, vals: np.ndarray, bp: np.ndarray):
 
 
 def _setup(values, cost: str, beta: float | None, min_size: int):
-    """Validated inputs of a detector run: (n, beta, costs)."""
-    if cost not in MIN_LEN:
-        raise InvalidConfig(f"unknown cost model {cost!r}")
+    """Validated inputs of a detector run: (n, float beta, costs)."""
+    _check_cost(cost)
     X = _as_matrix(values)
     n = X.shape[0]
     if min_size < MIN_LEN[cost]:
@@ -224,7 +229,7 @@ def _setup(values, cost: str, beta: float | None, min_size: int):
         beta = default_penalty(X)
     if not 0 <= beta < math.inf:
         raise InvalidConfig(f"beta must be a finite number >= 0, got {beta}")
-    return n, beta, costs
+    return n, float(beta), costs
 
 
 def op_detect(values, cost: str = L2_MEAN, beta: float | None = None,
@@ -350,7 +355,7 @@ def default_penalty(values) -> float:
     n = X.shape[0]
     if n < 3:
         raise SeriesTooShort("need n >= 3 to estimate a penalty")
-    beta = 0
+    beta = 0.0
     for j in range(X.shape[1]):
         sigma2 = float(np.mean(np.diff(X[:, j]) ** 2) / 2.0)
         if not math.isfinite(sigma2):
@@ -369,6 +374,7 @@ def multivariate_detect(values, cost: str = L2_MEAN, beta: float | None = None,
     ``beta=None`` sums the per-column default penalties of the
     standardized columns.
     """
+    _check_cost(cost)
     X = _as_matrix(values)
     if X.shape[1] == 0:
         raise UnknownColumn("detection needs at least one column")

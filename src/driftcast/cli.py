@@ -25,7 +25,7 @@ from . import pipeline, serialize, svgplot, synth
 from .errors import (DriftcastError, DriftcastWarning, InvalidConfig, MissingColumn,
                      NonFiniteLoss, NonFiniteValues)
 from .features import FeatureSpec
-from .frame import SplitSpec, forward_fill, load_csv, resample_hourly, write_csv
+from .frame import SplitSpec, TimeSeriesFrame, forward_fill, load_csv, resample_hourly, write_csv
 from .mlp import MlpConfig
 
 USAGE_ERROR = 2
@@ -158,13 +158,8 @@ def cmd_run(args) -> int:
 
     stem = str(args.out)
     stem = stem[:-5] if stem.endswith(".json") else stem
-    with open(f"{stem}_predictions.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("timestamp,actual,predicted\n")
-        dts = result.test_timestamps.astype("datetime64[s]")
-        for i in range(result.predictions.size):
-            fh.write(f"{str(dts[i]).replace(' ', 'T')},"
-                     f"{serialize.fmt_float(result.test_y[i])},"
-                     f"{serialize.fmt_float(result.predictions[i])}\n")
+    predictions = {"actual": result.test_y, "predicted": result.predictions}
+    write_csv(TimeSeriesFrame(result.test_timestamps, predictions), f"{stem}_predictions.csv")
     suffix, write_side_csv = result.side_csv
     write_side_csv(f"{stem}{suffix}")
     if args.model_out:
@@ -255,15 +250,9 @@ def cmd_plot(args) -> int:
 
 def _read_csv_columns(path, numeric, text=()) -> dict[str, list]:
     """The named columns of a CSV artifact, ``numeric`` ones as floats."""
-    import csv as _csv
-
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = _csv.reader(fh)
-            header = next(reader, [])
-            rows = [row for row in reader if row]
-    except UnicodeDecodeError:
-        raise DriftcastError(f"{path} is not a UTF-8 text file") from None
+    reader = serialize.read_csv(path)
+    header = next(reader, [])
+    rows = [row for row in reader if row]
     for i, row in enumerate(rows, start=1):
         if len(row) != len(header):
             raise DriftcastError(

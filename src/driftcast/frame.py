@@ -8,7 +8,6 @@ All operations return new frames; arrays inside a frame are write-protected.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, field
@@ -16,8 +15,8 @@ from datetime import datetime
 
 import numpy as np
 
+from . import serialize
 from .errors import (
-    DriftcastError,
     DuplicateTimestamp,
     EmptyFile,
     InvalidConfig,
@@ -214,35 +213,31 @@ def load_csv(path, timestamp_column: str = "timestamp", columns=None) -> TimeSer
     DriftcastError (not UTF-8), EmptyFile, MissingColumn, UnparseableTimestamp,
     DuplicateTimestamp
     """
+    rows = serialize.read_csv(path)
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise EmptyFile(f"{path}: no header row") from None
-            header = [h.strip() for h in header]
-            if timestamp_column not in header:
-                raise MissingColumn(f"{path}: no {timestamp_column!r} column in header {header}")
-            ts_idx = header.index(timestamp_column)
+        header = next(rows)
+    except StopIteration:
+        raise EmptyFile(f"{path}: no header row") from None
+    header = [h.strip() for h in header]
+    if timestamp_column not in header:
+        raise MissingColumn(f"{path}: no {timestamp_column!r} column in header {header}")
+    ts_idx = header.index(timestamp_column)
 
-            if columns is None:
-                columns = [h for h in header if h != timestamp_column]
-            for name in columns:
-                if name not in header:
-                    raise MissingColumn(f"{path}: no {name!r} column in header {header}")
-            col_idx = {name: header.index(name) for name in columns}
+    if columns is None:
+        columns = [h for h in header if h != timestamp_column]
+    for name in columns:
+        if name not in header:
+            raise MissingColumn(f"{path}: no {name!r} column in header {header}")
+    col_idx = {name: header.index(name) for name in columns}
 
-            stamps: list[int] = []
-            data: dict[str, list[float]] = {name: [] for name in col_idx}
-            for row in reader:
-                if not row or all(not c.strip() for c in row):
-                    continue
-                stamps.append(_parse_timestamp(row[ts_idx]))
-                for name, idx in col_idx.items():
-                    data[name].append(_parse_value(row[idx]) if idx < len(row) else math.nan)
-    except UnicodeDecodeError:
-        raise DriftcastError(f"{path} is not a UTF-8 text file") from None
+    stamps: list[int] = []
+    data: dict[str, list[float]] = {name: [] for name in col_idx}
+    for row in rows:
+        if not row or all(not c.strip() for c in row):
+            continue
+        stamps.append(_parse_timestamp(row[ts_idx]))
+        for name, idx in col_idx.items():
+            data[name].append(_parse_value(row[idx]) if idx < len(row) else math.nan)
 
     if not stamps:
         raise EmptyFile(f"{path}: no data rows")
@@ -260,22 +255,14 @@ def load_csv(path, timestamp_column: str = "timestamp", columns=None) -> TimeSer
 
 
 def write_csv(frame: TimeSeriesFrame, path, timestamp_column: str = "timestamp") -> None:
-    """Write a frame back to CSV (ISO timestamps, 17-significant-digit floats).
-
-    ``load_csv(write_csv(frame))`` is value-identical; missing values are
-    written as the literal ``NaN``.
+    """Write a frame with :func:`serialize.write_csv`: ISO timestamps,
+    17-significant-digit floats, ``nan`` for a missing value, CRLF line ends.
+    ``load_csv(write_csv(frame))`` is value-identical.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        names = list(frame.columns)
-        writer.writerow([timestamp_column] + names)
-        dts = frame.datetimes
-        for i in range(frame.n):
-            row = [str(dts[i]).replace(" ", "T")]
-            for name in names:
-                v = frame.columns[name][i]
-                row.append("NaN" if math.isnan(v) else format(v, ".17g"))
-            writer.writerow(row)
+    names = list(frame.columns)
+    serialize.write_csv(path, [timestamp_column, *names],
+                        zip(np.datetime_as_string(frame.datetimes),
+                            *(frame.columns[name].tolist() for name in names)))
 
 
 def forward_fill(frame: TimeSeriesFrame, column: str) -> TimeSeriesFrame:

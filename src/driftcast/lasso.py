@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DidNotConverge, InvalidConfig, NonFiniteLoss, ShapeMismatch, TooFewRows
 from .features import FeatureMatrix
 from .frame import Scaler
-from .serialize import fmt_float
+from .serialize import write_csv
 
 DEFAULT_ALPHA_GRID = (0.001, 0.01, 0.1, 1.0)
 
@@ -91,10 +91,7 @@ class LassoModel:
 
     def cv_to_csv(self, path) -> None:
         """Validation MSE per alpha and fold, one row each."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("alpha,fold,val_mse\n")
-            for alpha, fold, val_mse in self.cv_results:
-                fh.write(f"{fmt_float(alpha)},{fold},{fmt_float(val_mse)}\n")
+        write_csv(path, ["alpha", "fold", "val_mse"], self.cv_results)
 
     @property
     def nonzero_count(self) -> int:

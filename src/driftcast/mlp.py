@@ -9,7 +9,6 @@ repeated run reproduces the trained weights bit for bit.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -18,6 +17,7 @@ import numpy as np
 from .errors import InvalidConfig, NonFiniteLoss, ShapeMismatch, TooFewRows
 from .features import FeatureMatrix
 from .frame import Scaler
+from .serialize import write_csv
 
 # "does not improve" for early stopping means: fails to beat the running
 # best by at least this absolute margin.
@@ -113,11 +113,8 @@ class TrainReport:
     best_epoch: int
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "train_loss", "val_loss"])
-            for i, (tr, va) in enumerate(zip(self.train_loss, self.val_loss), start=1):
-                writer.writerow([i, format(tr, ".17g"), format(va, ".17g")])
+        write_csv(path, ["epoch", "train_loss", "val_loss"],
+                  zip(range(1, len(self.train_loss) + 1), self.train_loss, self.val_loss))
 
 
 def relu(z: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from .frame import Scaler, SplitSpec, TimeSeriesFrame
 from .lasso import LassoConfig, lasso_cv
 from .metrics import EvalReport, evaluate
 from .mlp import MlpConfig, mlp_predict, mlp_train
-from .serialize import sha256_arrays
+from .serialize import sha256_arrays, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -86,6 +86,8 @@ class StrategyConfig:
             raise InvalidConfig(f"unknown model family {self.model!r}")
         if self.metric_scale not in (SCALE_STANDARDIZED, SCALE_ORIGINAL):
             raise InvalidConfig(f"unknown metric scale {self.metric_scale!r}")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         # one seed per run: the MLP trains with (and reports) the run's seed
         object.__setattr__(self, "mlp", replace(self.mlp, seed=self.seed))
 
@@ -315,25 +317,10 @@ class ComparisonTable:
     rows: list[dict]
 
     def to_csv(self, path) -> None:
-        import csv as _csv
-
         headers = ["model", "strategy", "mae", "rmse", "r2",
                    "mae_reduction_rel", "rmse_reduction_rel", "r2_gain",
                    "training_rows_used", "seed"]
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(headers)
-            for row in self.rows:
-                out = []
-                for h in headers:
-                    v = row.get(h)
-                    if v is None:
-                        out.append("")
-                    elif isinstance(v, float):
-                        out.append(format(v, ".17g"))
-                    else:
-                        out.append(v)
-                writer.writerow(out)
+        write_csv(path, headers, ([row.get(h) for h in headers] for row in self.rows))
 
     def panels(self):
         label = lambda r: f"{r['model']}-{r['strategy']}"

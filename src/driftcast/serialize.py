@@ -1,12 +1,14 @@
-"""Deterministic JSON/CSV emission and content hashing.
+"""Deterministic JSON/CSV emission, CSV reading and content hashing.
 
 Floats are written with 17 significant digits so a 64-bit value survives a
 round-trip exactly; no timestamps or other run-dependent payloads are ever
-emitted, which makes artifact files byte-comparable across runs.
+emitted, which makes artifact files byte-comparable across runs. Every CSV
+artifact is written by :func:`write_csv` and read by :func:`read_csv`.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
@@ -79,6 +81,29 @@ def load(path):
             return json.load(fh, parse_int=_parse_int)
         except ValueError as exc:  # not JSON, or not UTF-8
             raise DriftcastError(f"{path} is not a JSON file: {exc}") from None
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows as UTF-8 CSV with CRLF line ends (RFC 4180).
+
+    A float cell is written with 17 significant digits (``nan``, ``inf``
+    or ``-inf`` when not finite); ``csv`` writes ``None`` as an empty cell
+    and anything else with ``str``.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([format(v, ".17g") if isinstance(v, float) else v for v in row]
+                         for row in rows)
+
+
+def read_csv(path):
+    """Yield a UTF-8 CSV file's rows, header first; other bytes raise DriftcastError."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            yield from csv.reader(fh)
+    except UnicodeDecodeError:
+        raise DriftcastError(f"{path} is not a UTF-8 text file") from None
 
 
 def sha256_file(path) -> str:

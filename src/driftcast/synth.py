@@ -10,6 +10,7 @@ known drift instants.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,9 +24,19 @@ SUDDEN = "sudden"
 GRADUAL = "gradual"
 
 
-def _as_epoch(value) -> int:
+def _check_finite(name: str, value) -> None:
+    try:
+        ok = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        ok = False
+    if not ok:
+        raise InvalidConfig(f"{name} must be a finite number, got {value!r}")
+
+
+def _as_epoch(name: str, value) -> int:
     if isinstance(value, str):
         return _parse_timestamp(value)
+    _check_finite(name, value)
     return int(value)
 
 
@@ -45,9 +56,11 @@ class DriftEvent:
     duration_hours: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "at", _as_epoch(self.at))
+        object.__setattr__(self, "at", _as_epoch("at", self.at))
         if self.kind not in (SUDDEN, GRADUAL):
             raise InvalidConfig(f"kind must be '{SUDDEN}' or '{GRADUAL}', got {self.kind!r}")
+        for name in ("jump", "total_shift", "duration_hours"):
+            _check_finite(name, getattr(self, name))
         if self.kind == GRADUAL and self.duration_hours < 1:
             raise InvalidConfig("gradual events need duration_hours >= 1")
 
@@ -97,12 +110,17 @@ class SynthConfig:
     seed: int = 42
 
     def __post_init__(self):
-        object.__setattr__(self, "start", _as_epoch(self.start))
-        object.__setattr__(self, "end", _as_epoch(self.end))
+        object.__setattr__(self, "start", _as_epoch("start", self.start))
+        object.__setattr__(self, "end", _as_epoch("end", self.end))
         object.__setattr__(self, "events", tuple(self.events))
+        for name in ("base_level", "daily_amplitude", "weekly_amplitude", "noise_std"):
+            _check_finite(name, getattr(self, name))
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise InvalidConfig(f"seed must be an integer >= 0, got {seed!r}")
         if self.start >= self.end:
             raise InvalidRange("start must precede end")
-        if self.noise_std < 0:
+        if not self.noise_std >= 0:
             raise InvalidRange("noise_std must be >= 0")
         for ev in self.events:
             if not self.start <= ev.at <= self.end:

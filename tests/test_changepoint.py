@@ -21,6 +21,7 @@ from driftcast.changepoint import (
 )
 from driftcast.errors import (DriftcastError, InvalidConfig, NonFiniteValues, SegmentTooShort,
                              SeriesTooShort, UnknownColumn)
+from driftcast.serialize import dumps
 
 L2 = L2_MEAN
 NLL = GAUSSIAN_NLL
@@ -273,6 +274,17 @@ class TestNonFinite:
         for detect in (pelt_detect, op_detect, multivariate_detect):
             with pytest.raises(InvalidConfig, match="unknown cost model 'bogus'"):
                 detect(np.linspace(0.0, 1.0, 20), "bogus")
+        # reported before a short or non-finite series, a low min_size, a bad
+        # beta or a matrix with no columns
+        for values, beta, min_size in [([1.0, 2.0], None, 2), ([1.0, np.nan, 3.0, 4.0], None, 2),
+                                       (np.ones(20), None, 0), (np.ones(20), -1.0, 2)]:
+            for detect in (pelt_detect, op_detect, multivariate_detect):
+                with pytest.raises(InvalidConfig, match="unknown cost model 'bogus'"):
+                    detect(values, "bogus", beta, min_size)
+        with pytest.raises(InvalidConfig, match="unknown cost model 'bogus'"):
+            multivariate_detect(np.empty((40, 0)), "bogus")
+        with pytest.raises(InvalidConfig, match="unknown cost model 'bogus'"):
+            SegmentCosts([1.0, 2.0, 3.0, 10.0], "bogus")
 
 
 class TestOpDetect:
@@ -389,6 +401,15 @@ class TestSerialization:
         assert d == {"n": 20, "changepoints": [5, 9], "total_cost": 1.25,
                      "beta": 0.5, "cost_model": "l2_mean"}
         assert Segmentation.from_dict(d) == seg
+
+    @pytest.mark.parametrize("detect", [pelt_detect, op_detect])
+    @pytest.mark.parametrize("beta", [True, 0, np.float32(0.1)])
+    def test_beta_is_a_float(self, detect, beta):
+        y = np.array([0, 0, 0, 5, 5, 5.0])
+        seg = detect(y, beta=beta)
+        assert type(seg.beta) is float and seg.beta == float(beta)
+        assert type(detect(y).beta) is float  # the default penalty
+        assert dumps(seg.to_dict()) == dumps(detect(y, beta=float(beta)).to_dict())
 
     @pytest.mark.parametrize("changepoints,cost_model", [
         ([-5], "l2_mean"), ([0], "l2_mean"), ([20], "l2_mean"), ([40000], "l2_mean"),

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -13,6 +14,7 @@ import driftcast
 from driftcast import pipeline
 from driftcast.cli import build_parser, main
 from driftcast.errors import NonFiniteLoss
+from driftcast.lasso import LassoModel
 from driftcast.serialize import load as load_json
 
 SMALL_CONFIG = {
@@ -51,6 +53,14 @@ def cli_process(argv, cwd):
     warning capture."""
     return subprocess.run([sys.executable, "-m", "driftcast.cli", *argv],
                           cwd=cwd, env=src_env(), capture_output=True, text=True, timeout=120)
+
+
+def assert_usage_error(argv, cwd):
+    """The CLI exits 2 with one ``error:`` line and no traceback."""
+    proc = cli_process(argv, cwd)
+    assert proc.returncode == 2, proc.stderr
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), proc.stderr
 
 
 def with_values(src, dst, value_of_row):
@@ -100,6 +110,24 @@ class TestSynth:
         code = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", [
+        {"seed": "x"}, {"seed": 1.5}, {"seed": -1}, {"noise_std": "a"},
+        {"noise_std": float("nan")}, {"base_level": "x"}, {"base_level": 10 ** 400},
+        {"daily_amplitude": None}, {"start": [1]},
+        {"events": [{"kind": "sudden", "at": "2020-02-01T00:00", "jump": "x"}]},
+        {"events": [{"kind": "gradual", "at": "2020-02-01T00:00", "duration_hours": "x"}]},
+    ], ids=["seed_text", "seed_fraction", "seed_negative", "noise_text", "noise_nan",
+            "level_text", "level_huge", "amplitude_null", "start_list", "jump_text",
+            "duration_text"])
+    def test_bad_config_value_exits_2(self, tmp_path, change):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(dict(STATIONARY_CONFIG, **change)), encoding="utf-8")
+        assert_usage_error(["synth", "--config", str(cfg), "--out", "x.csv"], tmp_path)
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_negative_seed_exits_2(self, tmp_path):
+        assert_usage_error(["synth", "--seed", "-1", "--out", "x.csv"], tmp_path)
 
 
 class TestDetect:
@@ -245,26 +273,26 @@ class TestRun:
     ARTIFACT_SHA = {
         ("mlp", "baseline"): (
             "2150de5630d361c57919947a45af8e79b0e84563f6bc452a5c1b9f1e622d763a",
-            "da0eb819b8e6905074b0e2911e78e67b5141fb7549e9b67a1b287f7339a8b847",
+            "1b623f5ff6a53ad7dd209921f3d3240927caa5ff80f37773e8105e6de7de0b8b",
             "a65b0f4b54caa295181877deb2639144ff33f06edc94129fa52ce4a51938aac4",
             "893e14177eede24db8816df9c989643b72eee6f2bb69e2ecf5ecc46ffb046375",
         ),
         ("mlp", "retrain"): (
             "6c247eefe7df0029cad94663903ef59e18480f38cc8895144cd3924ce943ee10",
-            "8053721c8f99fce15b89450d0758142a954b887e9d9b64696b29ce0ee062214c",
+            "d058089beb98b0156a077310e04da8695826b34f99d307ec3bf31dff8f5a5167",
             "79ce937774b07cbddd04a7758552365026a91727433f5390b9271ca4fdebe42a",
             "249808ae9dea9c91f9b0f9062cafa749d16c5d04c8d3e34fff51324afd6817df",
         ),
         ("lasso", "baseline"): (
             "e38d190451cad49e80a54665de90af283d2790f7958513dbd2001bd8f75563c7",
-            "8c319d1166b8482d45a4953bc722b419e288fe761a224ef2b2e61fbd124b6cc9",
-            "7fddd71bca9a49a91ee7e1435055943779a9956890e1e1aa26750ae7c4503df2",
+            "0f5d6abb83f3734f87f28860f51cd28779ce22312528b8794d98d9b36fa44cd1",
+            "29ed8c7150900a9c89d1b17ddef3becacfee04a59417083fbb19b60d344af04b",
             "20400f8fa16780427e8270985f3f24645abe55993ca2b26309425c17779d5a8a",
         ),
         ("lasso", "retrain"): (
             "946511e00c206ab701b459b8eb679ed6fcb689bd4d26a9b12c255ec0b5a9cbd5",
-            "d46ef7b170f2cbdb13a694b4f9f0ff60265eef5854d0f937e2366d6bde208928",
-            "986097452642a4b50b12552566c32710a618df6a8134be6ccfaf9e9c7bb0826a",
+            "c2fe1a91be3f8cb3acbe8a924e8c0d2fa0610885b49f5a3df4b83952ecc3d566",
+            "5f20e1e6e3cb5d5ef7987cae4efe5144f554f466a97de571bb8dfc57ad9644d0",
             "a83a411c8a441939b7270963cd8c23702942ba3a9cff57b5e1d3d39fd27eb4b8",
         ),
     }
@@ -309,13 +337,11 @@ class TestRun:
 
     @pytest.mark.parametrize("flag", [
         ["--train-fraction", "1.5"], ["--lags", "1,x"], ["--windows", "24,y"],
-        ["--max-epochs", "0"], ["--beta", "nan"], ["--beta", "-1"]])
-    def test_invalid_config_exits_2(self, workdir, tmp_path, capsys, flag):
-        args = ["run", "--data", str(workdir / "data.csv"), "--model", "mlp",
-                "--strategy", "retrain", "--out", str(tmp_path / "x.json"), *flag]
-        assert main(args) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
+        ["--max-epochs", "0"], ["--beta", "nan"], ["--beta", "-1"], ["--seed", "-1"]])
+    def test_invalid_config_exits_2(self, workdir, tmp_path, flag):
+        assert_usage_error(["run", "--data", str(workdir / "data.csv"), "--model", "mlp",
+                            "--strategy", "retrain", "--out", "x.json", *flag], tmp_path)
+        assert not (tmp_path / "x.json").exists()
 
     def test_unknown_detect_column_exits_2(self, workdir, tmp_path, capsys):
         out = tmp_path / "x.json"
@@ -419,6 +445,50 @@ class TestCompare:
         assert code == 2
 
 
+# sha256 of the workdir's synth CSV and sidecar, of ``detect``'s default
+# segmentation of it and of ``compare`` over the four reports. Recorded
+# with numpy 2.4.6 on x86-64; these writers' bytes must not move.
+WORKDIR_SHA = {
+    "data.csv": "c7e1687f6f695455381794b12c88c20e32ecc911964777e4dfa3121b098f8af1",
+    "data.csv.meta.json": "247f1e63ed34ce747ebe3081bc335b611910199e143a887798ed8db544805d44",
+    "seg.json": "cbf9262bcf17775e9e95e0a4079acf4131d30a33bc1b8d2b5c4206e0418f6fa1",
+    "comparison.csv": "aa8967d62dd8a4c51b24877ddbd0d10a2bbda79fa6c5c84d7936cc4eef09878d",
+}
+
+
+def test_workdir_bytes_pinned(workdir, four_reports, tmp_path):
+    assert main(["detect", "--data", str(workdir / "data.csv"),
+                 "--out", str(tmp_path / "seg.json")]) == 0
+    assert main(["compare", "--reports", str(four_reports / "*.json"),
+                 "--out", str(tmp_path / "comparison.csv")]) == 0
+    paths = {"data.csv": workdir / "data.csv",
+             "data.csv.meta.json": workdir / "data.csv.meta.json",
+             "seg.json": tmp_path / "seg.json",
+             "comparison.csv": tmp_path / "comparison.csv"}
+    assert {name: sha(path) for name, path in paths.items()} == WORKDIR_SHA
+
+
+def test_every_csv_kind_shares_one_format(workdir, four_reports, tmp_path):
+    """The synth CSV, ``compare``'s table and every CSV ``run`` writes end
+    their lines in CRLF and write each number in the 17-digit float text."""
+    assert main(["compare", "--reports", str(four_reports / "*.json"),
+                 "--out", str(tmp_path / "comparison.csv")]) == 0
+    paths = [workdir / "data.csv", tmp_path / "comparison.csv",
+             *sorted(four_reports.glob("*.csv"))]
+    assert {p.name.rsplit("_", 1)[-1] for p in paths} == {
+        "data.csv", "comparison.csv", "predictions.csv", "loss.csv", "cv.csv"}
+    for path in paths:
+        raw = path.read_bytes()
+        assert raw.endswith(b"\r\n") and raw.count(b"\n") == raw.count(b"\r\n"), path.name
+        for line in raw.decode("utf-8").split("\r\n")[1:-1]:
+            for cell in line.split(","):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue  # a timestamp, a name or an empty cell
+                assert cell == format(value, ".17g"), (path.name, line)
+
+
 class TestPlot:
     def test_series_with_segmentation(self, workdir, tmp_path):
         # a block of missing hours: plot must place the markers on the same
@@ -435,6 +505,15 @@ class TestPlot:
             assert main(["plot", "--kind", "series", "--data", str(data),
                          "--segmentation", str(seg), "--out", str(out)]) == 0
             assert out.read_bytes() == drawn.read_bytes()
+
+    def test_cv_with_infinite_mse(self, tmp_path):
+        model = LassoModel(np.zeros(1), 0.0, 0.1, np.zeros(1), np.ones(1), cv_results=[
+            (0.01, 0, 1.0), (0.01, 1, math.inf), (0.1, 0, 2.0), (0.1, 1, 3.0)])
+        model.cv_to_csv(tmp_path / "cv.csv")
+        assert (tmp_path / "cv.csv").read_text(encoding="utf-8").splitlines()[2] == "0.01,1,inf"
+        assert main(["plot", "--kind", "cv", "--data", str(tmp_path / "cv.csv"),
+                     "--out", str(tmp_path / "cv.svg")]) == 0
+        assert (tmp_path / "cv.svg").read_text(encoding="utf-8").startswith("<svg")
 
     def test_predictions_loss_comparison(self, workdir, tmp_path):
         rep = tmp_path / "p.json"
@@ -514,10 +593,7 @@ BAD_SEGMENTATIONS = {
         "latin1_data_detect", "latin1_data_run", "latin1_data_plot", *BAD_SEGMENTATIONS])
 def test_wrong_file_exits_2(workdir, wrong_files, tmp_path, argv):
     argv = [a.format(wrong=wrong_files, data=workdir / "data.csv") for a in argv]
-    proc = cli_process(argv, tmp_path)
-    assert proc.returncode == 2, proc.stderr
-    err = proc.stderr.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: "), proc.stderr
+    assert_usage_error(argv, tmp_path)
 
 
 def test_readme_commands_parse():

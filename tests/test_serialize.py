@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from driftcast.serialize import dump, dumps, load
+from driftcast.errors import DriftcastError
+from driftcast.serialize import dump, dumps, load, read_csv, write_csv
 
 
 def bits(x) -> bytes:
@@ -41,3 +42,20 @@ def test_negative_zero_keeps_its_sign(path):
 def test_every_finite_float_round_trips(path, x):
     got = round_trip(path, [x])[0]
     assert bits(got) == bits(x)
+
+
+def test_csv_cells_and_line_ends(tmp_path):
+    p = tmp_path / "t.csv"
+    write_csv(p, ["a", "b", "c"], [(0.1, None, "x"), (math.nan, -math.inf, 3),
+                                   (-0.0, 1e17, "y,z")])
+    assert p.read_bytes() == (b"a,b,c\r\n0.10000000000000001,,x\r\nnan,-inf,3\r\n"
+                              b'-0,1e+17,"y,z"\r\n')
+    assert list(read_csv(p)) == [["a", "b", "c"], ["0.10000000000000001", "", "x"],
+                                 ["nan", "-inf", "3"], ["-0", "1e+17", "y,z"]]
+
+
+def test_read_csv_rejects_other_encodings(tmp_path):
+    p = tmp_path / "latin1.csv"
+    p.write_bytes(b"a,b\ncaf\xe9,1\n")
+    with pytest.raises(DriftcastError, match="latin1.csv is not a UTF-8 text file"):
+        list(read_csv(p))
