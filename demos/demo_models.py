@@ -59,7 +59,7 @@ print(f"gradient check on one weight: analytic {gw[0][0, 0]:.6e}, "
 # --- the lasso -----------------------------------------------------------
 lasso = lasso_cv(train, LassoConfig())
 print(f"\nlasso chose alpha {lasso.chosen_alpha} "
-      f"with {lasso.nonzero_count}/{lasso.coefficients.size} nonzero weights")
+      f"with {np.count_nonzero(lasso.coefficients)}/{lasso.coefficients.size} nonzero weights")
 print("lasso", evaluate(test.y, lasso.predict(test.X), scale="original",
                         model="lasso", strategy="demo"))
 top = sorted(zip(lasso.feature_names, lasso.coefficients),

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import changepoint as cp
 from . import pipeline, serialize, svgplot, synth
-from .errors import (DriftcastError, DriftcastWarning, InvalidConfig, MissingColumn,
-                     NonFiniteLoss, NonFiniteValues)
+from .errors import (DriftcastError, DriftcastWarning, EmptyFile, InvalidConfig,
+                     MissingColumn, NonFiniteLoss, NonFiniteValues)
 from .features import FeatureSpec
 from .frame import SplitSpec, TimeSeriesFrame, forward_fill, load_csv, resample_hourly, write_csv
 from .mlp import MlpConfig
@@ -253,6 +253,8 @@ def _read_csv_columns(path, numeric, text=()) -> dict[str, list]:
     reader = serialize.read_csv(path)
     header = next(reader, [])
     rows = [row for row in reader if row]
+    if not rows:
+        raise EmptyFile(f"{path}: no data rows")
     for i, row in enumerate(rows, start=1):
         if len(row) != len(header):
             raise DriftcastError(

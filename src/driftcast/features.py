@@ -52,13 +52,6 @@ class FeatureSpec:
     def warmup(self) -> int:
         return max(self.lags + self.rolling_windows, default=0)
 
-    def to_dict(self) -> dict:
-        return {
-            "lags": list(self.lags),
-            "rolling_windows": list(self.rolling_windows),
-            "polynomial_degree": self.polynomial_degree,
-        }
-
 
 @dataclass(frozen=True)
 class FeatureMatrix:

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import serialize
 from .errors import (
+    DriftcastError,
     DuplicateTimestamp,
     EmptyFile,
     InvalidConfig,
@@ -210,8 +211,8 @@ def load_csv(path, timestamp_column: str = "timestamp", columns=None) -> TimeSer
 
     Raises
     ------
-    DriftcastError (not UTF-8), EmptyFile, MissingColumn, UnparseableTimestamp,
-    DuplicateTimestamp
+    DriftcastError (not UTF-8, or a row too short to hold a timestamp),
+    EmptyFile, MissingColumn, UnparseableTimestamp, DuplicateTimestamp
     """
     rows = serialize.read_csv(path)
     try:
@@ -235,7 +236,12 @@ def load_csv(path, timestamp_column: str = "timestamp", columns=None) -> TimeSer
     for row in rows:
         if not row or all(not c.strip() for c in row):
             continue
-        stamps.append(_parse_timestamp(row[ts_idx]))
+        try:
+            cell = row[ts_idx]
+        except IndexError:
+            raise DriftcastError(f"{path}: row {len(stamps) + 1} has no "
+                                 f"{timestamp_column!r} cell") from None
+        stamps.append(_parse_timestamp(cell))
         for name, idx in col_idx.items():
             data[name].append(_parse_value(row[idx]) if idx < len(row) else math.nan)
 

@@ -54,14 +54,6 @@ class LassoConfig:
         on two rows, the least :func:`lasso_fit` can standardize."""
         return self.cv_folds + 2
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha_grid": list(self.alpha_grid),
-            "cv_folds": self.cv_folds,
-            "max_iter": self.max_iter,
-            "tol": self.tol,
-        }
-
 
 @dataclass
 class LassoModel:
@@ -92,10 +84,6 @@ class LassoModel:
     def cv_to_csv(self, path) -> None:
         """Validation MSE per alpha and fold, one row each."""
         write_csv(path, ["alpha", "fold", "val_mse"], self.cv_results)
-
-    @property
-    def nonzero_count(self) -> int:
-        return int(np.count_nonzero(self.coefficients))
 
     def to_dict(self) -> dict:
         names = self.feature_names or tuple(

@@ -58,16 +58,6 @@ class EvalReport:
     scale: str = "standardized"
     provenance: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "mae": self.mae,
-            "rmse": self.rmse,
-            "r2": self.r2,
-            "n": self.n,
-            "scale": self.scale,
-            "provenance": dict(self.provenance),
-        }
-
     @staticmethod
     def from_dict(d: dict) -> "EvalReport":
         return EvalReport(float(d["mae"]), float(d["rmse"]), float(d["r2"]),

@@ -57,18 +57,6 @@ class MlpConfig:
         """Fewest feature rows :func:`mlp_train` accepts."""
         return 10
 
-    def to_dict(self) -> dict:
-        return {
-            "hidden": list(self.hidden),
-            "dropout_rate": self.dropout_rate,
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "val_fraction": self.val_fraction,
-            "seed": self.seed,
-        }
-
 
 @dataclass
 class MlpModel:

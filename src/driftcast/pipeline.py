@@ -18,7 +18,7 @@ from __future__ import annotations
 import logging
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .frame import Scaler, SplitSpec, TimeSeriesFrame
 from .lasso import LassoConfig, lasso_cv
 from .metrics import EvalReport, evaluate
 from .mlp import MlpConfig, mlp_predict, mlp_train
-from .serialize import sha256_arrays, write_csv
+from .serialize import record, sha256_arrays, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -48,8 +48,8 @@ SCALE_ORIGINAL = "original"
 class DetectionConfig:
     """What the changepoint detector sees, under the ``l2_mean`` cost.
 
-    ``columns=None`` detects on the training-block target; naming feature
-    columns detects jointly over them, standardized. ``beta=None`` derives
+    ``columns=None`` (or empty) detects on the training-block target;
+    naming feature columns detects jointly over them, standardized. ``beta=None`` derives
     the penalty from first-difference variance, summed across detection
     columns.
     """
@@ -58,12 +58,8 @@ class DetectionConfig:
     beta: float | None = None
     min_size: int = 2
 
-    def to_dict(self) -> dict:
-        return {
-            "columns": list(self.columns) if self.columns else None,
-            "beta": self.beta,
-            "min_size": self.min_size,
-        }
+    def __post_init__(self):
+        object.__setattr__(self, "columns", tuple(self.columns) if self.columns else None)
 
 
 @dataclass(frozen=True)
@@ -100,15 +96,15 @@ class StrategyConfig:
         d = {
             "strategy": self.strategy,
             "model": self.model,
-            "feature_spec": self.feature_spec.to_dict(),
-            "split": {"train_fraction": self.split.train_fraction},
+            "feature_spec": record(self.feature_spec),
+            "split": record(self.split),
             "seed": self.seed,
             "metric_scale": self.metric_scale,
             "dataset_id": self.dataset_id,
-            self.model: self.family.to_dict(),
+            self.model: record(self.family),
         }
         if self.strategy == DRIFT_RETRAIN:
-            d["detection"] = self.detection.to_dict()
+            d["detection"] = record(self.detection)
         return d
 
 
@@ -127,17 +123,10 @@ class RunReport:
     fallback_reason: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "eval": self.eval.to_dict(),
-            "segmentation": self.segmentation.to_dict() if self.segmentation else None,
-            "training_rows_used": self.training_rows_used,
-            "config": self.config,
-            "seed": self.seed,
-            "dataset_sha256": self.dataset_sha256,
-            "test_sha256": self.test_sha256,
-            "test_target_sha256": self.test_target_sha256,
-            "fallback_reason": self.fallback_reason,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["eval"] = record(self.eval)
+        d["segmentation"] = self.segmentation.to_dict() if self.segmentation else None
+        return d
 
     @staticmethod
     def from_dict(d: dict, source: str = "report") -> "RunReport":

@@ -9,6 +9,7 @@ artifact is written by :func:`write_csv` and read by :func:`read_csv`.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -16,6 +17,13 @@ import math
 import numpy as np
 
 from .errors import DriftcastError
+
+
+def record(obj) -> dict:
+    """A dataclass's JSON form: its fields in declaration order, each field
+    that holds a tuple as a list."""
+    return {k: list(v) if isinstance(v, tuple) else v
+            for k, v in dataclasses.asdict(obj).items()}
 
 
 def fmt_float(x: float) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -127,16 +127,9 @@ class SynthConfig:
                 raise InvalidRange(f"event at epoch {ev.at} outside the series range")
 
     def to_dict(self) -> dict:
-        return {
-            "start": self.start,
-            "end": self.end,
-            "base_level": self.base_level,
-            "daily_amplitude": self.daily_amplitude,
-            "weekly_amplitude": self.weekly_amplitude,
-            "noise_std": self.noise_std,
-            "events": [ev.to_dict() for ev in self.events],
-            "seed": self.seed,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["events"] = [ev.to_dict() for ev in self.events]
+        return d
 
     @staticmethod
     def from_dict(d: dict) -> "SynthConfig":
@@ -150,17 +143,10 @@ class SynthConfig:
                        duration_hours=ev.get("duration_hours", 0))
             for ev in raw
         )
-        base = SynthConfig()
-        return SynthConfig(
-            start=d.get("start", base.start),
-            end=d.get("end", base.end),
-            base_level=d.get("base_level", base.base_level),
-            daily_amplitude=d.get("daily_amplitude", base.daily_amplitude),
-            weekly_amplitude=d.get("weekly_amplitude", base.weekly_amplitude),
-            noise_std=d.get("noise_std", base.noise_std),
-            events=events if "events" in d else base.events,
-            seed=d.get("seed", base.seed),
-        )
+        kwargs = {f.name: d[f.name] for f in fields(SynthConfig) if f.name in d}
+        if "events" in d:
+            kwargs["events"] = events
+        return SynthConfig(**kwargs)
 
 
 def generate(config: SynthConfig | None = None) -> TimeSeriesFrame:

@@ -14,6 +14,7 @@ import driftcast
 from driftcast import pipeline
 from driftcast.cli import build_parser, main
 from driftcast.errors import NonFiniteLoss
+from driftcast.frame import load_csv
 from driftcast.lasso import LassoModel
 from driftcast.serialize import load as load_json
 
@@ -363,6 +364,22 @@ class TestRun:
         assert main(args) == 0
         assert load_json(tmp_path / "r.json")["eval"]["mae"] > 0
 
+    def test_original_scale_changes_only_the_error_units(self, workdir, tmp_path):
+        # README: R² is identical under both scales; MAE and RMSE scale by the
+        # training-block target's std, and the predictions do not change
+        std, orig = tmp_path / "std.json", tmp_path / "orig.json"
+        assert self.run_one(workdir, std, "lasso", "baseline", seed=42) == 0
+        assert self.run_one(workdir, orig, "lasso", "baseline", seed=42,
+                            extra=["--scale", "original"]) == 0
+        a, b = load_json(std)["eval"], load_json(orig)["eval"]
+        assert (a["scale"], b["scale"]) == ("standardized", "original")
+        y = load_csv(workdir / "data.csv").column("interest_rate")
+        train_std = np.std(y[168:int(0.8 * y.size)])  # feature rows start after the warmup
+        assert b["r2"] == pytest.approx(a["r2"], rel=1e-12)
+        assert b["mae"] / a["mae"] == pytest.approx(train_std, rel=1e-12)
+        assert b["rmse"] / a["rmse"] == pytest.approx(train_std, rel=1e-12)
+        assert sha(tmp_path / "std_predictions.csv") == sha(tmp_path / "orig_predictions.csv")
+
     def test_missing_file_exits_4(self, tmp_path):
         code = main(["run", "--data", str(tmp_path / "missing.csv"), "--model",
                      "lasso", "--strategy", "baseline",
@@ -549,6 +566,8 @@ def wrong_files(workdir, tmp_path_factory):
     (root / "cmp_short.csv").write_text("model,strategy,mae,rmse,r2\nmlp,baseline,1.0\n",
                                         encoding="utf-8")
     (root / "latin1.csv").write_bytes(b"timestamp,interest_rate\n2020-01-01T00:00,caf\xe9\n")
+    (root / "short_row.csv").write_text("v,timestamp\n1.0,2020-01-01T00:00\n2.0\n",
+                                        encoding="utf-8")
     seg = load_json(root / "seg.json")
     for name, change in BAD_SEGMENTATIONS.items():
         (root / f"{name}.json").write_text(json.dumps(dict(seg, **change)), encoding="utf-8")
@@ -584,16 +603,31 @@ BAD_SEGMENTATIONS = {
     ["detect", "--data", "{wrong}/latin1.csv"],
     ["run", "--data", "{wrong}/latin1.csv", "--model", "lasso", "--strategy", "baseline"],
     ["plot", "--kind", "series", "--data", "{wrong}/latin1.csv", "--out", "s.svg"],
+    ["detect", "--data", "{wrong}/short_row.csv", "--target", "v"],
     *(["plot", "--kind", "series", "--data", "{data}", "--segmentation",
        f"{{wrong}}/{name}.json", "--out", "s.svg"] for name in BAD_SEGMENTATIONS),
 ], ids=["segmentation_as_report", "text_as_report", "text_as_segmentation",
         "unknown_event_kind", "config_not_an_object", "series_as_cv_table",
         "list_as_segmentation", "text_metric_in_report", "text_in_cv_table",
         "latin1_cv_table", "cv_row_too_long", "comparison_row_too_short",
-        "latin1_data_detect", "latin1_data_run", "latin1_data_plot", *BAD_SEGMENTATIONS])
+        "latin1_data_detect", "latin1_data_run", "latin1_data_plot", "row_without_timestamp",
+        *BAD_SEGMENTATIONS])
 def test_wrong_file_exits_2(workdir, wrong_files, tmp_path, argv):
     argv = [a.format(wrong=wrong_files, data=workdir / "data.csv") for a in argv]
     assert_usage_error(argv, tmp_path)
+
+
+@pytest.mark.parametrize("kind,header", [
+    ("series", "timestamp,interest_rate"), ("predictions", "timestamp,actual,predicted"),
+    ("loss", "epoch,train_loss,val_loss"), ("cv", "alpha,fold,val_mse"),
+    ("comparison", "model,strategy,mae,rmse,r2")],
+    ids=["series", "predictions", "loss", "cv", "comparison"])
+def test_plot_of_a_table_without_rows_exits_2(tmp_path, capsys, kind, header):
+    data = tmp_path / f"{kind}.csv"
+    data.write_text(header + "\n", encoding="utf-8")
+    assert main(["plot", "--kind", kind, "--data", str(data),
+                 "--out", str(tmp_path / "x.svg")]) == 2
+    assert capsys.readouterr().err == f"error: {data}: no data rows\n"
 
 
 def test_readme_commands_parse():

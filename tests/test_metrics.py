@@ -5,6 +5,7 @@ import pytest
 
 from driftcast.errors import EmptyInput, LengthMismatch, ZeroVariance
 from driftcast.metrics import EvalReport, evaluate, mae, r2, rmse
+from driftcast.serialize import record
 
 
 def naive_metrics(y, y_hat):
@@ -122,7 +123,7 @@ class TestEvalReport:
         rep = evaluate([1.0, 2.0, 3.0], [1.0, 2.0, 4.0],
                        scale="original", dataset="d", model="mlp",
                        strategy="baseline", seed=7)
-        d = rep.to_dict()
+        d = record(rep)
         back = EvalReport.from_dict(d)
         assert back == rep
         assert back.provenance["seed"] == 7

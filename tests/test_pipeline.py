@@ -7,7 +7,7 @@ import pytest
 
 from driftcast.errors import MismatchedTestBlocks, PostDriftTooShort, TooFewRows
 from driftcast.features import FeatureSpec, build_features
-from driftcast.frame import TimeSeriesFrame
+from driftcast.frame import SplitSpec, TimeSeriesFrame
 from driftcast import pipeline
 from driftcast.changepoint import Segmentation, op_detect
 from driftcast.lasso import LassoConfig
@@ -25,7 +25,7 @@ from driftcast.pipeline import (
     run_baseline,
     run_retrain,
 )
-from driftcast.serialize import dumps, sha256_arrays
+from driftcast.serialize import dumps, record, sha256_arrays
 from driftcast.synth import SUDDEN, GRADUAL, DriftEvent, SynthConfig, generate
 
 TARGET = "interest_rate"
@@ -305,17 +305,26 @@ class TestRunReportSerialization:
         assert back.to_dict() == d
         assert back.segmentation.changepoints == res.report.segmentation.changepoints
 
-    @pytest.mark.parametrize("cls", [LassoConfig, MlpConfig, FeatureSpec, DetectionConfig])
+    @pytest.mark.parametrize("cls", [LassoConfig, MlpConfig, FeatureSpec, DetectionConfig,
+                                     SplitSpec])
     def test_config_dicts_name_every_field(self, cls):
         # a setting reaches report bytes only as a field, and every field does
-        assert list(cls().to_dict()) == [f.name for f in fields(cls)]
+        key = {LassoConfig: LASSO, MlpConfig: MLP, FeatureSpec: "feature_spec",
+               DetectionConfig: "detection", SplitSpec: "split"}[cls]
+        cfg = StrategyConfig(strategy=DRIFT_RETRAIN, model=LASSO if cls is LassoConfig else MLP)
+        assert list(cfg.to_dict()[key]) == [f.name for f in fields(cls)]
+
+    @pytest.mark.parametrize("columns,written", [((), None), (["lag_1"], ["lag_1"])])
+    def test_detection_columns_written(self, columns, written):
+        cfg = StrategyConfig(strategy=DRIFT_RETRAIN, detection=DetectionConfig(columns=columns))
+        assert cfg.to_dict()["detection"]["columns"] == written
 
     @pytest.mark.parametrize("model", [MLP, LASSO])
     def test_report_names_only_its_family(self, model):
         cfg = StrategyConfig(model=model)
         d = cfg.to_dict()
         other = LASSO if model == MLP else MLP
-        assert d[model] == getattr(cfg, model).to_dict()
+        assert d[model] == record(getattr(cfg, model))
         assert other not in d
 
 
