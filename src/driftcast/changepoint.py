@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DriftcastError, InvalidConfig, NonFiniteValues, SegmentTooShort,
-                     SeriesTooShort, UnknownColumn)
+from .errors import DriftcastError, NumericError
 from .frame import Scaler
 
 # Segment costs, named by string. ``l2_mean``: sum of squared deviations
@@ -167,7 +166,7 @@ class SegmentCosts:
 
 def _check_cost(cost: str) -> None:
     if cost not in MIN_LEN:
-        raise InvalidConfig(f"unknown cost model {cost!r}")
+        raise DriftcastError(f"unknown cost model {cost!r}")
 
 
 def _as_matrix(values) -> np.ndarray:
@@ -175,7 +174,7 @@ def _as_matrix(values) -> np.ndarray:
     if X.ndim == 1:
         X = X[:, None]
     if X.ndim != 2:
-        raise ValueError("values must be 1-D or 2-D")
+        raise DriftcastError("values must be 1-D or 2-D")
     return X
 
 
@@ -215,20 +214,20 @@ def _setup(values, cost: str, beta: float | None, min_size: int):
     X = _as_matrix(values)
     n = X.shape[0]
     if min_size < MIN_LEN[cost]:
-        raise SegmentTooShort(
+        raise DriftcastError(
             f"min_size={min_size} below the {cost} minimum of {MIN_LEN[cost]}"
         )
     if n < 2 * min_size:
-        raise SeriesTooShort(f"need n >= {2 * min_size}, have {n}")
+        raise DriftcastError(f"need n >= {2 * min_size}, have {n}")
     if not np.isfinite(X).all():
-        raise NonFiniteValues("series contains non-finite values")
+        raise NumericError("series contains non-finite values")
     costs = SegmentCosts(X, cost)
     if not np.isfinite(costs.prefix[:, -1]).all():
-        raise NonFiniteValues("series too large: its sum of squares overflows")
+        raise NumericError("series too large: its sum of squares overflows")
     if beta is None:
         beta = default_penalty(X)
     if not 0 <= beta < math.inf:
-        raise InvalidConfig(f"beta must be a finite number >= 0, got {beta}")
+        raise DriftcastError(f"beta must be a finite number >= 0, got {beta}")
     return n, float(beta), costs
 
 
@@ -354,12 +353,12 @@ def default_penalty(values) -> float:
     X = _as_matrix(values)
     n = X.shape[0]
     if n < 3:
-        raise SeriesTooShort("need n >= 3 to estimate a penalty")
+        raise DriftcastError("need n >= 3 to estimate a penalty")
     beta = 0.0
     for j in range(X.shape[1]):
         sigma2 = float(np.mean(np.diff(X[:, j]) ** 2) / 2.0)
         if not math.isfinite(sigma2):
-            raise NonFiniteValues("cannot derive a penalty: first differences are not finite")
+            raise NumericError("cannot derive a penalty: first differences are not finite")
         beta += max(2.0 * sigma2 * math.log(n), 1e-12)
     return beta
 
@@ -377,5 +376,5 @@ def multivariate_detect(values, cost: str = L2_MEAN, beta: float | None = None,
     _check_cost(cost)
     X = _as_matrix(values)
     if X.shape[1] == 0:
-        raise UnknownColumn("detection needs at least one column")
+        raise DriftcastError("detection needs at least one column")
     return pelt_detect(Scaler.fit(X).transform(X), cost, beta, min_size)

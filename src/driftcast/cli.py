@@ -22,8 +22,7 @@ import numpy as np
 
 from . import changepoint as cp
 from . import pipeline, serialize, svgplot, synth
-from .errors import (DriftcastError, DriftcastWarning, EmptyFile, InvalidConfig,
-                     MissingColumn, NonFiniteLoss, NonFiniteValues)
+from .errors import DriftcastError, DriftcastWarning, NumericError
 from .features import FeatureSpec
 from .frame import SplitSpec, TimeSeriesFrame, forward_fill, load_csv, resample_hourly, write_csv
 from .mlp import MlpConfig
@@ -40,14 +39,14 @@ def _default_seed() -> int:
     try:
         return int(env) if env else 0
     except ValueError:
-        raise InvalidConfig(f"DRIFTCAST_SEED must be an integer, got {env!r}") from None
+        raise DriftcastError(f"DRIFTCAST_SEED must be an integer, got {env!r}") from None
 
 
 def _int_list(text: str, flag: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(",") if x.strip())
     except ValueError:
-        raise InvalidConfig(
+        raise DriftcastError(
             f"{flag} takes comma-separated integers, got {text!r}") from None
 
 
@@ -254,7 +253,7 @@ def _read_csv_columns(path, numeric, text=()) -> dict[str, list]:
     header = next(reader, [])
     rows = [row for row in reader if row]
     if not rows:
-        raise EmptyFile(f"{path}: no data rows")
+        raise DriftcastError(f"{path}: no data rows")
     for i, row in enumerate(rows, start=1):
         if len(row) != len(header):
             raise DriftcastError(
@@ -262,7 +261,7 @@ def _read_csv_columns(path, numeric, text=()) -> dict[str, list]:
     out = {}
     for name in [*text, *numeric]:
         if name not in header:
-            raise MissingColumn(f"{path} has no {name!r} column")
+            raise DriftcastError(f"{path} has no {name!r} column")
         cells = [row[header.index(name)] for row in rows]
         try:
             out[name] = cells if name in text else [float(c) for c in cells]
@@ -361,7 +360,7 @@ def main(argv=None) -> int:
         # warnings would only print ahead of the one-line message
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(args)
-    except (NonFiniteLoss, NonFiniteValues) as exc:
+    except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
     except DriftcastError as exc:

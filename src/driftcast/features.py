@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LagExceedsLength, UnsupportedDegree, WindowTooSmall
+from .errors import DriftcastError
 from .frame import TimeSeriesFrame, _readonly
 
 DEFAULT_LAGS = (1, 24, 168)
@@ -42,11 +42,11 @@ class FeatureSpec:
         object.__setattr__(self, "lags", tuple(int(k) for k in self.lags))
         object.__setattr__(self, "rolling_windows", tuple(int(w) for w in self.rolling_windows))
         if any(k <= 0 for k in self.lags):
-            raise LagExceedsLength("lags must be strictly positive")
+            raise DriftcastError("lags must be strictly positive")
         if any(w < 2 for w in self.rolling_windows):
-            raise WindowTooSmall("rolling windows must be >= 2")
+            raise DriftcastError("rolling windows must be >= 2")
         if self.polynomial_degree not in (1, 2):
-            raise UnsupportedDegree("polynomial_degree must be 1 or 2")
+            raise DriftcastError("polynomial_degree must be 1 or 2")
 
     @property
     def warmup(self) -> int:
@@ -74,7 +74,7 @@ class FeatureMatrix:
             ts = np.arange(self.y.size, dtype=np.int64)
         object.__setattr__(self, "timestamps", _readonly(np.asarray(ts, np.int64)))
         if self.X.shape != (self.y.size, len(self.feature_names)):
-            raise ValueError("X shape does not match y length / feature names")
+            raise DriftcastError("X shape does not match y length / feature names")
 
     @property
     def rows(self) -> int:
@@ -108,9 +108,9 @@ def make_lags(values: np.ndarray, lags) -> dict[str, np.ndarray]:
     for k in lags:
         k = int(k)
         if k <= 0:
-            raise LagExceedsLength(f"lag must be positive, got {k}")
+            raise DriftcastError(f"lag must be positive, got {k}")
         if k >= v.size:
-            raise LagExceedsLength(f"lag {k} >= series length {v.size}")
+            raise DriftcastError(f"lag {k} >= series length {v.size}")
         col = np.full(v.size, np.nan)
         col[k:] = v[:-k]
         out[f"lag_{k}"] = col
@@ -125,7 +125,7 @@ def rolling_stats(values: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarr
     """
     window = int(window)
     if window < 2:
-        raise WindowTooSmall(f"window must be >= 2, got {window}")
+        raise DriftcastError(f"window must be >= 2, got {window}")
     v = np.asarray(values, float)
     n = v.size
     mean = np.full(n, np.nan)
@@ -158,7 +158,7 @@ def polynomial_expand(X: np.ndarray, names, degree: int) -> tuple[np.ndarray, tu
     if degree == 1:
         return np.asarray(X, float), tuple(names)
     if degree != 2:
-        raise UnsupportedDegree(f"degree must be 1 or 2, got {degree}")
+        raise DriftcastError(f"degree must be 1 or 2, got {degree}")
     X = np.asarray(X, float)
     names = list(names)
     n, k = X.shape
@@ -187,10 +187,10 @@ def build_features(frame: TimeSeriesFrame, target: str,
     spec = spec or FeatureSpec()
     y = frame.column(target)
     if np.isnan(y).any():
-        raise ValueError(f"target {target!r} has missing values; forward_fill first")
+        raise DriftcastError(f"target {target!r} has missing values; forward_fill first")
     warmup = spec.warmup
     if warmup >= frame.n:
-        raise LagExceedsLength(
+        raise DriftcastError(
             f"warmup {warmup} consumes the whole series of length {frame.n}"
         )
 

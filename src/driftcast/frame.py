@@ -16,17 +16,7 @@ from datetime import datetime
 import numpy as np
 
 from . import serialize
-from .errors import (
-    DriftcastError,
-    DuplicateTimestamp,
-    EmptyFile,
-    InvalidConfig,
-    LeadingGap,
-    MissingColumn,
-    NonFiniteValues,
-    UnknownColumn,
-    UnparseableTimestamp,
-)
+from .errors import DriftcastError, NumericError
 
 HOUR = 3600
 _EPOCH = datetime(1970, 1, 1)
@@ -62,19 +52,19 @@ class TimeSeriesFrame:
     def __post_init__(self):
         ts = np.asarray(self.timestamps, dtype=np.int64)
         if ts.ndim != 1:
-            raise ValueError("timestamps must be one-dimensional")
+            raise DriftcastError("timestamps must be one-dimensional")
         if ts.size > 1 and not np.all(np.diff(ts) > 0):
             if np.any(np.diff(ts) == 0):
-                raise DuplicateTimestamp("timestamps contain duplicates")
-            raise ValueError("timestamps must be strictly increasing")
+                raise DriftcastError("timestamps contain duplicates")
+            raise DriftcastError("timestamps must be strictly increasing")
         object.__setattr__(self, "timestamps", _readonly(ts))
         cols = {}
         for name, values in self.columns.items():
             if not name:
-                raise ValueError("column names must be non-empty")
+                raise DriftcastError("column names must be non-empty")
             v = np.asarray(values, dtype=np.float64)
             if v.shape != ts.shape:
-                raise ValueError(f"column {name!r} has length {v.size}, expected {ts.size}")
+                raise DriftcastError(f"column {name!r} has length {v.size}, expected {ts.size}")
             cols[name] = _readonly(v)
         object.__setattr__(self, "columns", cols)
 
@@ -84,7 +74,7 @@ class TimeSeriesFrame:
 
     def column(self, name: str) -> np.ndarray:
         if name not in self.columns:
-            raise UnknownColumn(f"no column named {name!r}")
+            raise DriftcastError(f"no column named {name!r}")
         return self.columns[name]
 
     @property
@@ -109,7 +99,7 @@ class SplitSpec:
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
-            raise InvalidConfig(
+            raise DriftcastError(
                 f"train_fraction must lie in (0, 1), got {self.train_fraction}")
 
     def boundary(self, n: int) -> int:
@@ -139,12 +129,12 @@ class Scaler:
         Both reduce along axis 0, so the bits match ``values.mean(axis=0)``
         and ``values.std(axis=0)``; a vector gives one-element statistics.
         Non-finite statistics (non-finite cells, or a sum of squares that
-        overflows) raise :class:`NonFiniteValues`.
+        overflows) raise :class:`NumericError`.
         """
         values = np.asarray(values, float)
         stds = np.maximum(values.std(axis=0), STD_FLOOR)
         if not np.isfinite(stds).all():
-            raise NonFiniteValues("cannot standardize: values are not finite or overflow")
+            raise NumericError("cannot standardize: values are not finite or overflow")
         return cls(values.mean(axis=0), stds)
 
     def transform(self, values: np.ndarray) -> np.ndarray:
@@ -164,7 +154,7 @@ class Scaler:
 def _parse_timestamp(cell: str) -> int:
     text = cell.strip()
     if not text:
-        raise UnparseableTimestamp("empty timestamp cell")
+        raise DriftcastError("empty timestamp cell")
     try:
         dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
         if dt.tzinfo is not None:
@@ -175,7 +165,7 @@ def _parse_timestamp(cell: str) -> int:
     try:
         return int(round(float(text)))
     except ValueError:
-        raise UnparseableTimestamp(f"cannot parse timestamp {cell!r}") from None
+        raise DriftcastError(f"cannot parse timestamp {cell!r}") from None
 
 
 def _parse_value(cell: str) -> float:
@@ -211,24 +201,25 @@ def load_csv(path, timestamp_column: str = "timestamp", columns=None) -> TimeSer
 
     Raises
     ------
-    DriftcastError (not UTF-8, or a row too short to hold a timestamp),
-    EmptyFile, MissingColumn, UnparseableTimestamp, DuplicateTimestamp
+    DriftcastError
+        Not UTF-8, no header or data rows, a missing column, a row too
+        short to hold a timestamp, or an unparseable or duplicate timestamp.
     """
     rows = serialize.read_csv(path)
     try:
         header = next(rows)
     except StopIteration:
-        raise EmptyFile(f"{path}: no header row") from None
+        raise DriftcastError(f"{path}: no header row") from None
     header = [h.strip() for h in header]
     if timestamp_column not in header:
-        raise MissingColumn(f"{path}: no {timestamp_column!r} column in header {header}")
+        raise DriftcastError(f"{path}: no {timestamp_column!r} column in header {header}")
     ts_idx = header.index(timestamp_column)
 
     if columns is None:
         columns = [h for h in header if h != timestamp_column]
     for name in columns:
         if name not in header:
-            raise MissingColumn(f"{path}: no {name!r} column in header {header}")
+            raise DriftcastError(f"{path}: no {name!r} column in header {header}")
     col_idx = {name: header.index(name) for name in columns}
 
     stamps: list[int] = []
@@ -246,14 +237,14 @@ def load_csv(path, timestamp_column: str = "timestamp", columns=None) -> TimeSer
             data[name].append(_parse_value(row[idx]) if idx < len(row) else math.nan)
 
     if not stamps:
-        raise EmptyFile(f"{path}: no data rows")
+        raise DriftcastError(f"{path}: no data rows")
 
     ts = np.asarray(stamps, dtype=np.int64)
     order = np.argsort(ts, kind="stable")
     ts = ts[order]
     if np.any(np.diff(ts) == 0):
         where = int(np.flatnonzero(np.diff(ts) == 0)[0])
-        raise DuplicateTimestamp(f"{path}: duplicate timestamp at epoch {int(ts[where])}")
+        raise DriftcastError(f"{path}: duplicate timestamp at epoch {int(ts[where])}")
     cols = {name: np.asarray(vals, float)[order] for name, vals in data.items()}
     missing = {name: int(np.isnan(v).sum()) for name, v in cols.items()}
     log.info("loaded %d rows from %s (missing cells: %s)", ts.size, path, missing)
@@ -274,7 +265,7 @@ def write_csv(frame: TimeSeriesFrame, path, timestamp_column: str = "timestamp")
 def forward_fill(frame: TimeSeriesFrame, column: str) -> TimeSeriesFrame:
     """Replace missing values in ``column`` with the last present value.
 
-    Raises :class:`LeadingGap` when the first value is missing (nothing to
+    Raises :class:`DriftcastError` when the first value is missing (nothing to
     fill from). Idempotent; present values are never changed.
     """
     values = frame.column(column)
@@ -282,7 +273,7 @@ def forward_fill(frame: TimeSeriesFrame, column: str) -> TimeSeriesFrame:
     if not missing.any():
         return frame
     if missing[0]:
-        raise LeadingGap(f"column {column!r} starts with a missing value")
+        raise DriftcastError(f"column {column!r} starts with a missing value")
     idx = np.arange(values.size)
     idx[missing] = 0
     np.maximum.accumulate(idx, out=idx)

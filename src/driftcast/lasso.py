@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DidNotConverge, InvalidConfig, NonFiniteLoss, ShapeMismatch, TooFewRows
+from .errors import DidNotConverge, DriftcastError, NumericError
 from .features import FeatureMatrix
 from .frame import Scaler
 from .serialize import write_csv
@@ -42,11 +42,11 @@ class LassoConfig:
     def __post_init__(self):
         object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
         if not all(0.0 <= a < math.inf for a in self.alpha_grid):
-            raise InvalidConfig("alphas must be finite and >= 0 (0 is the OLS check mode)")
+            raise DriftcastError("alphas must be finite and >= 0 (0 is the OLS check mode)")
         if self.cv_folds < 2:
-            raise InvalidConfig("cv_folds must be >= 2")
+            raise DriftcastError("cv_folds must be >= 2")
         if self.tol <= 0 or self.max_iter < 1:
-            raise InvalidConfig("tol must be positive and max_iter >= 1")
+            raise DriftcastError("tol must be positive and max_iter >= 1")
 
     @property
     def min_rows(self) -> int:
@@ -77,7 +77,7 @@ class LassoModel:
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, float)
         if X.ndim != 2 or X.shape[1] != self.coefficients.size:
-            raise ShapeMismatch(
+            raise DriftcastError(
                 f"X must be (n, {self.coefficients.size}), got {X.shape}")
         return Scaler(self.x_mean, self.x_std).transform(X) @ self.coefficients + self.intercept
 
@@ -106,7 +106,7 @@ def soft_threshold(z: float, t: float) -> float:
     NaN where |z| - t is NaN.
     """
     if not t >= 0:
-        raise ValueError("threshold must be >= 0")
+        raise DriftcastError("threshold must be >= 0")
     z = float(z)
     excess = abs(z) - float(t)
     if excess > 0.0:
@@ -188,7 +188,7 @@ class _Standardized:
 
 def _standardize(X: np.ndarray, y: np.ndarray) -> _Standardized:
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise NonFiniteLoss("lasso input contains non-finite values")
+        raise NumericError("lasso input contains non-finite values")
     scaler = Scaler.fit(X)
     Xs = scaler.transform(X)
     with np.errstate(over="ignore"):
@@ -196,7 +196,7 @@ def _standardize(X: np.ndarray, y: np.ndarray) -> _Standardized:
         yc = y - y_mean
         start = float(yc @ yc)
     if not math.isfinite(start):
-        raise NonFiniteLoss("the starting objective overflows: the target is too large")
+        raise NumericError("the starting objective overflows: the target is too large")
     n = yc.size
     G = Xs.T @ Xs / n
     return _Standardized(scaler, Xs, yc, y_mean, list(np.ascontiguousarray(G.T)),
@@ -215,7 +215,7 @@ def lasso_fit(X: np.ndarray, y: np.ndarray, alpha: float,
     budget emits a :class:`DidNotConverge` warning instead of raising, so
     cross-validation survives hard alpha/fold combinations. Non-finite
     ``X`` or ``y``, or a target whose starting objective overflows, raises
-    :class:`NonFiniteLoss` before any sweep.
+    :class:`NumericError` before any sweep.
 
     ``_shared`` is :func:`lasso_cv`'s per-fold cache: the first call with
     an empty dict stores its standardized inputs there, and later calls
@@ -225,12 +225,12 @@ def lasso_fit(X: np.ndarray, y: np.ndarray, alpha: float,
     X = np.asarray(X, float)
     y = np.asarray(y, float)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.size:
-        raise ShapeMismatch(f"bad shapes X{X.shape} y{y.shape}")
+        raise DriftcastError(f"bad shapes X{X.shape} y{y.shape}")
     n, d = X.shape
     if n < 2:
-        raise TooFewRows("need at least 2 rows to fit")
+        raise DriftcastError("need at least 2 rows to fit")
     if not 0.0 <= alpha < math.inf:
-        raise InvalidConfig(f"alpha must be finite and >= 0, got {alpha}")
+        raise DriftcastError(f"alpha must be finite and >= 0, got {alpha}")
     shared = {} if _shared is None else _shared
     if "prep" not in shared:
         shared["prep"] = _standardize(X, y)
@@ -288,7 +288,7 @@ def timeseries_folds(n_rows: int, k: int) -> list[tuple[np.ndarray, np.ndarray]]
     rows and the validation blocks partition everything past block 1.
     """
     if n_rows < k + 1:
-        raise TooFewRows(f"need at least {k + 1} rows for {k} folds, have {n_rows}")
+        raise DriftcastError(f"need at least {k + 1} rows for {k} folds, have {n_rows}")
     base, rem = divmod(n_rows, k + 1)
     sizes = [base + (1 if i < rem else 0) for i in range(k + 1)]
     edges = np.cumsum([0] + sizes)
@@ -332,8 +332,8 @@ def lasso_cv(features: FeatureMatrix, config: LassoConfig | None = None) -> Lass
     config = config or LassoConfig()
     rows = features.rows
     if rows < config.min_rows:
-        raise TooFewRows(f"need at least {config.min_rows} rows for "
-                         f"{config.cv_folds} folds, have {rows}")
+        raise DriftcastError(f"need at least {config.min_rows} rows for "
+                             f"{config.cv_folds} folds, have {rows}")
 
     alphas = sorted(config.alpha_grid)
     table = _fold_mses(features, alphas, config)
@@ -349,7 +349,7 @@ def lasso_cv(features: FeatureMatrix, config: LassoConfig | None = None) -> Lass
             best_mse = mean_mse
             best_alpha = alpha
     if not np.isfinite(best_mse):
-        raise NonFiniteLoss("no alpha in the grid gave a finite cross-validation score")
+        raise NumericError("no alpha in the grid gave a finite cross-validation score")
 
     model = lasso_fit(features.X, features.y, best_alpha, config)
     model.feature_names = features.feature_names

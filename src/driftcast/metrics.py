@@ -7,16 +7,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyInput, LengthMismatch, ZeroVariance
+from .errors import DriftcastError
 
 
 def _check(y, y_hat, min_len=1):
     y = np.asarray(y, float)
     y_hat = np.asarray(y_hat, float)
     if y.shape != y_hat.shape or y.ndim != 1:
-        raise LengthMismatch(f"shapes differ: {y.shape} vs {y_hat.shape}")
+        raise DriftcastError(f"shapes differ: {y.shape} vs {y_hat.shape}")
     if y.size < min_len:
-        raise EmptyInput(f"need at least {min_len} observations, have {y.size}")
+        raise DriftcastError(f"need at least {min_len} observations, have {y.size}")
     return y, y_hat
 
 
@@ -37,12 +37,12 @@ def r2(y, y_hat) -> float:
 
     Negative values are meaningful (worse than predicting the mean) and
     returned as-is; a constant target makes the ratio undefined and
-    raises :class:`ZeroVariance` rather than returning a sentinel.
+    raises :class:`DriftcastError` rather than returning a sentinel.
     """
     y, y_hat = _check(y, y_hat, min_len=2)
     sst = float(np.sum((y - y.mean()) ** 2))
     if sst == 0.0:
-        raise ZeroVariance("R^2 is undefined for a constant target")
+        raise DriftcastError("R^2 is undefined for a constant target")
     sse = float(np.sum((y - y_hat) ** 2))
     return 1.0 - sse / sst
 

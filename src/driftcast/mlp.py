@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, NonFiniteLoss, ShapeMismatch, TooFewRows
+from .errors import DriftcastError, NumericError
 from .features import FeatureMatrix
 from .frame import Scaler
 from .serialize import write_csv
@@ -42,15 +42,15 @@ class MlpConfig:
     def __post_init__(self):
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         if not 0.0 <= self.dropout_rate < 1.0:
-            raise InvalidConfig("dropout_rate must lie in [0, 1)")
+            raise DriftcastError("dropout_rate must lie in [0, 1)")
         if self.patience < 1:
-            raise InvalidConfig("patience must be >= 1")
+            raise DriftcastError("patience must be >= 1")
         if self.max_epochs < 1:
-            raise InvalidConfig(f"max_epochs must be >= 1, got {self.max_epochs}")
+            raise DriftcastError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if not 0.0 < self.val_fraction < 0.5:
-            raise InvalidConfig("val_fraction must lie in (0, 0.5)")
+            raise DriftcastError("val_fraction must lie in (0, 0.5)")
         if any(h < 1 for h in self.hidden):
-            raise InvalidConfig("hidden layer widths must be positive")
+            raise DriftcastError("hidden layer widths must be positive")
 
     @property
     def min_rows(self) -> int:
@@ -124,7 +124,7 @@ def draw_masks(rng: np.random.Generator, batch: int, hidden, rate: float) -> lis
 def _inputs(model: MlpModel, X) -> np.ndarray:
     X = np.asarray(X, float)
     if X.ndim != 2 or X.shape[1] != model.n_inputs:
-        raise ShapeMismatch(f"X must be (n, {model.n_inputs}), got {X.shape}")
+        raise DriftcastError(f"X must be (n, {model.n_inputs}), got {X.shape}")
     return X
 
 
@@ -166,9 +166,9 @@ def mlp_gradients(model: MlpModel, X: np.ndarray, y: np.ndarray, masks=None):
     X = _inputs(model, X)
     y = np.asarray(y, float)
     if y.shape != (X.shape[0],):
-        raise ShapeMismatch("y must be a vector matching X rows")
+        raise DriftcastError("y must be a vector matching X rows")
     if X.shape[0] == 0:
-        raise ShapeMismatch("empty batch")
+        raise DriftcastError("empty batch")
     yhat, zs, acts = _forward_cached(model, X, masks)
     return _backward(model, y, masks, yhat, zs, acts)
 
@@ -220,7 +220,7 @@ def mlp_train(config: MlpConfig, features: FeatureMatrix) -> tuple[MlpModel, Tra
     """
     rows = features.rows
     if rows < config.min_rows:
-        raise TooFewRows(f"need at least {config.min_rows} rows to train, have {rows}")
+        raise DriftcastError(f"need at least {config.min_rows} rows to train, have {rows}")
 
     n_val = max(1, int(math.floor(rows * config.val_fraction)))
     n_train = rows - n_val
@@ -252,7 +252,7 @@ def mlp_train(config: MlpConfig, features: FeatureMatrix) -> tuple[MlpModel, Tra
     wait = 0
     snapshot = ([w.copy() for w in weights], [b.copy() for b in biases])
 
-    # overflow in a diverging run is reported through NonFiniteLoss, not
+    # overflow in a diverging run is reported through NumericError, not
     # as a stream of numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.max_epochs + 1):
@@ -284,7 +284,7 @@ def mlp_train(config: MlpConfig, features: FeatureMatrix) -> tuple[MlpModel, Tra
             train_loss = float(np.mean(batch_losses))
             val_loss = mse(mlp_forward(model, X_va), y_va)
             if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
-                raise NonFiniteLoss(f"training diverged at epoch {epoch}")
+                raise NumericError(f"training diverged at epoch {epoch}")
             train_hist.append(train_loss)
             val_hist.append(val_loss)
 

@@ -23,8 +23,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import changepoint as cp
-from .errors import (DriftcastError, InvalidConfig, MismatchedTestBlocks, PostDriftTooShort,
-                     TooFewRows, UnknownColumn)
+from .errors import DriftcastError, PostDriftTooShort
 from .features import FeatureMatrix, FeatureSpec, build_features
 from .frame import Scaler, SplitSpec, TimeSeriesFrame
 from .lasso import LassoConfig, lasso_cv
@@ -59,6 +58,9 @@ class DetectionConfig:
     min_size: int = 2
 
     def __post_init__(self):
+        if isinstance(self.columns, str):
+            raise DriftcastError(f"columns must be a sequence of names, got the string "
+                                 f"{self.columns!r}")
         object.__setattr__(self, "columns", tuple(self.columns) if self.columns else None)
 
 
@@ -77,13 +79,13 @@ class StrategyConfig:
 
     def __post_init__(self):
         if self.strategy not in (BASELINE, DRIFT_RETRAIN):
-            raise InvalidConfig(f"unknown strategy {self.strategy!r}")
+            raise DriftcastError(f"unknown strategy {self.strategy!r}")
         if self.model not in FAMILIES:
-            raise InvalidConfig(f"unknown model family {self.model!r}")
+            raise DriftcastError(f"unknown model family {self.model!r}")
         if self.metric_scale not in (SCALE_STANDARDIZED, SCALE_ORIGINAL):
-            raise InvalidConfig(f"unknown metric scale {self.metric_scale!r}")
+            raise DriftcastError(f"unknown metric scale {self.metric_scale!r}")
         if self.seed < 0:
-            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
+            raise DriftcastError(f"seed must be >= 0, got {self.seed}")
         # one seed per run: the MLP trains with (and reports) the run's seed
         object.__setattr__(self, "mlp", replace(self.mlp, seed=self.seed))
 
@@ -132,7 +134,7 @@ class RunReport:
     def from_dict(d: dict, source: str = "report") -> "RunReport":
         try:
             seg = d.get("segmentation")
-            return RunReport(
+            report = RunReport(
                 eval=EvalReport.from_dict(d["eval"]),
                 segmentation=None if seg is None else cp.Segmentation.from_dict(seg),
                 training_rows_used=int(d["training_rows_used"]),
@@ -143,8 +145,13 @@ class RunReport:
                 test_target_sha256=d.get("test_target_sha256", ""),
                 fallback_reason=d.get("fallback_reason"),
             )
-        except (AttributeError, DriftcastError, KeyError, TypeError, ValueError):
-            raise DriftcastError(f"{source} is not a run report") from None
+            # compare groups and sorts reports by these two names
+            if all(isinstance(report.eval.provenance.get(key, ""), str)
+                   for key in ("model", "strategy")):
+                return report
+        except (AttributeError, KeyError, TypeError, ValueError):
+            pass
+        raise DriftcastError(f"{source} is not a run report")
 
 
 @dataclass
@@ -176,11 +183,11 @@ def _prepare(frame: TimeSeriesFrame, target: str, config: StrategyConfig) -> _Pr
     train_rows = boundary - features.origin_index
     test_rows = features.rows - train_rows
     if train_rows < 10:
-        raise TooFewRows(
+        raise DriftcastError(
             f"only {max(train_rows, 0)} training feature rows after warmup "
             f"{features.origin_index} (boundary {boundary})")
     if test_rows < 2:
-        raise TooFewRows(f"only {test_rows} test feature rows")
+        raise DriftcastError(f"only {test_rows} test feature rows")
     train = features.slice(0, train_rows)
     test = features.slice(train_rows, features.rows)
     # Shared evaluation scale: one affine map fit on the full training-block
@@ -251,7 +258,7 @@ def detect_training_drift(prep: _Prepared, config: StrategyConfig) -> cp.Segment
         return cp.pelt_detect(train.y, cp.L2_MEAN, det.beta, det.min_size)
     unknown = [n for n in det.columns if n not in train.feature_names]
     if unknown:
-        raise UnknownColumn(f"no feature column named {unknown[0]!r} to detect on")
+        raise DriftcastError(f"no feature column named {unknown[0]!r} to detect on")
     idx = [train.feature_names.index(n) for n in det.columns]
     return cp.multivariate_detect(train.X[:, idx], cp.L2_MEAN, det.beta, det.min_size)
 
@@ -327,10 +334,10 @@ def compare(reports: list[RunReport]) -> ComparisonTable:
     that is worse than its baseline shows up as a negative reduction.
     """
     if not reports:
-        raise ValueError("nothing to compare")
+        raise DriftcastError("nothing to compare")
     hashes = {r.test_target_sha256 or r.test_sha256 for r in reports}
     if len(hashes) > 1:
-        raise MismatchedTestBlocks(
+        raise DriftcastError(
             f"reports cover {len(hashes)} different test blocks")
 
     baselines = {}

@@ -37,6 +37,13 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 
+def _finite_range(arrays) -> tuple[float, float]:
+    """Least and greatest finite value over ``arrays``; (0, 1) if there is none."""
+    values = np.concatenate([np.empty(0), *arrays])
+    values = values[np.isfinite(values)]
+    return (float(values.min()), float(values.max())) if values.size else (0.0, 1.0)
+
+
 def _escape(text: str) -> str:
     return (str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;"))
 
@@ -109,12 +116,8 @@ def line_plot(series, title="", xlabel="", ylabel="", vlines=(),
         xs, ys = _downsample(xs, ys)
         cleaned.append((label, xs, ys))
 
-    all_x = np.concatenate([s[1] for s in cleaned]) if cleaned else np.array([0.0, 1.0])
-    all_y = np.concatenate([s[2] for s in cleaned]) if cleaned else np.array([0.0, 1.0])
-    finite = np.isfinite(all_y)
-    x_lo, x_hi = float(all_x.min()), float(all_x.max())
-    y_lo = float(all_y[finite].min()) if finite.any() else 0.0
-    y_hi = float(all_y[finite].max()) if finite.any() else 1.0
+    x_lo, x_hi = _finite_range([xs for _, xs, _ in cleaned])
+    y_lo, y_hi = _finite_range([ys for _, _, ys in cleaned])
     pad = 0.05 * (y_hi - y_lo or 1.0)
     y_lo, y_hi = y_lo - pad, y_hi + pad
     if x_hi <= x_lo:
@@ -141,7 +144,7 @@ def line_plot(series, title="", xlabel="", ylabel="", vlines=(),
 
     for i, (label, xs, ys) in enumerate(cleaned):
         color = PALETTE[i % len(PALETTE)]
-        pts = [(sx(x), sy(y)) for x, y in zip(xs, ys) if math.isfinite(y)]
+        pts = [(sx(x), sy(y)) for x, y in zip(xs, ys) if math.isfinite(x) and math.isfinite(y)]
         if pts:
             c.polyline(pts, color)
         c.text(margin_l + 10 + 150 * i, margin_t - 8, label, size=11, color=color)

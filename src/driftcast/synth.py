@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import InvalidConfig, InvalidRange
+from .errors import DriftcastError
 from .frame import HOUR, TimeSeriesFrame, _parse_timestamp
 
 TARGET_COLUMN = "interest_rate"
@@ -30,7 +30,13 @@ def _check_finite(name: str, value) -> None:
     except OverflowError:  # an int too large for a float
         ok = False
     if not ok:
-        raise InvalidConfig(f"{name} must be a finite number, got {value!r}")
+        raise DriftcastError(f"{name} must be a finite number, got {value!r}")
+
+
+def _check_keys(what: str, d: dict, cls) -> None:
+    unknown = sorted(d.keys() - {f.name for f in fields(cls)})
+    if unknown:
+        raise DriftcastError(f"unknown {what} key {unknown[0]!r}")
 
 
 def _as_epoch(name: str, value) -> int:
@@ -58,11 +64,11 @@ class DriftEvent:
     def __post_init__(self):
         object.__setattr__(self, "at", _as_epoch("at", self.at))
         if self.kind not in (SUDDEN, GRADUAL):
-            raise InvalidConfig(f"kind must be '{SUDDEN}' or '{GRADUAL}', got {self.kind!r}")
+            raise DriftcastError(f"kind must be '{SUDDEN}' or '{GRADUAL}', got {self.kind!r}")
         for name in ("jump", "total_shift", "duration_hours"):
             _check_finite(name, getattr(self, name))
         if self.kind == GRADUAL and self.duration_hours < 1:
-            raise InvalidConfig("gradual events need duration_hours >= 1")
+            raise DriftcastError("gradual events need duration_hours >= 1")
 
     def contribution(self, ts: np.ndarray) -> np.ndarray:
         hours_since = (ts - self.at) / HOUR
@@ -117,14 +123,14 @@ class SynthConfig:
             _check_finite(name, getattr(self, name))
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-            raise InvalidConfig(f"seed must be an integer >= 0, got {seed!r}")
+            raise DriftcastError(f"seed must be an integer >= 0, got {seed!r}")
         if self.start >= self.end:
-            raise InvalidRange("start must precede end")
+            raise DriftcastError("start must precede end")
         if not self.noise_std >= 0:
-            raise InvalidRange("noise_std must be >= 0")
+            raise DriftcastError("noise_std must be >= 0")
         for ev in self.events:
             if not self.start <= ev.at <= self.end:
-                raise InvalidRange(f"event at epoch {ev.at} outside the series range")
+                raise DriftcastError(f"event at epoch {ev.at} outside the series range")
 
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -136,16 +142,13 @@ class SynthConfig:
         raw = d.get("events", []) if isinstance(d, dict) else None
         if not (isinstance(raw, list)
                 and all(isinstance(ev, dict) and {"kind", "at"} <= ev.keys() for ev in raw)):
-            raise InvalidConfig("a synth config is an object, and each of its events needs kind and at")
-        events = tuple(
-            DriftEvent(ev["kind"], ev["at"], jump=ev.get("jump", 0.0),
-                       total_shift=ev.get("total_shift", 0.0),
-                       duration_hours=ev.get("duration_hours", 0))
-            for ev in raw
-        )
-        kwargs = {f.name: d[f.name] for f in fields(SynthConfig) if f.name in d}
+            raise DriftcastError("a synth config is an object, and each of its events needs kind and at")
+        _check_keys("synth config", d, SynthConfig)
+        for ev in raw:
+            _check_keys("event", ev, DriftEvent)
+        kwargs = dict(d)
         if "events" in d:
-            kwargs["events"] = events
+            kwargs["events"] = tuple(DriftEvent(**ev) for ev in raw)
         return SynthConfig(**kwargs)
 
 

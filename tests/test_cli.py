@@ -13,7 +13,7 @@ import pytest
 import driftcast
 from driftcast import pipeline
 from driftcast.cli import build_parser, main
-from driftcast.errors import NonFiniteLoss
+from driftcast.errors import NumericError
 from driftcast.frame import load_csv
 from driftcast.lasso import LassoModel
 from driftcast.serialize import load as load_json
@@ -118,9 +118,10 @@ class TestSynth:
         {"daily_amplitude": None}, {"start": [1]},
         {"events": [{"kind": "sudden", "at": "2020-02-01T00:00", "jump": "x"}]},
         {"events": [{"kind": "gradual", "at": "2020-02-01T00:00", "duration_hours": "x"}]},
+        {"sede": 3}, {"events": [{"kind": "sudden", "at": "2020-02-01T00:00", "jmp": 1}]},
     ], ids=["seed_text", "seed_fraction", "seed_negative", "noise_text", "noise_nan",
             "level_text", "level_huge", "amplitude_null", "start_list", "jump_text",
-            "duration_text"])
+            "duration_text", "unknown_key", "unknown_event_key"])
     def test_bad_config_value_exits_2(self, tmp_path, change):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(dict(STATIONARY_CONFIG, **change)), encoding="utf-8")
@@ -330,7 +331,7 @@ class TestRun:
 
     def test_numeric_failure_exits_3(self, workdir, tmp_path, monkeypatch):
         def boom(*a, **k):
-            raise NonFiniteLoss("numeric blow-up")
+            raise NumericError("numeric blow-up")
         monkeypatch.setattr(pipeline, "run", boom)
         code = main(["run", "--data", str(workdir / "data.csv"), "--model", "mlp",
                      "--strategy", "baseline", "--out", str(tmp_path / "x.json")])
@@ -561,6 +562,11 @@ def wrong_files(workdir, tmp_path_factory):
     (root / "bad_mae.json").write_text(json.dumps(
         {"eval": {"mae": "x", "rmse": 1.0, "r2": 0.0, "n": 3}, "training_rows_used": 5}),
         encoding="utf-8")
+    for name, provenance in [("model_list", {"model": ["mlp"], "strategy": "baseline"}),
+                             ("strategy_number", {"model": "mlp", "strategy": 1})]:
+        (root / f"{name}.json").write_text(json.dumps(
+            {"eval": {"mae": 1.0, "rmse": 1.0, "r2": 0.0, "n": 3, "provenance": provenance},
+             "training_rows_used": 5}), encoding="utf-8")
     (root / "cv_text.csv").write_text("alpha,fold,val_mse\nx,0,1.0\n", encoding="utf-8")
     (root / "cv_long.csv").write_text("alpha,fold,val_mse\n0.1,0,1.0,9\n", encoding="utf-8")
     (root / "cmp_short.csv").write_text("model,strategy,mae,rmse,r2\nmlp,baseline,1.0\n",
@@ -596,6 +602,8 @@ BAD_SEGMENTATIONS = {
     ["plot", "--kind", "series", "--data", "{data}", "--segmentation", "{wrong}/list.json",
      "--out", "s.svg"],
     ["compare", "--reports", "{wrong}/bad_mae.json"],
+    ["compare", "--reports", "{wrong}/model_list.json"],
+    ["compare", "--reports", "{wrong}/strategy_number.json"],
     ["plot", "--kind", "cv", "--data", "{wrong}/cv_text.csv", "--out", "cv.svg"],
     ["plot", "--kind", "cv", "--data", "{wrong}/latin1.csv", "--out", "cv.svg"],
     ["plot", "--kind", "cv", "--data", "{wrong}/cv_long.csv", "--out", "cv.svg"],
@@ -608,7 +616,8 @@ BAD_SEGMENTATIONS = {
        f"{{wrong}}/{name}.json", "--out", "s.svg"] for name in BAD_SEGMENTATIONS),
 ], ids=["segmentation_as_report", "text_as_report", "text_as_segmentation",
         "unknown_event_kind", "config_not_an_object", "series_as_cv_table",
-        "list_as_segmentation", "text_metric_in_report", "text_in_cv_table",
+        "list_as_segmentation", "text_metric_in_report", "model_list_in_report",
+        "strategy_number_in_report", "text_in_cv_table",
         "latin1_cv_table", "cv_row_too_long", "comparison_row_too_short",
         "latin1_data_detect", "latin1_data_run", "latin1_data_plot", "row_without_timestamp",
         *BAD_SEGMENTATIONS])
@@ -628,6 +637,21 @@ def test_plot_of_a_table_without_rows_exits_2(tmp_path, capsys, kind, header):
     assert main(["plot", "--kind", kind, "--data", str(data),
                  "--out", str(tmp_path / "x.svg")]) == 2
     assert capsys.readouterr().err == f"error: {data}: no data rows\n"
+
+
+def test_plot_leaves_out_points_with_a_non_finite_x(tmp_path):
+    # alpha <= 0 has no log10: those points are missing, not drawn at nan
+    data = tmp_path / "cv.csv"
+    data.write_text("alpha,fold,val_mse\n" + "".join(
+        f"{alpha},{fold},{1.0 + alpha + fold}\n"
+        for alpha in (-1.0, 0.0, 0.01, 0.1, 1.0) for fold in (0, 1)), encoding="utf-8")
+    out = tmp_path / "cv.svg"
+    assert main(["plot", "--kind", "cv", "--data", str(data), "--out", str(out)]) == 0
+    svg = out.read_text(encoding="utf-8")
+    assert "nan" not in svg and "inf" not in svg
+    assert svg.count("<polyline") == 3
+    assert all(len(line.split('points="')[1].split('"')[0].split()) == 3
+               for line in svg.splitlines() if line.startswith("<polyline"))
 
 
 def test_readme_commands_parse():

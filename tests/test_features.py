@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftcast import features
-from driftcast.errors import LagExceedsLength, UnsupportedDegree, WindowTooSmall
+from driftcast.errors import DriftcastError
 from driftcast.features import (
     FeatureSpec,
     build_features,
@@ -67,11 +67,11 @@ class TestLags:
         assert list(col[2:]) == [1.0, 2.0]
 
     def test_lag_zero_rejected(self):
-        with pytest.raises(LagExceedsLength):
+        with pytest.raises(DriftcastError, match="lag must be positive, got 0"):
             make_lags(np.arange(5.0), [0])
 
     def test_lag_too_long(self):
-        with pytest.raises(LagExceedsLength):
+        with pytest.raises(DriftcastError, match="lag 5 >= series length 5"):
             make_lags(np.arange(5.0), [5])
 
 
@@ -88,7 +88,7 @@ class TestRolling:
         assert np.allclose(mean[5:], 3.3)
 
     def test_window_too_small(self):
-        with pytest.raises(WindowTooSmall):
+        with pytest.raises(DriftcastError, match="window must be >= 2, got 1"):
             rolling_stats(np.arange(10.0), 1)
 
     def test_against_naive(self):
@@ -149,7 +149,7 @@ class TestPolynomial:
             assert out.shape[1] == len(names) == k + k + k * (k - 1) // 2
 
     def test_unsupported_degree(self):
-        with pytest.raises(UnsupportedDegree):
+        with pytest.raises(DriftcastError, match="degree must be 1 or 2, got 3"):
             polynomial_expand(np.ones((2, 2)), ("a", "b"), 3)
 
     def test_matches_stacked_products(self):

@@ -3,14 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from driftcast.errors import (
-    DuplicateTimestamp,
-    EmptyFile,
-    LeadingGap,
-    MissingColumn,
-    NonFiniteValues,
-    UnparseableTimestamp,
-)
+from driftcast.errors import DriftcastError, NumericError
 from driftcast.features import FeatureSpec, build_features
 from driftcast.frame import (
     HOUR,
@@ -83,27 +76,27 @@ class TestLoadCsv:
     def test_errors(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("", encoding="utf-8")
-        with pytest.raises(EmptyFile):
+        with pytest.raises(DriftcastError, match="empty.csv: no header row"):
             load_csv(empty)
 
         header_only = tmp_path / "header.csv"
         write_lines(header_only, ["timestamp,v"])
-        with pytest.raises(EmptyFile):
+        with pytest.raises(DriftcastError, match="header.csv: no data rows"):
             load_csv(header_only)
 
         no_ts = tmp_path / "nots.csv"
         write_lines(no_ts, ["time,v", "0,1"])
-        with pytest.raises(MissingColumn):
+        with pytest.raises(DriftcastError, match="nots.csv: no 'timestamp' column in header"):
             load_csv(no_ts)
 
         bad_ts = tmp_path / "badts.csv"
         write_lines(bad_ts, ["timestamp,v", "not-a-time,1"])
-        with pytest.raises(UnparseableTimestamp):
+        with pytest.raises(DriftcastError, match="cannot parse timestamp 'not-a-time'"):
             load_csv(bad_ts)
 
         dup = tmp_path / "dup.csv"
         write_lines(dup, ["timestamp,v", "0,1", "0,2"])
-        with pytest.raises(DuplicateTimestamp):
+        with pytest.raises(DriftcastError, match="dup.csv: duplicate timestamp at epoch 0"):
             load_csv(dup)
 
     def test_round_trip_value_identical(self, tmp_path):
@@ -132,7 +125,7 @@ class TestForwardFill:
 
     def test_leading_gap(self):
         frame = hourly_frame([np.nan, 2.0, 3.0])
-        with pytest.raises(LeadingGap):
+        with pytest.raises(DriftcastError, match="column 'v' starts with a missing value"):
             forward_fill(frame, "v")
 
     def test_idempotent(self):
@@ -246,7 +239,7 @@ class TestScaler:
         X = np.ones((10, 2))
         X[3, 1] = cell  # 1e200 overflows the sum of squares
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonFiniteValues):
+            with pytest.raises(NumericError, match="cannot standardize: values are not finite"):
                 Scaler.fit(X)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from driftcast import lasso
-from driftcast.errors import DidNotConverge, InvalidConfig, NonFiniteLoss, TooFewRows
+from driftcast.errors import DidNotConverge, DriftcastError, NumericError
 from driftcast.features import FeatureMatrix, FeatureSpec, build_features
 from driftcast.frame import Scaler, SplitSpec
 from driftcast.lasso import (
@@ -159,7 +159,7 @@ class TestLassoFit:
         X = rng.normal(0, 1, (60, 3))
         y = X[:, 0] + rng.normal(0, 0.1, 60)
         (X[5] if where == "X" else y[5:6])[0] = np.nan
-        with pytest.raises(NonFiniteLoss):
+        with pytest.raises(NumericError, match="lasso input contains non-finite values"):
             lasso_fit(X, y, 0.01)
 
     def test_overflowing_target_rejected_at_entry(self):
@@ -170,16 +170,16 @@ class TestLassoFit:
         y[30] = 1e300
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # and no numpy overflow warning
-            with pytest.raises(NonFiniteLoss, match="objective"):
+            with pytest.raises(NumericError, match="objective"):
                 lasso_fit(X, y, 0.01)
 
     @pytest.mark.parametrize("alpha", (-0.1, math.nan, math.inf))
     def test_alpha_must_be_finite_and_non_negative(self, alpha):
         rng = np.random.default_rng(7)
         X = rng.normal(0, 1, (20, 2))
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(DriftcastError, match="alpha must be finite and >= 0"):
             lasso_fit(X, X[:, 0], alpha)
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(DriftcastError, match="alphas must be finite and >= 0"):
             LassoConfig(alpha_grid=(0.1, alpha))
 
     def test_constant_column_gets_zero_weight(self):
@@ -301,7 +301,7 @@ class TestFolds:
         assert folds[0][0].size == 3  # first block absorbs the extra row
 
     def test_too_few_rows(self):
-        with pytest.raises(TooFewRows):
+        with pytest.raises(DriftcastError, match="need at least 6 rows for 5 folds, have 5"):
             timeseries_folds(5, 5)
 
 
@@ -355,7 +355,7 @@ class TestLassoCV:
         X = rng.normal(0, 1, (60, 3))
         y = X[:, 0] + rng.normal(0, 0.1, 60)
         y[-1] = 1e300
-        with pytest.raises(NonFiniteLoss, match="cross-validation"):
+        with pytest.raises(NumericError, match="cross-validation"):
             lasso_cv(feature_matrix(X, y), LassoConfig(max_iter=20))
 
     def test_overflowing_target_fails_at_first_fit(self, monkeypatch):
@@ -370,7 +370,7 @@ class TestLassoCV:
             return lasso_fit(*args, **kwargs)
 
         monkeypatch.setattr(lasso, "lasso_fit", counting_fit)
-        with pytest.raises(NonFiniteLoss, match="objective"):
+        with pytest.raises(NumericError, match="objective"):
             lasso_cv(feature_matrix(X, y))
         assert calls == [0.001]
 
@@ -379,12 +379,12 @@ class TestLassoCV:
         X = rng.normal(0, 1, (60, 3))
         X[5, 1] = np.nan
         y = X[:, 0] + rng.normal(0, 0.1, 60)
-        with pytest.raises(NonFiniteLoss, match="non-finite values"):
+        with pytest.raises(NumericError, match="non-finite values"):
             lasso_cv(feature_matrix(X, y))
 
     def test_too_few_rows(self):
         rng = np.random.default_rng(11)
-        with pytest.raises(TooFewRows):
+        with pytest.raises(DriftcastError, match="need at least 7 rows for 5 folds, have 5"):
             lasso_cv(feature_matrix(rng.normal(0, 1, (5, 2)), rng.normal(0, 1, 5)))
 
     def test_row_minimum_leaves_the_first_fold_two_rows(self, monkeypatch):
@@ -398,7 +398,7 @@ class TestLassoCV:
 
         monkeypatch.setattr(lasso, "lasso_fit", counting_fit)
         short = config.cv_folds + 1  # its first fold would train on one row
-        with pytest.raises(TooFewRows, match=f"need at least {short + 1} rows"):
+        with pytest.raises(DriftcastError, match=f"need at least {short + 1} rows"):
             lasso_cv(feature_matrix(rng.normal(0, 1, (short, 2)), rng.normal(0, 1, short)),
                      config)
         assert calls == []

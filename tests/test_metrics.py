@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from driftcast.errors import EmptyInput, LengthMismatch, ZeroVariance
+from driftcast.errors import DriftcastError
 from driftcast.metrics import EvalReport, evaluate, mae, r2, rmse
 from driftcast.serialize import record
 
@@ -100,21 +100,21 @@ class TestRandomizedOracle:
 
 class TestErrors:
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DriftcastError, match=r"shapes differ: \(2,\) vs \(1,\)"):
             mae([1.0, 2.0], [1.0])
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DriftcastError, match=r"shapes differ: \(2,\) vs \(1,\)"):
             rmse([1.0, 2.0], [1.0])
 
     def test_empty(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(DriftcastError, match="need at least 1 observations, have 0"):
             mae([], [])
 
     def test_r2_needs_two(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(DriftcastError, match="need at least 2 observations, have 1"):
             r2([1.0], [1.0])
 
     def test_constant_target_is_hard_error(self):
-        with pytest.raises(ZeroVariance):
+        with pytest.raises(DriftcastError, match=r"R\^2 is undefined for a constant target"):
             r2([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
 
 

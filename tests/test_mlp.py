@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from driftcast.errors import InvalidConfig, NonFiniteLoss, ShapeMismatch, TooFewRows
+from driftcast.errors import DriftcastError, NumericError
 from driftcast.features import FeatureMatrix
 from driftcast.frame import Scaler
 from driftcast.mlp import (
@@ -87,9 +87,10 @@ class TestForward:
         rng = np.random.default_rng(2)
         model = toy_model(rng, 3, [4])
         for X in (rng.normal(0, 1, (5, 2)), rng.normal(0, 1, (5, 1))):
-            with pytest.raises(ShapeMismatch):
+            with pytest.raises(DriftcastError, match=r"X must be \(n, 3\), got \(5, "):
                 mlp_forward(model, X)
-            with pytest.raises(ShapeMismatch):  # not broadcast by the input scaler
+            # not broadcast by the input scaler
+            with pytest.raises(DriftcastError, match=r"X must be \(n, 3\), got \(5, "):
                 mlp_predict(model, X)
 
 
@@ -206,7 +207,7 @@ class TestTraining:
 
     def test_too_few_rows(self):
         rng = np.random.default_rng(11)
-        with pytest.raises(TooFewRows):
+        with pytest.raises(DriftcastError, match="need at least 10 rows to train, have 9"):
             mlp_train(MlpConfig(), feature_matrix(rng.normal(0, 1, (9, 2)),
                                                   rng.normal(0, 1, 9)))
 
@@ -216,7 +217,7 @@ class TestTraining:
         y = rng.normal(0, 1, 128)
         cfg = MlpConfig(hidden=(8, 8), learning_rate=1e100, dropout_rate=0.0,
                         max_epochs=50, seed=0)
-        with pytest.raises(NonFiniteLoss):
+        with pytest.raises(NumericError, match="training diverged at epoch"):
             mlp_train(cfg, feature_matrix(X, y))
 
 
@@ -264,5 +265,5 @@ class TestConfig:
             MlpConfig(patience=0)
         with pytest.raises(ValueError):
             MlpConfig(val_fraction=0.5)
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(DriftcastError, match="max_epochs must be >= 1, got 0"):
             MlpConfig(max_epochs=0)

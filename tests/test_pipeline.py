@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from driftcast.errors import MismatchedTestBlocks, PostDriftTooShort, TooFewRows
+from driftcast.errors import DriftcastError, PostDriftTooShort
 from driftcast.features import FeatureSpec, build_features
 from driftcast.frame import SplitSpec, TimeSeriesFrame
 from driftcast import pipeline
@@ -92,7 +92,7 @@ class TestBaseline:
     def test_too_few_training_rows(self):
         frame = generate(SynthConfig(start="2020-01-01T00:00", end="2020-01-08T23:00",
                                      events=(), seed=0))
-        with pytest.raises(TooFewRows, match="only 0 training feature rows"):
+        with pytest.raises(DriftcastError, match="only 0 training feature rows"):
             run_baseline(frame, TARGET, strategy())
 
 
@@ -283,7 +283,7 @@ class TestCompare:
     def test_mismatched_test_blocks_rejected(self, drifted_frame, stationary_frame):
         a = run_baseline(drifted_frame, TARGET, strategy())
         b = run_baseline(stationary_frame, TARGET, strategy())
-        with pytest.raises(MismatchedTestBlocks):
+        with pytest.raises(DriftcastError, match="reports cover 2 different test blocks"):
             compare([a.report, b.report])
 
     def test_csv_emission(self, tmp_path, drifted_frame):
@@ -318,6 +318,11 @@ class TestRunReportSerialization:
     def test_detection_columns_written(self, columns, written):
         cfg = StrategyConfig(strategy=DRIFT_RETRAIN, detection=DetectionConfig(columns=columns))
         assert cfg.to_dict()["detection"]["columns"] == written
+
+    def test_detection_columns_not_a_string(self):
+        # a string is a sequence too: it would be split into one-letter names
+        with pytest.raises(DriftcastError, match="got the string 'lag_1'"):
+            DetectionConfig(columns="lag_1")
 
     @pytest.mark.parametrize("model", [MLP, LASSO])
     def test_report_names_only_its_family(self, model):

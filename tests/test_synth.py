@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from driftcast.changepoint import default_penalty, pelt_detect
-from driftcast.errors import InvalidRange
+from driftcast.errors import DriftcastError
 from driftcast.frame import HOUR, _parse_timestamp
 from driftcast.synth import (
     GRADUAL,
@@ -77,12 +77,12 @@ class TestGenerate:
         assert abs((after - before) - 2.0) < tol
 
     def test_event_outside_range_rejected(self):
-        with pytest.raises(InvalidRange):
+        with pytest.raises(DriftcastError, match="event at epoch 1609459200 outside the series"):
             SynthConfig(start="2020-01-01T00:00", end="2020-02-01T00:00",
                         events=(DriftEvent(SUDDEN, "2021-01-01T00:00", jump=1.0),))
 
     def test_reversed_range_rejected(self):
-        with pytest.raises(InvalidRange):
+        with pytest.raises(DriftcastError, match="start must precede end"):
             SynthConfig(start="2021-01-01T00:00", end="2020-01-01T00:00")
 
 
