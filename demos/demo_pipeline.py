@@ -10,10 +10,11 @@ Both are scored on a byte-identical test block.
 Run:  python demos/demo_pipeline.py
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 from driftcast.mlp import MlpConfig
-from driftcast.pipeline import StrategyConfig, compare, run_baseline, run_retrain
+from driftcast.pipeline import DRIFT_RETRAIN, StrategyConfig, compare, run
 from driftcast.svgplot import grouped_bars, line_plot
 from driftcast.synth import SUDDEN, GRADUAL, DriftEvent, SynthConfig, generate, TARGET_COLUMN
 
@@ -37,8 +38,8 @@ reports = []
 for family in ("mlp", "lasso"):
     cfg = StrategyConfig(model=family, mlp=MlpConfig(seed=0, max_epochs=120),
                          seed=0, dataset_id="demo")
-    base = run_baseline(frame, TARGET_COLUMN, cfg)
-    retr = run_retrain(frame, TARGET_COLUMN, cfg)
+    base = run(frame, TARGET_COLUMN, cfg)
+    retr = run(frame, TARGET_COLUMN, replace(cfg, strategy=DRIFT_RETRAIN))
     reports += [base.report, retr.report]
     seg = retr.report.segmentation
     print(f"\n{family}: detector found {seg.m} changepoints, "

@@ -40,8 +40,6 @@ from .pipeline import (
     StrategyConfig,
     compare,
     run,
-    run_baseline,
-    run_retrain,
 )
 from .synth import DriftEvent, SynthConfig, generate, ground_truth
 

@@ -3,16 +3,14 @@
 Exit codes: 0 success, 2 usage or configuration error, 3 numeric failure
 (training divergence, non-finite data or scores), 4 I/O failure. All
 emitted JSON/CSV artifacts are byte-stable for a fixed invocation and
-seed; SVG files carry no metadata.
-The environment variable ``DRIFTCAST_SEED`` supplies the default seed when
-``--seed`` is not given; a value that is not an integer exits 2.
+seed; SVG files carry no metadata. Every setting comes from a flag or a
+config file; ``run --seed`` defaults to 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import glob as globmod
-import os
 import sys
 import warnings
 from dataclasses import replace
@@ -32,14 +30,6 @@ NUMERIC_ERROR = 3
 IO_ERROR = 4
 
 KNOWN_TARGETS = ("interest_rate", "elec_kW")
-
-
-def _default_seed() -> int:
-    env = os.environ.get("DRIFTCAST_SEED")
-    try:
-        return int(env) if env else 0
-    except ValueError:
-        raise DriftcastError(f"DRIFTCAST_SEED must be an integer, got {env!r}") from None
 
 
 def _int_list(text: str, flag: str) -> tuple[int, ...]:
@@ -108,9 +98,9 @@ def cmd_detect(args) -> int:
     frame = _clean(frame, names)
     if args.columns:
         X = np.column_stack([frame.column(name) for name in names])
-        seg = cp.multivariate_detect(X, args.cost, args.beta, args.min_size)
+        seg = cp.multivariate_detect(X, args.cost, args.beta)
     else:
-        seg = cp.pelt_detect(frame.column(names[0]), args.cost, args.beta, args.min_size)
+        seg = cp.pelt_detect(frame.column(names[0]), args.cost, args.beta)
     serialize.dump(seg.to_dict(), args.out)
 
     print(f"changepoints: {list(seg.changepoints)}")
@@ -129,9 +119,7 @@ def _strategy_config(args) -> pipeline.StrategyConfig:
     detection = pipeline.DetectionConfig(
         columns=tuple(args.detect_columns) if args.detect_columns else None,
         beta=args.beta,
-        min_size=args.min_size,
     )
-    seed = args.seed if args.seed is not None else _default_seed()
     return pipeline.StrategyConfig(
         strategy=args.strategy,
         model=args.model,
@@ -139,7 +127,7 @@ def _strategy_config(args) -> pipeline.StrategyConfig:
         feature_spec=spec,
         detection=detection,
         split=SplitSpec(args.train_fraction),
-        seed=seed,
+        seed=args.seed,
         metric_scale=args.scale,
         dataset_id=Path(args.data).name,
     )
@@ -291,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=None,
                    help="penalty (default: derived from first differences)")
     p.add_argument("--cost", choices=[cp.L2_MEAN, cp.GAUSSIAN_NLL], default=cp.L2_MEAN)
-    p.add_argument("--min-size", type=int, default=2)
     p.add_argument("--timestamp-column", default="timestamp")
     p.add_argument("--out", default="segmentation.json")
     p.add_argument("--plot", help="write a series+changepoints SVG here")
@@ -303,8 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=pipeline.FAMILIES, required=True)
     p.add_argument("--strategy", choices=[pipeline.BASELINE, pipeline.DRIFT_RETRAIN],
                    required=True)
-    p.add_argument("--seed", type=int, default=None,
-                   help="default: $DRIFTCAST_SEED or 0")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--train-fraction", type=float, default=0.8)
     p.add_argument("--scale", choices=[pipeline.SCALE_STANDARDIZED,
                                        pipeline.SCALE_ORIGINAL],
@@ -312,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detect-columns", type=lambda s: s.split(","), default=None,
                    help="feature columns to detect on jointly (default: the target)")
     p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--min-size", type=int, default=2)
     p.add_argument("--lags", default="1,24,168")
     p.add_argument("--windows", default="24,168")
     p.add_argument("--poly-degree", type=int, choices=[1, 2], default=1)

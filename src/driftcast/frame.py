@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import numpy as np
 
@@ -20,6 +20,8 @@ from .errors import DriftcastError, NumericError
 
 HOUR = 3600
 _EPOCH = datetime(1970, 1, 1)
+_FIRST_SECOND = (datetime.min - _EPOCH) // timedelta(seconds=1)
+_LAST_SECOND = (datetime.max - _EPOCH) // timedelta(seconds=1)
 
 log = logging.getLogger(__name__)
 
@@ -151,21 +153,30 @@ class Scaler:
         return np.asarray(values, float) * self.stds + self.means
 
 
+def _check_epoch(seconds, name: str, value) -> None:
+    """Raise unless ``seconds`` lies in the years 1 to 9999 that ``datetime`` holds."""
+    if not _FIRST_SECOND <= seconds <= _LAST_SECOND:
+        raise DriftcastError(f"{name} {value!r} is outside 0001-01-01 to 9999-12-31 UTC")
+
+
 def _parse_timestamp(cell: str) -> int:
     text = cell.strip()
     if not text:
         raise DriftcastError("empty timestamp cell")
     try:
         dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
-        if dt.tzinfo is not None:
-            dt = (dt - dt.utcoffset()).replace(tzinfo=None)
-        return int((dt - _EPOCH).total_seconds())
     except ValueError:
-        pass
-    try:
-        return int(round(float(text)))
-    except ValueError:
-        raise DriftcastError(f"cannot parse timestamp {cell!r}") from None
+        try:
+            seconds = round(float(text))
+        except (ValueError, OverflowError):  # not a number, or nan / inf
+            raise DriftcastError(f"cannot parse timestamp {cell!r}") from None
+    else:
+        # apply the UTC offset to the timedelta: shifting dt could leave its range
+        offset = dt.utcoffset()
+        since_epoch = dt - _EPOCH if offset is None else dt.replace(tzinfo=None) - _EPOCH - offset
+        seconds = int(since_epoch.total_seconds())
+    _check_epoch(seconds, "timestamp", cell)
+    return seconds
 
 
 def _parse_value(cell: str) -> float:

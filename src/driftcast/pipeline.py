@@ -1,12 +1,12 @@
 """The two forecasting strategies, end to end, on one shared test block.
 
-``run_baseline`` trains once on the whole training block. ``run_retrain``
-detects distributional changepoints inside the training block (never the
-test block), discards every feature row whose inputs reach back before the
-last one, and refits the same model family from scratch — fresh
-initialization, fresh scalers — on the remainder. Both strategies are
-evaluated on byte-identical test features, so any score difference is
-attributable to the training-data selection alone.
+``run`` reads the strategy from its config. A baseline trains once on the
+whole training block; a retrain detects changepoints inside the training
+block (never the test block), drops every feature row whose inputs reach
+back before the last one, and refits the same model family from scratch
+(fresh initialization, fresh scalers) on the rest. Both strategies are
+scored on byte-identical test features, so any score difference comes
+from the training-data selection alone.
 
 Feature rows for the test block may consume actual past observations
 across the split boundary (walk-forward, one step ahead with known
@@ -200,8 +200,8 @@ def _prepare(frame: TimeSeriesFrame, target: str, config: StrategyConfig) -> _Pr
                      test_sha, test_target_sha, dataset_sha)
 
 
-def _fit_and_report(config: StrategyConfig, prep: _Prepared, strategy: str,
-                    train_slice: FeatureMatrix, segmentation: cp.Segmentation | None = None,
+def _fit_and_report(config: StrategyConfig, prep: _Prepared, train_slice: FeatureMatrix,
+                    segmentation: cp.Segmentation | None = None,
                     fallback_reason: str | None = None) -> RunResult:
     """Fit the configured family on ``train_slice`` and score it on the test block.
 
@@ -225,10 +225,10 @@ def _fit_and_report(config: StrategyConfig, prep: _Prepared, strategy: str,
     report = RunReport(
         eval=evaluate(y_eval, p_eval, scale=config.metric_scale,
                       dataset=config.dataset_id, model=config.model,
-                      strategy=strategy, seed=config.seed),
+                      strategy=config.strategy, seed=config.seed),
         segmentation=segmentation,
         training_rows_used=train_slice.rows,
-        config=replace(config, strategy=strategy).to_dict(),
+        config=config.to_dict(),
         seed=config.seed,
         dataset_sha256=prep.dataset_sha,
         test_sha256=prep.test_sha,
@@ -237,12 +237,6 @@ def _fit_and_report(config: StrategyConfig, prep: _Prepared, strategy: str,
     )
     return RunResult(report, model, preds, prep.test.y.copy(),
                      prep.test.timestamps.copy(), side_csv)
-
-
-def run_baseline(frame: TimeSeriesFrame, target: str, config: StrategyConfig) -> RunResult:
-    """Static strategy: one model over the full training block, no detection."""
-    prep = _prepare(frame, target, config)
-    return _fit_and_report(config, prep, BASELINE, prep.train)
 
 
 def detect_training_drift(prep: _Prepared, config: StrategyConfig) -> cp.Segmentation:
@@ -263,21 +257,20 @@ def detect_training_drift(prep: _Prepared, config: StrategyConfig) -> cp.Segment
     return cp.multivariate_detect(train.X[:, idx], cp.L2_MEAN, det.beta, det.min_size)
 
 
-def run_retrain(frame: TimeSeriesFrame, target: str, config: StrategyConfig) -> RunResult:
-    """Drift-aware strategy: drop training rows before the last changepoint.
+def run(frame: TimeSeriesFrame, target: str, config: StrategyConfig) -> RunResult:
+    """Fit ``config.model`` under ``config.strategy`` and score it on the test block.
 
-    A changepoint on the target starts a new regime, but the lags and
-    rolling windows of the next ``warmup`` feature rows still read
-    pre-drift values, so the cut lands where the whole input window has
-    cleared it (clamped to the training block). Changepoints on named
-    feature columns are already in feature space and cut where they fall.
-
-    Falls back to the baseline training set (and flags the report) when no
-    changepoint is found or the post-drift segment is below the model's
-    minimum row count; with the same seed the fallback reproduces the
-    baseline scores exactly.
+    A retrain cuts where the lags and rolling windows of the feature rows
+    have cleared the last target changepoint (``warmup`` rows after it,
+    clamped to the training block); changepoints on named feature columns
+    are already in feature space and cut where they fall. It falls back to
+    the baseline training set (and flags the report) when no changepoint is
+    found or the post-drift segment is below the model's minimum row count;
+    with the same seed the fallback reproduces the baseline scores exactly.
     """
     prep = _prepare(frame, target, config)
+    if config.strategy == BASELINE:
+        return _fit_and_report(config, prep, prep.train)
     segmentation = detect_training_drift(prep, config)
     cut = segmentation.changepoints[-1] if segmentation.changepoints else None
     if cut is not None and not config.detection.columns:
@@ -296,14 +289,7 @@ def run_retrain(frame: TimeSeriesFrame, target: str, config: StrategyConfig) -> 
             PostDriftTooShort)
 
     train_slice = prep.train if fallback_reason else prep.train.slice(cut, prep.train.rows)
-    return _fit_and_report(config, prep, DRIFT_RETRAIN, train_slice, segmentation,
-                           fallback_reason)
-
-
-def run(frame: TimeSeriesFrame, target: str, config: StrategyConfig) -> RunResult:
-    if config.strategy == BASELINE:
-        return run_baseline(frame, target, config)
-    return run_retrain(frame, target, config)
+    return _fit_and_report(config, prep, train_slice, segmentation, fallback_reason)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import DriftcastError
-from .frame import HOUR, TimeSeriesFrame, _parse_timestamp
+from .frame import HOUR, TimeSeriesFrame, _check_epoch, _parse_timestamp
 
 TARGET_COLUMN = "interest_rate"
 
@@ -43,6 +43,7 @@ def _as_epoch(name: str, value) -> int:
     if isinstance(value, str):
         return _parse_timestamp(value)
     _check_finite(name, value)
+    _check_epoch(value, name, value)  # before generate allocates the hourly axis
     return int(value)
 
 

@@ -9,6 +9,7 @@ repository README for the measured behavior of the linear family.
 import math
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -293,8 +294,9 @@ def test_c8_directional_reproduction():
             for family in (pipeline.MLP, pipeline.LASSO):
                 config = pipeline.StrategyConfig(
                     model=family, seed=seed, dataset_id="synth-default")
-                base = pipeline.run_baseline(frame, TARGET, config)
-                retr = pipeline.run_retrain(frame, TARGET, config)
+                base = pipeline.run(frame, TARGET, config)
+                retr = pipeline.run(frame, TARGET,
+                                    replace(config, strategy=pipeline.DRIFT_RETRAIN))
                 ratio = retr.report.eval.mae / base.report.eval.mae
                 r2_up = retr.report.eval.r2 > base.report.eval.r2
                 if ratio <= 0.85 and r2_up:
@@ -322,8 +324,8 @@ def test_c9_fallback_identity():
     mismatches = []
     for family in (pipeline.MLP, pipeline.LASSO):
         cfg = pipeline.StrategyConfig(model=family, seed=11, dataset_id="flat")
-        base = pipeline.run_baseline(frame, TARGET, cfg)
-        retr = pipeline.run_retrain(frame, TARGET, cfg)
+        base = pipeline.run(frame, TARGET, cfg)
+        retr = pipeline.run(frame, TARGET, replace(cfg, strategy=pipeline.DRIFT_RETRAIN))
         same = (retr.report.fallback_reason == "no_changepoints"
                 and base.report.eval.mae == retr.report.eval.mae
                 and base.report.eval.rmse == retr.report.eval.rmse
@@ -354,8 +356,8 @@ def test_c10_leakage_audit():
     poisoned_vals[boundary:] += 1000.0
     poisoned = TimeSeriesFrame(frame.timestamps, {TARGET: poisoned_vals})
 
-    clean_run = pipeline.run_retrain(frame, TARGET, cfg)
-    poisoned_run = pipeline.run_retrain(poisoned, TARGET, cfg)
+    clean_run = pipeline.run(frame, TARGET, replace(cfg, strategy=pipeline.DRIFT_RETRAIN))
+    poisoned_run = pipeline.run(poisoned, TARGET, replace(cfg, strategy=pipeline.DRIFT_RETRAIN))
     detection_clean = (clean_run.report.segmentation.changepoints
                        == poisoned_run.report.segmentation.changepoints)
     scalers_clean = (np.array_equal(clean_run.model.input_scaler.means,
@@ -366,7 +368,7 @@ def test_c10_leakage_audit():
                         zip(clean_run.model.weights, poisoned_run.model.weights))
     poison_took = clean_run.report.test_sha256 != poisoned_run.report.test_sha256
 
-    base = pipeline.run_baseline(frame, TARGET, cfg)
+    base = pipeline.run(frame, TARGET, cfg)
     hashes_match = base.report.test_sha256 == clean_run.report.test_sha256
 
     ok = detection_clean and scalers_clean and weights_clean and poison_took and hashes_match

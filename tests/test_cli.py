@@ -1,7 +1,9 @@
+import ast
 import hashlib
 import json
 import math
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -48,17 +50,20 @@ def src_env():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-def cli_process(argv, cwd):
+def cli_process(argv, cwd, max_bytes=None):
     """Run the CLI in a fresh interpreter, so numpy's and driftcast's
     warnings reach stderr as they would for a user instead of pytest's
-    warning capture."""
-    return subprocess.run([sys.executable, "-m", "driftcast.cli", *argv],
+    warning capture. ``max_bytes`` caps the child's address space, so a
+    command that tries a huge allocation fails at once instead of paging."""
+    cap = None if max_bytes is None else (
+        lambda: resource.setrlimit(resource.RLIMIT_AS, (max_bytes, max_bytes)))
+    return subprocess.run([sys.executable, "-m", "driftcast.cli", *argv], preexec_fn=cap,
                           cwd=cwd, env=src_env(), capture_output=True, text=True, timeout=120)
 
 
-def assert_usage_error(argv, cwd):
+def assert_usage_error(argv, cwd, max_bytes=None):
     """The CLI exits 2 with one ``error:`` line and no traceback."""
-    proc = cli_process(argv, cwd)
+    proc = cli_process(argv, cwd, max_bytes)
     assert proc.returncode == 2, proc.stderr
     err = proc.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), proc.stderr
@@ -119,13 +124,18 @@ class TestSynth:
         {"events": [{"kind": "sudden", "at": "2020-02-01T00:00", "jump": "x"}]},
         {"events": [{"kind": "gradual", "at": "2020-02-01T00:00", "duration_hours": "x"}]},
         {"sede": 3}, {"events": [{"kind": "sudden", "at": "2020-02-01T00:00", "jmp": 1}]},
+        {"end": 1e15}, {"end": 1e30},
     ], ids=["seed_text", "seed_fraction", "seed_negative", "noise_text", "noise_nan",
             "level_text", "level_huge", "amplitude_null", "start_list", "jump_text",
-            "duration_text", "unknown_key", "unknown_event_key"])
+            "duration_text", "unknown_key", "unknown_event_key", "end_past_9999",
+            "end_huge"])
     def test_bad_config_value_exits_2(self, tmp_path, change):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(dict(STATIONARY_CONFIG, **change)), encoding="utf-8")
-        assert_usage_error(["synth", "--config", str(cfg), "--out", "x.csv"], tmp_path)
+        # an end far past year 9999 must be refused before the hourly axis
+        # (terabytes for 1e15) is allocated
+        assert_usage_error(["synth", "--config", str(cfg), "--out", "x.csv"], tmp_path,
+                           max_bytes=2 << 30)
         assert not (tmp_path / "x.csv").exists()
 
     def test_negative_seed_exits_2(self, tmp_path):
@@ -311,23 +321,14 @@ class TestRun:
                         ("r.json", "r_predictions.csv", side, "model.json"))
         assert digests == self.ARTIFACT_SHA[model, strategy]
 
-    def test_env_seed_fallback(self, workdir, tmp_path, monkeypatch):
+    def test_seed_defaults_to_0_whatever_the_environment(self, workdir, tmp_path,
+                                                          monkeypatch):
         monkeypatch.setenv("DRIFTCAST_SEED", "3")
-        a = tmp_path / "env.json"
-        args = ["run", "--data", str(workdir / "data.csv"), "--model", "lasso",
-                "--strategy", "baseline", "--out", str(a)]
-        assert main(args) == 0
-        assert load_json(a)["seed"] == 3
-
-    def test_bad_env_seed_exits_2(self, workdir, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("DRIFTCAST_SEED", "abc")
         out = tmp_path / "env.json"
         args = ["run", "--data", str(workdir / "data.csv"), "--model", "lasso",
                 "--strategy", "baseline", "--out", str(out)]
-        assert main(args) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "error: DRIFTCAST_SEED must be an integer, got 'abc'"]
-        assert not out.exists()
+        assert main(args) == 0
+        assert load_json(out)["seed"] == 0
 
     def test_numeric_failure_exits_3(self, workdir, tmp_path, monkeypatch):
         def boom(*a, **k):
@@ -574,11 +575,25 @@ def wrong_files(workdir, tmp_path_factory):
     (root / "latin1.csv").write_bytes(b"timestamp,interest_rate\n2020-01-01T00:00,caf\xe9\n")
     (root / "short_row.csv").write_text("v,timestamp\n1.0,2020-01-01T00:00\n2.0\n",
                                         encoding="utf-8")
+    for name, stamp in OUT_OF_RANGE_STAMPS.items():
+        (root / f"{name}.csv").write_text(
+            f"timestamp,v\n{stamp},1.0\n2020-01-01T00:00,2.0\n2020-01-01T01:00,3.0\n"
+            "2020-01-01T02:00,4.0\n", encoding="utf-8")
     seg = load_json(root / "seg.json")
     for name, change in BAD_SEGMENTATIONS.items():
         (root / f"{name}.json").write_text(json.dumps(dict(seg, **change)), encoding="utf-8")
     return root
 
+
+# timestamp cells outside the years 1 to 9999 that datetime can hold
+OUT_OF_RANGE_STAMPS = {
+    "stamp_inf": "inf",
+    "stamp_1e30": "1e30",
+    "stamp_minus_1e30": "-1e30",
+    "stamp_before_year_1": "0001-01-01T00:00+01:00",
+    "stamp_after_year_9999": "9999-12-31T23:00-05:00",
+    "stamp_year_33658": "1000000000000",
+}
 
 # well-formed segmentations of the series in data.csv that no detector can return
 BAD_SEGMENTATIONS = {
@@ -614,13 +629,15 @@ BAD_SEGMENTATIONS = {
     ["detect", "--data", "{wrong}/short_row.csv", "--target", "v"],
     *(["plot", "--kind", "series", "--data", "{data}", "--segmentation",
        f"{{wrong}}/{name}.json", "--out", "s.svg"] for name in BAD_SEGMENTATIONS),
+    *(["detect", "--data", f"{{wrong}}/{name}.csv", "--target", "v", "--plot", "s.svg"]
+      for name in OUT_OF_RANGE_STAMPS),
 ], ids=["segmentation_as_report", "text_as_report", "text_as_segmentation",
         "unknown_event_kind", "config_not_an_object", "series_as_cv_table",
         "list_as_segmentation", "text_metric_in_report", "model_list_in_report",
         "strategy_number_in_report", "text_in_cv_table",
         "latin1_cv_table", "cv_row_too_long", "comparison_row_too_short",
         "latin1_data_detect", "latin1_data_run", "latin1_data_plot", "row_without_timestamp",
-        *BAD_SEGMENTATIONS])
+        *BAD_SEGMENTATIONS, *OUT_OF_RANGE_STAMPS])
 def test_wrong_file_exits_2(workdir, wrong_files, tmp_path, argv):
     argv = [a.format(wrong=wrong_files, data=workdir / "data.csv") for a in argv]
     assert_usage_error(argv, tmp_path)
@@ -654,14 +671,33 @@ def test_plot_leaves_out_points_with_a_non_finite_x(tmp_path):
                for line in svg.splitlines() if line.startswith("<polyline"))
 
 
+def readme_blocks():
+    """The fenced code blocks of README, each starting with its language tag."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split("```")[1::2]
+
+
 def test_readme_commands_parse():
     """Every ``driftcast`` command in README's code blocks is one the parser
     accepts, so deleting a flag cannot leave the quick start broken."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    blocks = readme.split("```")[1::2]
+    blocks = readme_blocks()
     commands = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()
                 if line.startswith("driftcast ")]
     assert len(commands) >= 7
     parser = build_parser()
     for command in commands:
         parser.parse_args(shlex.split(command, comments=True)[1:])
+
+
+def test_readme_imports_exist():
+    """Every name README's Python blocks import exists, so deleting a library
+    name cannot leave the usage example broken. Only the imports run."""
+    imports = [node for block in readme_blocks() if block.startswith("python\n")
+               for node in ast.parse(block[len("python\n"):]).body
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports
+    for node in imports:
+        namespace = {}
+        exec(compile(ast.Module([node], type_ignores=[]), "README.md", "exec"), namespace)
+        bound = {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+        assert bound <= set(namespace)

@@ -22,8 +22,6 @@ from driftcast.pipeline import (
     StrategyConfig,
     compare,
     run,
-    run_baseline,
-    run_retrain,
 )
 from driftcast.serialize import dumps, record, sha256_arrays
 from driftcast.synth import SUDDEN, GRADUAL, DriftEvent, SynthConfig, generate
@@ -73,19 +71,19 @@ def metrics_equal(a, b):
 class TestBaseline:
     def test_uses_all_training_rows(self, drifted_frame):
         cfg = strategy()
-        res = run_baseline(drifted_frame, TARGET, cfg)
+        res = run(drifted_frame, TARGET, cfg)
         assert res.report.segmentation is None
         assert res.report.training_rows_used == train_rows(drifted_frame, cfg)
         assert res.report.fallback_reason is None
 
     def test_deterministic(self, drifted_frame):
-        a = run_baseline(drifted_frame, TARGET, strategy(seed=4))
-        b = run_baseline(drifted_frame, TARGET, strategy(seed=4))
+        a = run(drifted_frame, TARGET, strategy(seed=4))
+        b = run(drifted_frame, TARGET, strategy(seed=4))
         assert a.report.to_dict() == b.report.to_dict()
         assert np.array_equal(a.predictions, b.predictions)
 
     def test_lasso_runs(self, drifted_frame):
-        res = run_baseline(drifted_frame, TARGET, strategy(model=LASSO))
+        res = run(drifted_frame, TARGET, strategy(model=LASSO))
         assert res.report.eval.provenance["model"] == LASSO
         assert res.model.cv_results
 
@@ -93,15 +91,15 @@ class TestBaseline:
         frame = generate(SynthConfig(start="2020-01-01T00:00", end="2020-01-08T23:00",
                                      events=(), seed=0))
         with pytest.raises(DriftcastError, match="only 0 training feature rows"):
-            run_baseline(frame, TARGET, strategy())
+            run(frame, TARGET, strategy())
 
 
 class TestRetrain:
     WARMUP = 168  # the default feature spec's longest lag / window
 
     def test_detects_injected_drift(self, drifted_frame):
-        cfg = strategy()
-        res = run_retrain(drifted_frame, TARGET, cfg)
+        cfg = strategy(strategy=DRIFT_RETRAIN)
+        res = run(drifted_frame, TARGET, cfg)
         seg = res.report.segmentation
         assert seg is not None and seg.m >= 1
         assert res.report.fallback_reason is None
@@ -113,24 +111,24 @@ class TestRetrain:
             train_rows(drifted_frame, cfg) - (tau + self.WARMUP))
 
     def test_final_changepoint_oracle_checked(self, drifted_frame):
-        cfg = strategy()
-        res = run_retrain(drifted_frame, TARGET, cfg)
+        cfg = strategy(strategy=DRIFT_RETRAIN)
+        res = run(drifted_frame, TARGET, cfg)
         fm = build_features(drifted_frame, TARGET, cfg.feature_spec)
         boundary = cfg.split.boundary(drifted_frame.n)
         train = fm.slice(0, boundary - fm.origin_index)
         assert res.report.segmentation.changepoints == op_detect(train.y).changepoints
 
     def test_training_rows_accounting(self, drifted_frame):
-        cfg = strategy()
-        res = run_retrain(drifted_frame, TARGET, cfg)
+        cfg = strategy(strategy=DRIFT_RETRAIN)
+        res = run(drifted_frame, TARGET, cfg)
         cut = res.report.segmentation.changepoints[-1] + cfg.feature_spec.warmup
         assert res.report.training_rows_used == train_rows(drifted_frame, cfg) - cut
         assert res.report.config["detection"] == {
             "columns": None, "beta": None, "min_size": 2}
 
     def test_named_columns_cut_where_they_fall(self, drifted_frame):
-        cfg = strategy(detection=DetectionConfig(columns=("lag_168",)))
-        res = run_retrain(drifted_frame, TARGET, cfg)
+        cfg = strategy(strategy=DRIFT_RETRAIN, detection=DetectionConfig(columns=("lag_168",)))
+        res = run(drifted_frame, TARGET, cfg)
         tau = res.report.segmentation.changepoints[-1]
         assert abs(tau - 2904) <= 24
         assert res.report.training_rows_used == train_rows(drifted_frame, cfg) - tau
@@ -138,8 +136,8 @@ class TestRetrain:
 
     def test_fallback_on_stationary_data(self, stationary_frame):
         cfg = strategy(seed=3)
-        base = run_baseline(stationary_frame, TARGET, cfg)
-        retr = run_retrain(stationary_frame, TARGET, cfg)
+        base = run(stationary_frame, TARGET, cfg)
+        retr = run(stationary_frame, TARGET, replace(cfg, strategy=DRIFT_RETRAIN))
         assert retr.report.fallback_reason == "no_changepoints"
         assert retr.report.segmentation.m == 0
         assert metrics_equal(base.report, retr.report)
@@ -155,9 +153,9 @@ class TestRetrain:
             events=(DriftEvent(SUDDEN, boundary_ts - hours * 3600, jump=3.0),), seed=1))
 
     def test_fallback_when_post_drift_too_short(self):
-        frame, cfg = self.step_before_split(4), strategy(seed=1)
+        frame, cfg = self.step_before_split(4), strategy(seed=1, strategy=DRIFT_RETRAIN)
         with pytest.warns(PostDriftTooShort, match="below the minimum of 10"):
-            res = run_retrain(frame, TARGET, cfg)
+            res = run(frame, TARGET, cfg)
         assert res.report.fallback_reason == "post_drift_too_short"
         assert res.report.training_rows_used == train_rows(frame, cfg)
 
@@ -172,8 +170,8 @@ class TestRetrain:
 
         with mock.patch.object(pipeline, "detect_training_drift", six_clean_rows), \
                 pytest.warns(PostDriftTooShort, match="has 6 clean rows, below the minimum of 7"):
-            retr = run_retrain(drifted_frame, TARGET, cfg)
-        base = run_baseline(drifted_frame, TARGET, cfg)
+            retr = run(drifted_frame, TARGET, replace(cfg, strategy=DRIFT_RETRAIN))
+        base = run(drifted_frame, TARGET, cfg)
         assert retr.report.fallback_reason == "post_drift_too_short"
         assert retr.report.training_rows_used == base.report.training_rows_used
         assert metrics_equal(base.report, retr.report)
@@ -181,9 +179,9 @@ class TestRetrain:
     def test_cut_clamps_to_training_block(self):
         # the target changepoint is found, but no training row has a feature
         # window clear of it
-        frame, cfg = self.step_before_split(100), strategy(seed=1)
+        frame, cfg = self.step_before_split(100), strategy(seed=1, strategy=DRIFT_RETRAIN)
         with pytest.warns(PostDriftTooShort, match="has 0 clean rows"):
-            res = run_retrain(frame, TARGET, cfg)
+            res = run(frame, TARGET, cfg)
         tau = res.report.segmentation.changepoints[-1]
         rows = train_rows(frame, cfg)
         assert rows - self.WARMUP < tau < rows - 10
@@ -195,6 +193,9 @@ class TestRetrain:
         b = run(drifted_frame, TARGET, strategy(strategy=DRIFT_RETRAIN))
         assert a.report.segmentation is None
         assert b.report.segmentation is not None
+        # the report records the strategy the config names
+        assert [r.report.config["strategy"] for r in (a, b)] == [BASELINE, DRIFT_RETRAIN]
+        assert [r.report.eval.provenance["strategy"] for r in (a, b)] == [BASELINE, DRIFT_RETRAIN]
 
 
 class TestSeed:
@@ -202,7 +203,7 @@ class TestSeed:
         assert StrategyConfig(seed=4, mlp=MlpConfig(seed=0)).to_dict()["mlp"]["seed"] == 4
         small = replace(SMALL_MLP, max_epochs=3)
         cfg = strategy(seed=4, mlp=small)
-        res = run_baseline(drifted_frame, TARGET, cfg)
+        res = run(drifted_frame, TARGET, cfg)
         assert res.report.config["mlp"]["seed"] == res.report.seed == 4
         train = pipeline._prepare(drifted_frame, TARGET, cfg).train
         model, _ = mlp_train(replace(small, seed=4), train)
@@ -211,14 +212,14 @@ class TestSeed:
 
 class TestLeakage:
     def test_test_block_rows_never_influence_training(self, drifted_frame):
-        cfg = strategy(seed=2)
+        cfg = strategy(seed=2, strategy=DRIFT_RETRAIN)
         boundary = cfg.split.boundary(drifted_frame.n)
         poisoned_vals = drifted_frame.column(TARGET).copy()
         poisoned_vals[boundary:] += 1000.0
         poisoned = TimeSeriesFrame(drifted_frame.timestamps, {TARGET: poisoned_vals})
 
-        a = run_retrain(drifted_frame, TARGET, cfg)
-        b = run_retrain(poisoned, TARGET, cfg)
+        a = run(drifted_frame, TARGET, cfg)
+        b = run(poisoned, TARGET, cfg)
         # detection and the trained model see only training rows
         assert a.report.segmentation.changepoints == b.report.segmentation.changepoints
         for wa, wb in zip(a.model.weights, b.model.weights):
@@ -229,8 +230,8 @@ class TestLeakage:
 
     def test_identical_test_blocks_across_strategies(self, drifted_frame):
         cfg = strategy(seed=5)
-        a = run_baseline(drifted_frame, TARGET, cfg)
-        b = run_retrain(drifted_frame, TARGET, cfg)
+        a = run(drifted_frame, TARGET, cfg)
+        b = run(drifted_frame, TARGET, replace(cfg, strategy=DRIFT_RETRAIN))
         assert a.report.test_sha256 == b.report.test_sha256
         assert np.array_equal(a.test_y, b.test_y)
 
@@ -249,9 +250,9 @@ class TestLeakage:
 class TestCompare:
     def test_deltas_against_baseline(self, drifted_frame):
         cfg_b = strategy(seed=6)
-        cfg_r = strategy(seed=6)
-        a = run_baseline(drifted_frame, TARGET, cfg_b)
-        b = run_retrain(drifted_frame, TARGET, cfg_r)
+        cfg_r = strategy(seed=6, strategy=DRIFT_RETRAIN)
+        a = run(drifted_frame, TARGET, cfg_b)
+        b = run(drifted_frame, TARGET, cfg_r)
         table = compare([a.report, b.report])
         assert len(table.rows) == 2
         base_row = next(r for r in table.rows if r["strategy"] == BASELINE)
@@ -263,8 +264,9 @@ class TestCompare:
 
     def test_identical_reports_zero_deltas(self, stationary_frame):
         cfg = strategy(seed=3)
-        a = run_baseline(stationary_frame, TARGET, cfg)
-        b = run_retrain(stationary_frame, TARGET, cfg)  # falls back -> same metrics
+        a = run(stationary_frame, TARGET, cfg)
+        # the retrain falls back -> same metrics
+        b = run(stationary_frame, TARGET, replace(cfg, strategy=DRIFT_RETRAIN))
         table = compare([a.report, b.report])
         retr_row = next(r for r in table.rows if r["strategy"] == DRIFT_RETRAIN)
         assert retr_row["mae_reduction_rel"] == 0.0
@@ -281,14 +283,14 @@ class TestCompare:
         assert retr_row["mae_reduction_rel"] < 0
 
     def test_mismatched_test_blocks_rejected(self, drifted_frame, stationary_frame):
-        a = run_baseline(drifted_frame, TARGET, strategy())
-        b = run_baseline(stationary_frame, TARGET, strategy())
+        a = run(drifted_frame, TARGET, strategy())
+        b = run(stationary_frame, TARGET, strategy())
         with pytest.raises(DriftcastError, match="reports cover 2 different test blocks"):
             compare([a.report, b.report])
 
     def test_csv_emission(self, tmp_path, drifted_frame):
         cfg = strategy(seed=7)
-        a = run_baseline(drifted_frame, TARGET, cfg)
+        a = run(drifted_frame, TARGET, cfg)
         table = compare([a.report])
         out = tmp_path / "cmp.csv"
         table.to_csv(out)
@@ -299,7 +301,7 @@ class TestCompare:
 
 class TestRunReportSerialization:
     def test_round_trip(self, drifted_frame):
-        res = run_retrain(drifted_frame, TARGET, strategy(seed=8))
+        res = run(drifted_frame, TARGET, strategy(seed=8, strategy=DRIFT_RETRAIN))
         d = res.report.to_dict()
         back = RunReport.from_dict(d)
         assert back.to_dict() == d
