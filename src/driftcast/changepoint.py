@@ -4,7 +4,9 @@ Two detectors share one objective: the sum of per-segment costs plus a
 penalty ``beta`` per changepoint.
 
 * :func:`pelt_detect` — pruned dynamic program, expected linear time on
-  series whose changepoints grow with length.
+  series whose changepoints grow with length. On one column under
+  ``l2_mean`` it also prunes by intervals of segment means, which keeps
+  the candidate lists short on series with no changepoint at all.
 * :func:`op_detect` — the unpruned O(n^2) optimal-partitioning dynamic
   program. Slower, trivially correct, and used as the oracle against which
   the pruned detector is verified.
@@ -34,10 +36,12 @@ from .frame import Scaler
 # from the segment mean (Gaussian fixed-variance likelihood, the default).
 # ``gaussian_nll``: Gaussian negative log-likelihood with free mean and
 # variance, up to an additive constant, i.e.
-# ``(len/2) * ln(max(var, VARIANCE_FLOOR))``. Both are subadditive —
+# ``(len/2) * ln(max(var, VARIANCE_FLOOR))``. ``l2_mean`` is subadditive —
 # splitting a segment never increases total fit cost — which is what makes
-# pruning with K = 0 exact. ``MIN_LEN`` maps each cost to its shortest
-# segment.
+# pruning with K = 0 exact. ``gaussian_nll`` is too, except where a
+# segment's variance falls below the floor: a constant run next to a run
+# of variance 2 * VARIANCE_FLOOR costs less joined than split.
+# ``MIN_LEN`` maps each cost to its shortest segment.
 L2_MEAN = "l2_mean"
 GAUSSIAN_NLL = "gaussian_nll"
 MIN_LEN = {L2_MEAN: 1, GAUSSIAN_NLL: 2}
@@ -94,7 +98,11 @@ class PeltState:
     ``F[t]`` is the optimal objective over the prefix of length t with
     ``F[0] = -beta`` (so the first segment pays exactly one penalty);
     ``pruned`` records ``(tau, step)`` pairs meaning candidate ``tau`` was
-    dropped from the admissible set when processing prefix ``step``.
+    dropped from the admissible set when processing prefix ``step``, by
+    either rule of :func:`pelt_detect`: PELT's test ``min_size`` steps
+    after it fired, or an interval update at the step that emptied the
+    interval. No dropped ``tau`` is the optimal predecessor of any prefix
+    from ``step`` on.
     """
 
     F: np.ndarray
@@ -264,47 +272,181 @@ def op_detect(values, cost: str = L2_MEAN, beta: float | None = None,
     return seg
 
 
+def _rounding_bound(costs: SegmentCosts, beta: float) -> float:
+    """Run-constant bound ``delta`` on the rounding error of one candidate's
+    value ``F[tau] + C(tau, t) + beta`` as the kernel computes it.
+
+    Kernel error grows with the prefix sums the kernel subtracts, not
+    with the value it returns, so the bound comes from the run's largest
+    magnitudes: under ``l2_mean`` every segment cost, every F value and
+    the sum of squares of any stretch of rows lie below the total sum of
+    squares ``sum(prefix[k:, n])``; under ``gaussian_nll`` a row adds at
+    most ``max(ln(1 / VARIANCE_FLOOR), ln(1 + sum of squares)) / 2`` per
+    column in absolute value. A few dozen roundings of such magnitudes
+    enter any one comparison; 64 covers them with room to spare. The
+    ``gaussian_nll`` bound does not cover the cancellation in the
+    variance ``S2/L - (S1/L)^2`` of a series far from zero, which the
+    logarithm turns into errors of any size.
+    """
+    squares = costs.prefix[costs.k:, -1]
+    if costs.cost == L2_MEAN:
+        scale = float(squares.sum())
+    else:
+        scale = costs.n / 2 * sum(max(-math.log(VARIANCE_FLOOR), math.log1p(s))
+                                  for s in squares)
+    return 64 * np.finfo(float).eps * (scale + beta)
+
+
+# Interval pruning: newest candidates per interval update, pairs per block
+# of an update (256 KB of floats per temporary) and the most steps between
+# updates.
+_INTERVAL_BATCH = 32
+_INTERVAL_BLOCK_CELLS = 1 << 15
+_INTERVAL_MAX_GAP = 32 * _INTERVAL_BATCH
+
+
+def _narrow_intervals(live: np.ndarray, newest: tuple[np.ndarray, ...],
+                      delta: float) -> np.ndarray:
+    """Intersect each live candidate's interval with the newest candidates'.
+
+    ``live`` holds the rows (tau, F[tau], S1[tau], S2[tau], lo, hi) of
+    the live candidates in ascending tau, ``newest`` the rows (tau',
+    F[tau'], S1[tau'], S2[tau']) of the newest admitted ones, pruned or
+    not. For tau < tau', ``Q_tau(mu) - Q_tau'(mu) = F[tau] - F[tau'] +
+    sum over [tau, tau') of (y - mu)^2`` whatever the step, and it is at
+    most ``delta`` for mu between ``(S1 -+ sqrt(disc)) / L``, with
+    ``L = tau' - tau``, S1 and S2 the sums over [tau, tau') and
+    ``disc = S1^2 - L (S2 + F[tau] - F[tau'] - delta)``. ``lo`` and
+    ``hi`` shrink to that interval in place; pairs with tau >= tau'
+    constrain nothing. Returns the mask of candidates whose interval is
+    now empty.
+
+    Live candidates go in blocks of ``_INTERVAL_BLOCK_CELLS`` pairs, so
+    the temporaries stay small however many candidates survive.
+    """
+    tau, f, s1, s2, lo, hi = live
+    new_tau, new_f, new_s1, new_s2 = newest
+    # S2 + F[tau] - F[tau'] - delta, from one term per candidate on each side
+    row_c = f - s2
+    col_c = new_s2 - new_f - delta
+    overlap = int(np.searchsorted(tau, new_tau[0]))  # from here on, live are newest too
+    step = max(1, _INTERVAL_BLOCK_CELLS // new_tau.size)
+    for a in range(0, tau.size, step):
+        # one row per newest candidate, one column per live candidate
+        cols = slice(a, a + step)
+        length = np.subtract.outer(new_tau, tau[cols])
+        d1 = np.subtract.outer(new_s1, s1[cols])
+        c = np.add.outer(col_c, row_c[cols])
+        if a + step > overlap:
+            # no constraint: disc = +inf and the pair's interval is the line
+            unordered = length <= 0
+            length[unordered] = 1.0
+            d1[unordered] = 0.0
+            c[unordered] = -np.inf
+        c *= length
+        disc = np.multiply(d1, d1)
+        disc -= c
+        # disc < 0 (an empty pair interval) gives a NaN root, which the
+        # maximum and minimum below carry into the candidate's bounds
+        with np.errstate(invalid="ignore"):
+            np.sqrt(disc, out=disc)
+        np.subtract(d1, disc, out=c)
+        c /= length
+        np.maximum(lo[cols], c.max(axis=0), out=lo[cols])
+        d1 += disc
+        d1 /= length
+        np.minimum(hi[cols], d1.min(axis=0), out=hi[cols])
+    return ~(lo <= hi)
+
+
 def pelt_detect(values, cost: str = L2_MEAN, beta: float | None = None,
                 min_size: int = 2, with_state: bool = False):
-    """Exact minimizer with candidate pruning (PELT, K = 0).
+    """Exact minimizer with candidate pruning: PELT (K = 0) and, for one
+    column under ``l2_mean``, interval pruning.
 
-    Returns the same segmentation as :func:`op_detect` on every input.
-    A candidate ``tau`` is discarded once ``F[tau] + C(tau, t) > F[t]``:
-    for subadditive costs routing through t is then at least as cheap for
-    every later prefix. Two implementation details keep this exact:
+    Returns the same segmentation as :func:`op_detect` on every
+    ``l2_mean`` input, and on every ``gaussian_nll`` input whose segment
+    variances stay above ``VARIANCE_FLOOR`` (see the cost notes above).
+    Two rules drop a candidate ``tau`` from the admissible set:
 
-    * removal takes effect ``min_size`` steps after the test fires, since
-      t itself only becomes an admissible predecessor at ``t + min_size``;
-    * the test carries a tiny relative guard so float rounding in the
-      subadditivity inequality can never evict a near-tied candidate.
+    * **PELT**, every cost and column count: once ``F[tau] + C(tau, t) >
+      F[t] + delta``, routing through t is cheaper for every later prefix,
+      because splitting a segment never raises its cost. The drop takes
+      effect ``min_size`` steps later, when t itself becomes admissible.
+    * **Intervals**, one column under ``l2_mean`` only (functional pruning
+      after FPOP, restricted to later candidates): each live candidate
+      keeps the interval of segment means mu at which it is within
+      ``delta`` of every later candidate it was compared with (see
+      :func:`_narrow_intervals`). That difference does not depend on t,
+      so once the interval is empty some later candidate beats ``tau`` at
+      every mu, and so at every later step; the drop takes effect at once.
+      Every ``_INTERVAL_BATCH`` admissions the intervals are intersected
+      with the newest ``_INTERVAL_BATCH`` candidates'. After an update that
+      drops fewer than one live candidate in ``_INTERVAL_BATCH``, the gap
+      doubles, up to ``_INTERVAL_MAX_GAP`` steps, so a series where the
+      intervals rarely empty (a constant one, or one far from zero) pays
+      little for them.
+
+    ``delta`` is :func:`_rounding_bound`, one constant per run that bounds
+    the rounding in a candidate's computed value. Each rule drops ``tau``
+    only when its value exceeds another candidate's by more than
+    ``delta`` in exact arithmetic on the computed prefix sums and F
+    values, so ``tau``'s computed value stays strictly above the computed
+    minimum at every later step: no minimizer, and no exact tie that the
+    tie rule would weigh, is ever dropped. The survivors are evaluated by
+    the same kernel and tie rule as :func:`op_detect`, so F and the
+    backpointers come out bit for bit the same.
 
     Each live candidate is one column of ``cand``: its position (as a
-    float), ``F[tau]`` and ``prefix[:, tau]``, copied once on admission
-    and compacted together with ``remove_at`` when pruning fires. A step
-    then only subtracts them from the prefix sums at t: it gathers
-    nothing, and builds the pruning mask only when some candidate fails
-    the test.
+    float), ``F[tau]``, ``prefix[:, tau]`` and, under interval pruning,
+    its interval ``lo``, ``hi``; copied once on admission and compacted
+    together with ``remove_at`` when a drop takes effect. A step then only
+    subtracts them from the prefix sums at t: it gathers nothing, and
+    builds the pruning mask only when some candidate fails a test.
     """
     n, beta, costs = _setup(values, cost, beta, min_size)
+    delta = _rounding_bound(costs, beta)
+    intervals = cost == L2_MEAN and costs.k == 1
 
     F = np.full(n + 1, np.inf)
     F[0] = -beta
     bp = np.full(n + 1, -1, dtype=np.int64)
 
     never = np.iinfo(np.int64).max
-    cand = np.empty((2 + 2 * costs.k, n + 1))  # rows: tau, F[tau], prefix[:, tau]
+    heads = slice(2, 2 + 2 * costs.k)
+    # rows: tau, F[tau], prefix[:, tau], then lo, hi under interval pruning
+    cand = np.empty((2 + 2 * costs.k + 2 * intervals, n + 1))
     remove_at = np.empty(n + 1, dtype=np.int64)
     size = 0
     next_removal = never
     pruned: list[tuple[int, int]] = []
+    if intervals:
+        gap = next_update = _INTERVAL_BATCH
 
     for t in range(min_size, n + 1):
         new = t - min_size                    # newly admissible predecessor
         cand[0, size] = new
         cand[1, size] = F[new]
-        cand[2:, size] = costs.prefix[:, new]
+        cand[heads, size] = costs.prefix[:, new]
         remove_at[size] = never
+        if intervals:
+            cand[4:, size] = (-np.inf, np.inf)
         size += 1
+
+        if intervals and t == next_update:
+            first = max(0, new + 1 - _INTERVAL_BATCH)
+            newest = (np.arange(first, new + 1, dtype=np.float64), F[first:new + 1],
+                      *costs.prefix[:, first:new + 1])
+            empty = _narrow_intervals(cand[:, :size], newest, delta)
+            dropped = int(np.count_nonzero(empty))
+            if dropped:
+                remove_at[:size][empty] = t
+                next_removal = t
+            # an update compares each live candidate with _INTERVAL_BATCH
+            # others, so it pays when it drops one in _INTERVAL_BATCH
+            pays = _INTERVAL_BATCH * dropped >= size
+            gap = _INTERVAL_BATCH if pays else min(2 * gap, _INTERVAL_MAX_GAP)
+            next_update = t + gap
 
         if next_removal <= t:
             live = remove_at[:size] > t
@@ -317,16 +459,16 @@ def pelt_detect(values, cost: str = L2_MEAN, beta: float | None = None,
             next_removal = int(remove_at[:size].min()) if size else never
 
         active = cand[0, :size]
-        vals = costs.accumulate(active, t, cand[2:, :size])
+        vals = costs.accumulate(active, t, cand[heads, :size])
         vals += cand[1, :size]
         vals += beta
         tau, v = _select(active, vals, bp)
         F[t] = v
         bp[t] = tau
 
-        # K = 0 pruning test with a relative float guard; effective after
-        # min_size further steps (t is not admissible before then).
-        threshold = v + beta + 1e-12 * (1.0 + abs(v))
+        # PELT's K = 0 test, effective after min_size further steps (t is
+        # not admissible before then)
+        threshold = v + beta + delta
         if vals.max() > threshold:
             slot = remove_at[:size]
             np.minimum(slot, t + min_size, out=slot, where=vals > threshold)

@@ -28,6 +28,9 @@ log = logging.getLogger(__name__)
 # Floor substituted for the standard deviation of zero-variance columns so
 # scaling never divides by zero.
 STD_FLOOR = 1e-8
+# Most rows an hourly axis may hold: over 1,100 years, and 80 MB per
+# column. Longer axes are refused before anything of their size exists.
+MAX_HOURLY_ROWS = 10_000_000
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -157,6 +160,18 @@ def _check_epoch(seconds, name: str, value) -> None:
     """Raise unless ``seconds`` lies in the years 1 to 9999 that ``datetime`` holds."""
     if not _FIRST_SECOND <= seconds <= _LAST_SECOND:
         raise DriftcastError(f"{name} {value!r} is outside 0001-01-01 to 9999-12-31 UTC")
+
+
+def hourly_axis(first: int, last: int) -> np.ndarray:
+    """Epoch seconds every hour from ``first`` through ``last``; an axis
+    longer than :data:`MAX_HOURLY_ROWS` raises :class:`DriftcastError`."""
+    rows = (last - first) // HOUR + 1
+    if rows > MAX_HOURLY_ROWS:
+        span = " to ".join(np.datetime_as_string(np.datetime64(int(s), "s"))
+                           for s in (first, last))
+        raise DriftcastError(f"an hourly axis from {span} has {rows:,} rows, "
+                             f"more than the {MAX_HOURLY_ROWS:,} supported")
+    return np.arange(first, last + 1, HOUR, dtype=np.int64)
 
 
 def _parse_timestamp(cell: str) -> int:
@@ -304,7 +319,7 @@ def resample_hourly(frame: TimeSeriesFrame) -> TimeSeriesFrame:
     ts = frame.timestamps
     if frame.is_hourly():
         return frame
-    grid = np.arange(ts[0], ts[-1] + 1, HOUR, dtype=np.int64)
+    grid = hourly_axis(int(ts[0]), int(ts[-1]))
     pos = np.searchsorted(ts, grid)
     pos = np.minimum(pos, ts.size - 1)
     hit = ts[pos] == grid

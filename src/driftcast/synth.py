@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import DriftcastError
-from .frame import HOUR, TimeSeriesFrame, _check_epoch, _parse_timestamp
+from .frame import HOUR, TimeSeriesFrame, _check_epoch, _parse_timestamp, hourly_axis
 
 TARGET_COLUMN = "interest_rate"
 
@@ -160,7 +160,7 @@ def generate(config: SynthConfig | None = None) -> TimeSeriesFrame:
     the cyclic feature encodings line up with the true periodic signal.
     """
     config = config or SynthConfig()
-    ts = np.arange(config.start, config.end + 1, HOUR, dtype=np.int64)
+    ts = hourly_axis(config.start, config.end)
     hod = (ts % 86400) / 3600.0
     how = ((ts // 3600) + 72) % 168  # hours since Monday 00:00
 

@@ -20,6 +20,7 @@ from driftcast.changepoint import (
     pelt_detect,
 )
 from driftcast.errors import DriftcastError, NumericError
+from driftcast.frame import HOUR
 from driftcast.serialize import dumps
 
 L2 = L2_MEAN
@@ -150,17 +151,42 @@ class TestPelt:
                 assert min(b - a for a, b in zip(bounds, bounds[1:])) >= min_size
 
     def test_pruning_safety_instrumented(self):
-        # Candidates dropped by the pruning rule must never reappear as the
-        # oracle's optimal predecessor for any later prefix.
+        # Candidates dropped by either pruning rule must never reappear as
+        # the oracle's optimal predecessor for any later prefix.
         rng = np.random.default_rng(9)
-        for _ in range(25):
-            y = random_step_series(rng, n_max=150)
-            beta = float(rng.uniform(0.5, 10.0))
+        series = [(random_step_series(rng, n_max=150), float(rng.uniform(0.5, 10.0)))
+                  for _ in range(25)]
+        # no changepoint pays on a quiet series at beta 1, so PELT's rule
+        # never fires there (F[tau] + C(tau, t) <= F[t]): every drop is an
+        # interval drop
+        quiet = rng.normal(3.0, 0.15, 600)
+        series.append((quiet, 1.0))
+        for y, beta in series:
             _, state = pelt_detect(y, L2, beta, with_state=True)
             _, bp = op_detect(y, L2, beta, with_state=True)
             for tau, step in state.pruned:
                 later = bp[step:]
                 assert not np.any(later == tau), (tau, step)
+        assert not np.any(bp > 0)
+        assert len(state.pruned) > 500
+
+    def test_interval_pruning_cuts_the_work(self):
+        # an event-free synth series at beta 1, as `detect` runs it: PELT
+        # alone evaluated 31,988,004 candidates here, nearly all n^2 / 2
+        config = synth.SynthConfig(end=synth.SynthConfig().start + 7999 * HOUR, events=())
+        y = synth.generate(config).column(synth.TARGET_COLUMN)
+        accumulate = SegmentCosts.accumulate
+        evaluated = []
+
+        def counted(self, starts, stop, heads):
+            evaluated.append(starts.size)
+            return accumulate(self, starts, stop, heads)
+
+        with mock.patch.object(SegmentCosts, "accumulate", counted):
+            seg = pelt_detect(y, L2, 1.0)
+        assert seg.changepoints == ()
+        assert len(evaluated) == 7999
+        assert sum(evaluated) <= 31_988_004 // 10
 
     def test_penalty_monotonicity(self):
         rng = np.random.default_rng(10)
@@ -183,6 +209,19 @@ def tie_prone_series(draw):
     return X[:, 0] if k == 1 and draw(st.booleans()) else X
 
 
+@st.composite
+def noisy_step_series(draw):
+    """Up to 300 rows: 1-5 levels plus Gaussian noise, from a drawn seed.
+    Unlike :func:`random_step_series`, the noise can be small next to the
+    rounding of prefix sums taken far from zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(10, 300))
+    levels = rng.normal(0.0, draw(st.sampled_from([0.1, 1.0, 3.0])), draw(st.integers(1, 5)))
+    cuts = np.sort(rng.integers(0, n, levels.size - 1))
+    y = np.repeat(levels, np.diff(np.concatenate([[0], cuts, [n]])))
+    return y + rng.normal(0.0, draw(st.sampled_from([0.01, 0.15, 1.0])), n)
+
+
 class TestPeltExactness:
     @settings(max_examples=200, deadline=None)
     @given(X=tie_prone_series(), min_size=st.integers(2, 5),
@@ -195,6 +234,31 @@ class TestPeltExactness:
         assert seg.changepoints == oracle.changepoints
         assert seg.total_cost.hex() == oracle.total_cost.hex()
         assert state.backpointers.tobytes() == bp.tobytes()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(y=noisy_step_series(), offset=st.sampled_from([0.0, 1e3, 1e6]),
+           min_size=st.integers(2, 5), beta=st.sampled_from([0.05, 0.5, 1.0, 5.0, 30.0]))
+    def test_pelt_equals_op_on_offset_series(self, y, offset, min_size, beta):
+        # far from zero the kernel's rounding grows with the prefix sums,
+        # not with the segment costs; neither pruning rule may act on it
+        y = y + offset
+        seg, state = pelt_detect(y, L2, beta, min_size, with_state=True)
+        oracle, bp = op_detect(y, L2, beta, min_size, with_state=True)
+        assert seg.changepoints == oracle.changepoints
+        assert seg.total_cost.hex() == oracle.total_cost.hex()
+        assert state.backpointers.tobytes() == bp.tobytes()
+
+    @pytest.mark.parametrize("offset", [1e6, 1e8])
+    def test_pelt_equals_op_far_from_zero(self, offset):
+        rng = np.random.default_rng(0)
+        y = offset + rng.normal(0.0, 0.15, 1500)
+        y[750:] += 0.3
+        for beta in (0.05, 0.5, 5.0):
+            seg, state = pelt_detect(y, L2, beta, with_state=True)
+            oracle, bp = op_detect(y, L2, beta, with_state=True)
+            assert seg.changepoints == oracle.changepoints
+            assert seg.total_cost.hex() == oracle.total_cost.hex()
+            assert state.backpointers.tobytes() == bp.tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(min_size=st.integers(1, 3), data=st.data())

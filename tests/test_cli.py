@@ -125,15 +125,17 @@ class TestSynth:
         {"events": [{"kind": "gradual", "at": "2020-02-01T00:00", "duration_hours": "x"}]},
         {"sede": 3}, {"events": [{"kind": "sudden", "at": "2020-02-01T00:00", "jmp": 1}]},
         {"end": 1e15}, {"end": 1e30},
+        {"start": "0001-01-01T00:00", "end": "9999-12-31T23:00"},
     ], ids=["seed_text", "seed_fraction", "seed_negative", "noise_text", "noise_nan",
             "level_text", "level_huge", "amplitude_null", "start_list", "jump_text",
             "duration_text", "unknown_key", "unknown_event_key", "end_past_9999",
-            "end_huge"])
+            "end_huge", "years_1_to_9999"])
     def test_bad_config_value_exits_2(self, tmp_path, change):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(dict(STATIONARY_CONFIG, **change)), encoding="utf-8")
-        # an end far past year 9999 must be refused before the hourly axis
-        # (terabytes for 1e15) is allocated
+        # an end far past year 9999, or a span too long for any hourly axis,
+        # must be refused before the axis (terabytes for 1e15, 669 MiB for
+        # years 1 to 9999) is allocated
         assert_usage_error(["synth", "--config", str(cfg), "--out", "x.csv"], tmp_path,
                            max_bytes=2 << 30)
         assert not (tmp_path / "x.csv").exists()
@@ -641,6 +643,21 @@ BAD_SEGMENTATIONS = {
 def test_wrong_file_exits_2(workdir, wrong_files, tmp_path, argv):
     argv = [a.format(wrong=wrong_files, data=workdir / "data.csv") for a in argv]
     assert_usage_error(argv, tmp_path)
+
+
+def test_hourly_grid_too_long_exits_2(tmp_path):
+    # four rows whose hourly grid would hold 87,649,416 stamps (669 MiB)
+    data = tmp_path / "far.csv"
+    data.write_text("timestamp,v\n0001-01-01T00:00,1.0\n2020-01-01T00:00,2.0\n"
+                    "2020-01-01T01:00,3.0\n9999-12-31T23:00,4.0\n", encoding="utf-8")
+    for argv in (["detect", "--data", str(data), "--target", "v"],
+                 ["plot", "--kind", "series", "--data", str(data), "--column", "v",
+                  "--out", "s.svg"]):
+        proc = cli_process(argv, tmp_path, max_bytes=2 << 30)
+        assert proc.returncode == 2
+        assert proc.stderr == ("error: an hourly axis from 0001-01-01T00:00:00 to "
+                               "9999-12-31T23:00:00 has 87,649,416 rows, more than the "
+                               "10,000,000 supported\n")
 
 
 @pytest.mark.parametrize("kind,header", [

@@ -1,4 +1,4 @@
-"""Traced peak memory of the feature, scaling and lasso-CV layers.
+"""Traced peak memory of the feature, scaling, lasso-CV and detection layers.
 
 Each bound is the peak tracemalloc measured for the operation on the
 default synth series (numpy 2.4.6, x86-64) plus a 25% margin. Building
@@ -8,12 +8,14 @@ fold's standardized copy alive, breaks it.
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
+from driftcast.changepoint import pelt_detect
 from driftcast.features import FeatureSpec, build_features
-from driftcast.frame import Scaler, SplitSpec
+from driftcast.frame import HOUR, Scaler, SplitSpec
 from driftcast.lasso import lasso_cv
-from driftcast.synth import TARGET_COLUMN, generate
+from driftcast.synth import TARGET_COLUMN, SynthConfig, generate
 
 MB = 1e6
 
@@ -57,3 +59,18 @@ def test_lasso_cv(series):
     # measured 3.5 MB at degree 1 (the full block's standardized copy is 2.5 MB)
     train = training_block(series, 1)
     assert traced_peak(lambda: lasso_cv(train)) < 4.4 * MB
+
+
+def test_pelt_detect_quiet_series():
+    # measured 1.32 MB on 8,000 event-free rows, where interval pruning
+    # keeps a few hundred candidates alive
+    config = SynthConfig(end=SynthConfig().start + 7999 * HOUR, events=())
+    y = generate(config).column(TARGET_COLUMN)
+    assert traced_peak(lambda: pelt_detect(y, beta=1.0)) < 1.65 * MB
+
+
+def test_pelt_detect_constant_series():
+    # measured 2.47 MB on 8,000 constant rows, where nothing prunes: the
+    # candidate table (384 KB) and the interval update's blocks of 2^15
+    # pairs, not one temporary per pair of candidates
+    assert traced_peak(lambda: pelt_detect(np.full(8000, 3.0), beta=1.0)) < 3.09 * MB
