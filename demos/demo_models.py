@@ -29,8 +29,7 @@ model, report = mlp_train(config, train)
 print(f"\nmlp stopped at epoch {report.stopped_epoch} "
       f"(best {report.best_epoch}, val mse {report.val_loss[report.best_epoch - 1]:.4f})")
 preds = mlp_predict(model, test.X)
-print("mlp  ", evaluate(test.y, preds, scale="original",
-                        model="mlp", strategy="demo"))
+print("mlp   (original units)", evaluate(test.y, preds))
 
 # the backprop gradients agree with central finite differences
 rng = np.random.default_rng(0)
@@ -60,8 +59,7 @@ print(f"gradient check on one weight: analytic {gw[0][0, 0]:.6e}, "
 lasso = lasso_cv(train, LassoConfig())
 print(f"\nlasso chose alpha {lasso.chosen_alpha} "
       f"with {np.count_nonzero(lasso.coefficients)}/{lasso.coefficients.size} nonzero weights")
-print("lasso", evaluate(test.y, lasso.predict(test.X), scale="original",
-                        model="lasso", strategy="demo"))
+print("lasso (original units)", evaluate(test.y, lasso.predict(test.X)))
 top = sorted(zip(lasso.feature_names, lasso.coefficients),
              key=lambda kv: -abs(kv[1]))[:4]
 print("largest standardized coefficients:",

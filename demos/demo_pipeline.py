@@ -48,7 +48,7 @@ for family in ("mlp", "lasso"):
           f"{base.report.training_rows_used} rows")
     for res in (base, retr):
         ev = res.report.eval
-        print(f"  {ev.provenance['strategy']:<9} mae {ev.mae:.4f}  "
+        print(f"  {res.report.config['strategy']:<9} mae {ev.mae:.4f}  "
               f"rmse {ev.rmse:.4f}  r2 {ev.r2:+.4f}")
     svg = line_plot(
         [("actual", retr.test_timestamps.astype(float), retr.test_y),

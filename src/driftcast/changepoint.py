@@ -64,25 +64,15 @@ class Segmentation:
     def m(self) -> int:
         return len(self.changepoints)
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "changepoints": list(self.changepoints),
-            "total_cost": self.total_cost,
-            "beta": self.beta,
-            "cost_model": self.cost_model,
-        }
-
     @staticmethod
     def from_dict(d: dict, source: str = "segmentation") -> "Segmentation":
-        """Inverse of :meth:`to_dict`; anything else, including changepoints
-        that do not strictly increase inside ``(0, n)`` or an unknown cost,
-        raises :class:`DriftcastError` naming ``source``."""
+        """Inverse of :func:`serialize.record`; anything else, including
+        changepoints that do not strictly increase inside ``(0, n)`` or an
+        unknown cost, raises :class:`DriftcastError` naming ``source``."""
         try:
             seg = Segmentation(
                 tuple(int(t) for t in d["changepoints"]), int(d["n"]),
-                float(d["total_cost"]), float(d.get("beta", 0.0)),
-                d.get("cost_model", L2_MEAN))
+                float(d["total_cost"]), float(d["beta"]), d["cost_model"])
             bounds = (0, *seg.changepoints, seg.n)
             if seg.cost_model in MIN_LEN and all(a < b for a, b in zip(bounds, bounds[1:])):
                 return seg
@@ -519,4 +509,4 @@ def multivariate_detect(values, cost: str = L2_MEAN, beta: float | None = None,
     X = _as_matrix(values)
     if X.shape[1] == 0:
         raise DriftcastError("detection needs at least one column")
-    return pelt_detect(Scaler.fit(X).transform(X), cost, beta, min_size)
+    return pelt_detect(Scaler.fit(X).transform(X), cost, beta, min_size=min_size)

@@ -101,7 +101,7 @@ def cmd_detect(args) -> int:
         seg = cp.multivariate_detect(X, args.cost, args.beta)
     else:
         seg = cp.pelt_detect(frame.column(names[0]), args.cost, args.beta)
-    serialize.dump(seg.to_dict(), args.out)
+    serialize.dump(serialize.record(seg), args.out)
 
     print(f"changepoints: {list(seg.changepoints)}")
     if args.plot:
@@ -141,7 +141,7 @@ def cmd_run(args) -> int:
     result = pipeline.run(frame, target, config)
     report = result.report
     report.dataset_sha256 = serialize.sha256_file(args.data)
-    serialize.dump(report.to_dict(), args.out)
+    serialize.dump(serialize.record(report), args.out)
 
     stem = str(args.out)
     stem = stem[:-5] if stem.endswith(".json") else stem
@@ -154,7 +154,8 @@ def cmd_run(args) -> int:
 
     ev = report.eval
     print(f"{args.model} {args.strategy}: mae {ev.mae:.6f} rmse {ev.rmse:.6f} "
-          f"r2 {ev.r2:.6f} ({ev.scale} scale, {report.training_rows_used} training rows)")
+          f"r2 {ev.r2:.6f} ({config.metric_scale} scale, "
+          f"{report.training_rows_used} training rows)")
     if report.fallback_reason:
         print(f"note: fell back to baseline training ({report.fallback_reason})")
     return 0
@@ -175,7 +176,8 @@ def cmd_compare(args) -> int:
     for row in table.rows:
         extra = ""
         if row["mae_reduction_rel"] is not None:
-            extra = (f"  mae -{row['mae_reduction_rel'] * 100:.1f}%"
+            # the signed change of MAE; 0.0 - x prints no change as +0.0%
+            extra = (f"  mae {0.0 - row['mae_reduction_rel']:+.1%}"
                      f"  r2 {row['r2_gain']:+.4f}")
         print(f"{row['model']:>6} {row['strategy']:<9} mae {row['mae']:.6f} "
               f"rmse {row['rmse']:.6f} r2 {row['r2']:.6f}{extra}")

@@ -173,8 +173,7 @@ def _gram_sweep(indices, beta: list, corr: np.ndarray, gram_rows,
 class _Standardized:
     """The standardized design, centered target and Gram terms of one fit.
 
-    ``lasso_cv`` shares one across the alphas of a fold: the fold's first
-    :func:`lasso_fit` call builds it.
+    ``lasso_cv`` builds one per fold and shares it across the fold's alphas.
     """
 
     scaler: Scaler
@@ -205,7 +204,7 @@ def _standardize(X: np.ndarray, y: np.ndarray) -> _Standardized:
 
 def lasso_fit(X: np.ndarray, y: np.ndarray, alpha: float,
               config: LassoConfig | None = None, *,
-              _shared: dict | None = None) -> LassoModel:
+              _prep: _Standardized | None = None) -> LassoModel:
     """Fit one lasso at a fixed alpha.
 
     Standardizes columns and centers the target internally (the returned
@@ -217,9 +216,8 @@ def lasso_fit(X: np.ndarray, y: np.ndarray, alpha: float,
     ``X`` or ``y``, or a target whose starting objective overflows, raises
     :class:`NumericError` before any sweep.
 
-    ``_shared`` is :func:`lasso_cv`'s per-fold cache: the first call with
-    an empty dict stores its standardized inputs there, and later calls
-    on the same ``X`` and ``y`` reuse them instead of redoing the work.
+    ``_prep`` is ``_standardize(X, y)`` when the caller has it already:
+    :func:`lasso_cv` builds it once per fold and passes it to every alpha.
     """
     config = config or LassoConfig()
     X = np.asarray(X, float)
@@ -231,10 +229,7 @@ def lasso_fit(X: np.ndarray, y: np.ndarray, alpha: float,
         raise DriftcastError("need at least 2 rows to fit")
     if not 0.0 <= alpha < math.inf:
         raise DriftcastError(f"alpha must be finite and >= 0, got {alpha}")
-    shared = {} if _shared is None else _shared
-    if "prep" not in shared:
-        shared["prep"] = _standardize(X, y)
-    prep = shared["prep"]
+    prep = _standardize(X, y) if _prep is None else _prep
 
     alpha = float(alpha)
     beta = [0.0] * d
@@ -304,21 +299,23 @@ def _fold_mses(features: FeatureMatrix, alphas: list[float],
                config: LassoConfig) -> list[list[float]]:
     """Validation MSE per fold (outer) and alpha (inner).
 
-    A fold's training rows are a row-prefix view of ``X``. Its first
-    :func:`lasso_fit` standardizes them and builds the Gram terms; the
-    other alphas reuse those, and only one fold's copy is alive at a time.
+    A fold's training rows are a row-prefix view of ``X``. They are
+    standardized and their Gram terms built once, every alpha's
+    :func:`lasso_fit` reuses those, and only one fold's copy is alive at a
+    time.
     """
     X, y = features.X, features.y
     table = []
     for train, val in timeseries_folds(features.rows, config.cv_folds):
         edge, stop = train.size, train.size + val.size  # train is rows [0, edge)
-        shared: dict = {}
+        prep = _standardize(X[:edge], y[:edge])
         mses = []
         for alpha in alphas:
-            fit = lasso_fit(X[:edge], y[:edge], alpha, config, _shared=shared)
+            fit = lasso_fit(X[:edge], y[:edge], alpha, config, _prep=prep)
             pred = fit.predict(X[edge:stop])
             mses.append(float(np.mean((pred - y[edge:stop]) ** 2)))
         table.append(mses)
+        del prep  # before the next fold builds its own
     return table
 
 

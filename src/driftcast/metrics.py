@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,24 +49,20 @@ def r2(y, y_hat) -> float:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """The three scores plus where they came from."""
+    """The three scores over ``n`` test rows; the run's config says what
+    was scored, and on which scale."""
 
     mae: float
     rmse: float
     r2: float
     n: int
-    scale: str = "standardized"
-    provenance: dict = field(default_factory=dict)
 
     @staticmethod
     def from_dict(d: dict) -> "EvalReport":
-        return EvalReport(float(d["mae"]), float(d["rmse"]), float(d["r2"]),
-                          int(d["n"]), d.get("scale", "standardized"),
-                          dict(d.get("provenance", {})))
+        return EvalReport(float(d["mae"]), float(d["rmse"]), float(d["r2"]), int(d["n"]))
 
 
-def evaluate(y, y_hat, scale="standardized", **provenance) -> EvalReport:
+def evaluate(y, y_hat) -> EvalReport:
     """Bundle all three metrics over one prediction vector."""
     y = np.asarray(y, float)
-    return EvalReport(mae(y, y_hat), rmse(y, y_hat), r2(y, y_hat), n=int(y.size),
-                      scale=scale, provenance=provenance)
+    return EvalReport(mae(y, y_hat), rmse(y, y_hat), r2(y, y_hat), n=int(y.size))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import logging
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -55,7 +55,6 @@ class DetectionConfig:
 
     columns: tuple[str, ...] | None = None
     beta: float | None = None
-    min_size: int = 2
 
     def __post_init__(self):
         if isinstance(self.columns, str):
@@ -112,42 +111,42 @@ class StrategyConfig:
 
 @dataclass
 class RunReport:
-    """Serializable outcome of one strategy run."""
+    """Serializable outcome of one strategy run; ``serialize.record`` writes it.
+
+    ``config`` is the one place that names the run: its strategy, model,
+    seed, metric scale and dataset. ``dataset_sha256`` is the sha256 of the
+    data file, which only the CLI reads, so it stays ``""`` from :func:`run`.
+    """
 
     eval: EvalReport
     segmentation: cp.Segmentation | None
     training_rows_used: int
     config: dict
-    seed: int
-    dataset_sha256: str
     test_sha256: str
-    test_target_sha256: str = ""
+    test_target_sha256: str
+    dataset_sha256: str = ""
     fallback_reason: str | None = None
-
-    def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["eval"] = record(self.eval)
-        d["segmentation"] = self.segmentation.to_dict() if self.segmentation else None
-        return d
 
     @staticmethod
     def from_dict(d: dict, source: str = "report") -> "RunReport":
+        """Inverse of ``serialize.record``; keys it does not write are ignored."""
         try:
-            seg = d.get("segmentation")
+            seg = d["segmentation"]
             report = RunReport(
                 eval=EvalReport.from_dict(d["eval"]),
                 segmentation=None if seg is None else cp.Segmentation.from_dict(seg),
                 training_rows_used=int(d["training_rows_used"]),
-                config=dict(d.get("config", {})),
-                seed=int(d.get("seed", 0)),
-                dataset_sha256=d.get("dataset_sha256", ""),
-                test_sha256=d.get("test_sha256", ""),
-                test_target_sha256=d.get("test_target_sha256", ""),
-                fallback_reason=d.get("fallback_reason"),
+                config=dict(d["config"]),
+                test_sha256=d["test_sha256"],
+                test_target_sha256=d["test_target_sha256"],
+                dataset_sha256=d["dataset_sha256"],
+                fallback_reason=d["fallback_reason"],
             )
-            # compare groups and sorts reports by these two names
-            if all(isinstance(report.eval.provenance.get(key, ""), str)
-                   for key in ("model", "strategy")):
+            # compare matches reports by the test block, then groups, sorts
+            # and labels them by these config entries
+            cfg = report.config
+            names = (report.test_target_sha256, cfg["model"], cfg["strategy"])
+            if all(isinstance(v, str) and v for v in names) and type(cfg["seed"]) is int:
                 return report
         except (AttributeError, KeyError, TypeError, ValueError):
             pass
@@ -174,7 +173,6 @@ class _Prepared:
     eval_scaler: Scaler
     test_sha: str
     test_target_sha: str
-    dataset_sha: str
 
 
 def _prepare(frame: TimeSeriesFrame, target: str, config: StrategyConfig) -> _Prepared:
@@ -195,9 +193,7 @@ def _prepare(frame: TimeSeriesFrame, target: str, config: StrategyConfig) -> _Pr
     eval_scaler = Scaler.fit(train.y)
     test_sha = sha256_arrays(test.X, test.y)
     test_target_sha = sha256_arrays(test.timestamps, test.y)
-    dataset_sha = sha256_arrays(frame.timestamps, *[frame.columns[c] for c in frame.columns])
-    return _Prepared(train, test, eval_scaler,
-                     test_sha, test_target_sha, dataset_sha)
+    return _Prepared(train, test, eval_scaler, test_sha, test_target_sha)
 
 
 def _fit_and_report(config: StrategyConfig, prep: _Prepared, train_slice: FeatureMatrix,
@@ -223,14 +219,10 @@ def _fit_and_report(config: StrategyConfig, prep: _Prepared, train_slice: Featur
     else:
         y_eval, p_eval = prep.test.y, preds
     report = RunReport(
-        eval=evaluate(y_eval, p_eval, scale=config.metric_scale,
-                      dataset=config.dataset_id, model=config.model,
-                      strategy=config.strategy, seed=config.seed),
+        eval=evaluate(y_eval, p_eval),
         segmentation=segmentation,
         training_rows_used=train_slice.rows,
         config=config.to_dict(),
-        seed=config.seed,
-        dataset_sha256=prep.dataset_sha,
         test_sha256=prep.test_sha,
         test_target_sha256=prep.test_target_sha,
         fallback_reason=fallback_reason,
@@ -249,12 +241,12 @@ def detect_training_drift(prep: _Prepared, config: StrategyConfig) -> cp.Segment
     det = config.detection
     train = prep.train
     if not det.columns:
-        return cp.pelt_detect(train.y, cp.L2_MEAN, det.beta, det.min_size)
+        return cp.pelt_detect(train.y, cp.L2_MEAN, det.beta)
     unknown = [n for n in det.columns if n not in train.feature_names]
     if unknown:
         raise DriftcastError(f"no feature column named {unknown[0]!r} to detect on")
     idx = [train.feature_names.index(n) for n in det.columns]
-    return cp.multivariate_detect(train.X[:, idx], cp.L2_MEAN, det.beta, det.min_size)
+    return cp.multivariate_detect(train.X[:, idx], cp.L2_MEAN, det.beta)
 
 
 def run(frame: TimeSeriesFrame, target: str, config: StrategyConfig) -> RunResult:
@@ -321,23 +313,17 @@ def compare(reports: list[RunReport]) -> ComparisonTable:
     """
     if not reports:
         raise DriftcastError("nothing to compare")
-    hashes = {r.test_target_sha256 or r.test_sha256 for r in reports}
+    hashes = {r.test_target_sha256 for r in reports}
     if len(hashes) > 1:
         raise DriftcastError(
             f"reports cover {len(hashes)} different test blocks")
 
-    baselines = {}
-    for r in reports:
-        key = r.eval.provenance.get("model")
-        if r.eval.provenance.get("strategy") == BASELINE:
-            baselines[key] = r
-
+    baselines = {r.config["model"]: r for r in reports if r.config["strategy"] == BASELINE}
     rows = []
     order = {BASELINE: 0, DRIFT_RETRAIN: 1}
-    for r in sorted(reports, key=lambda r: (r.eval.provenance.get("model", ""),
-                                            order.get(r.eval.provenance.get("strategy"), 2))):
-        model = r.eval.provenance.get("model", "?")
-        strategy = r.eval.provenance.get("strategy", "?")
+    for r in sorted(reports, key=lambda r: (r.config["model"],
+                                            order.get(r.config["strategy"], 2))):
+        model, strategy = r.config["model"], r.config["strategy"]
         row = {
             "model": model,
             "strategy": strategy,
@@ -348,7 +334,7 @@ def compare(reports: list[RunReport]) -> ComparisonTable:
             "rmse_reduction_rel": None,
             "r2_gain": None,
             "training_rows_used": r.training_rows_used,
-            "seed": r.seed,
+            "seed": r.config["seed"],
         }
         base = baselines.get(model)
         if base is not None and strategy != BASELINE:

@@ -21,7 +21,7 @@ from driftcast.changepoint import (
 )
 from driftcast.errors import DriftcastError, NumericError
 from driftcast.frame import HOUR
-from driftcast.serialize import dumps
+from driftcast.serialize import dumps, record
 
 L2 = L2_MEAN
 NLL = GAUSSIAN_NLL
@@ -305,9 +305,9 @@ class TestPeltExactness:
         with mock.patch.object(pipeline.cp, "pelt_detect",
                                return_value=Segmentation((), 1, 0.0)) as fake:
             pipeline.detect_training_drift(prep, config)
-        values, cost, beta, min_size = fake.call_args.args
+        values, cost, beta = fake.call_args.args
         assert np.shape(values) == ((27883,) if columns is None else (27883, 3))
-        _, state = pelt_detect(values, cost, beta, min_size, with_state=True)
+        _, state = pelt_detect(values, cost, beta, with_state=True)
         digest = lambda a: hashlib.sha256(a.tobytes()).hexdigest()
         assert (digest(state.F), digest(state.backpointers)) == self.GOLDEN[columns]
 
@@ -460,11 +460,11 @@ class TestMultivariate:
 
 
 class TestSerialization:
-    def test_to_dict(self):
+    def test_record(self):
         seg = Segmentation((5, 9), 20, 1.25, beta=0.5, cost_model="l2_mean")
-        d = seg.to_dict()
-        assert d == {"n": 20, "changepoints": [5, 9], "total_cost": 1.25,
-                     "beta": 0.5, "cost_model": "l2_mean"}
+        d = record(seg)
+        assert dumps(d) == ('{"changepoints": [5, 9], "n": 20, "total_cost": 1.25, '
+                            '"beta": 0.5, "cost_model": "l2_mean"}')
         assert Segmentation.from_dict(d) == seg
 
     @pytest.mark.parametrize("detect", [pelt_detect, op_detect])
@@ -474,7 +474,7 @@ class TestSerialization:
         seg = detect(y, beta=beta)
         assert type(seg.beta) is float and seg.beta == float(beta)
         assert type(detect(y).beta) is float  # the default penalty
-        assert dumps(seg.to_dict()) == dumps(detect(y, beta=float(beta)).to_dict())
+        assert dumps(record(seg)) == dumps(record(detect(y, beta=float(beta))))
 
     @pytest.mark.parametrize("changepoints,cost_model", [
         ([-5], "l2_mean"), ([0], "l2_mean"), ([20], "l2_mean"), ([40000], "l2_mean"),

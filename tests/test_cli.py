@@ -7,6 +7,7 @@ import resource
 import shlex
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,22 @@ STATIONARY_CONFIG = {
     "events": [],
     "seed": 0,
 }
+
+# the least a run report holds for ``compare`` to read it
+MINIMAL_REPORT = {
+    "eval": {"mae": 1.0, "rmse": 1.0, "r2": 0.0, "n": 3},
+    "segmentation": None,
+    "training_rows_used": 5,
+    "config": {"strategy": "baseline", "model": "mlp", "seed": 0},
+    "test_sha256": "",
+    "test_target_sha256": "0" * 64,
+    "dataset_sha256": "",
+    "fallback_reason": None,
+}
+
+
+def with_config(**change):
+    return dict(MINIMAL_REPORT, config=dict(MINIMAL_REPORT["config"], **change))
 
 
 def sha(path):
@@ -286,25 +303,25 @@ class TestRun:
     # artifact writer that changes a byte shows up here.
     ARTIFACT_SHA = {
         ("mlp", "baseline"): (
-            "2150de5630d361c57919947a45af8e79b0e84563f6bc452a5c1b9f1e622d763a",
+            "6eb02fd429b0373486c8fce857044b1446b1aa71ce2c603d660fa2ff55de3759",
             "1b623f5ff6a53ad7dd209921f3d3240927caa5ff80f37773e8105e6de7de0b8b",
             "a65b0f4b54caa295181877deb2639144ff33f06edc94129fa52ce4a51938aac4",
             "893e14177eede24db8816df9c989643b72eee6f2bb69e2ecf5ecc46ffb046375",
         ),
         ("mlp", "retrain"): (
-            "6c247eefe7df0029cad94663903ef59e18480f38cc8895144cd3924ce943ee10",
+            "043ffe94bb29f0ad2b8ab0a5e8f18d455aa45d87bbb4035dbfdde80f5c9cd7ee",
             "d058089beb98b0156a077310e04da8695826b34f99d307ec3bf31dff8f5a5167",
             "79ce937774b07cbddd04a7758552365026a91727433f5390b9271ca4fdebe42a",
             "249808ae9dea9c91f9b0f9062cafa749d16c5d04c8d3e34fff51324afd6817df",
         ),
         ("lasso", "baseline"): (
-            "e38d190451cad49e80a54665de90af283d2790f7958513dbd2001bd8f75563c7",
+            "fc486eb0db5ace3e846fb0e391e1e797437062f175f6347da2fb62df9ab93271",
             "0f5d6abb83f3734f87f28860f51cd28779ce22312528b8794d98d9b36fa44cd1",
             "29ed8c7150900a9c89d1b17ddef3becacfee04a59417083fbb19b60d344af04b",
             "20400f8fa16780427e8270985f3f24645abe55993ca2b26309425c17779d5a8a",
         ),
         ("lasso", "retrain"): (
-            "946511e00c206ab701b459b8eb679ed6fcb689bd4d26a9b12c255ec0b5a9cbd5",
+            "b657202f1b92125f59117f21764ab221ff0972ea7b3772bacd0e380b60bdde91",
             "c2fe1a91be3f8cb3acbe8a924e8c0d2fa0610885b49f5a3df4b83952ecc3d566",
             "5f20e1e6e3cb5d5ef7987cae4efe5144f554f466a97de571bb8dfc57ad9644d0",
             "a83a411c8a441939b7270963cd8c23702942ba3a9cff57b5e1d3d39fd27eb4b8",
@@ -330,7 +347,7 @@ class TestRun:
         args = ["run", "--data", str(workdir / "data.csv"), "--model", "lasso",
                 "--strategy", "baseline", "--out", str(out)]
         assert main(args) == 0
-        assert load_json(out)["seed"] == 0
+        assert load_json(out)["config"]["seed"] == 0
 
     def test_numeric_failure_exits_3(self, workdir, tmp_path, monkeypatch):
         def boom(*a, **k):
@@ -375,8 +392,9 @@ class TestRun:
         assert self.run_one(workdir, std, "lasso", "baseline", seed=42) == 0
         assert self.run_one(workdir, orig, "lasso", "baseline", seed=42,
                             extra=["--scale", "original"]) == 0
+        scales = [load_json(path)["config"]["metric_scale"] for path in (std, orig)]
+        assert scales == ["standardized", "original"]
         a, b = load_json(std)["eval"], load_json(orig)["eval"]
-        assert (a["scale"], b["scale"]) == ("standardized", "original")
         y = load_csv(workdir / "data.csv").column("interest_rate")
         train_std = np.std(y[168:int(0.8 * y.size)])  # feature rows start after the warmup
         assert b["r2"] == pytest.approx(a["r2"], rel=1e-12)
@@ -466,13 +484,84 @@ class TestCompare:
         assert code == 2
 
 
+def earlier_format(report):
+    """A run report in the earlier format, which stated the run's seed at
+    the top level and repeated its model, strategy, dataset and scale in
+    ``eval``."""
+    config = dict(report["config"])
+    if "detection" in config:
+        config["detection"] = dict(config["detection"], min_size=2)
+    provenance = {"dataset": config["dataset_id"], "model": config["model"],
+                  "strategy": config["strategy"], "seed": config["seed"]}
+    seg = report["segmentation"]
+    return {
+        "eval": dict(report["eval"], scale=config["metric_scale"], provenance=provenance),
+        "segmentation": None if seg is None else {key: seg[key] for key in (
+            "n", "changepoints", "total_cost", "beta", "cost_model")},
+        "training_rows_used": report["training_rows_used"],
+        "config": config,
+        "seed": config["seed"],
+        **{key: report[key] for key in ("dataset_sha256", "test_sha256",
+                                        "test_target_sha256", "fallback_reason")},
+    }
+
+
+def key_paths(node, at=()):
+    """The path of every key in a tree of JSON objects."""
+    for key, value in node.items():
+        yield (*at, key)
+        if isinstance(value, dict):
+            yield from key_paths(value, (*at, key))
+
+
+class TestReportFormat:
+    RUN_NAMES = {"seed", "model", "strategy", "metric_scale", "dataset_id"}
+
+    def test_each_fact_once(self, four_reports):
+        for path in sorted(four_reports.glob("*.json")):
+            report = load_json(path)
+            assert list(report) == [f.name for f in fields(pipeline.RunReport)]
+            assert list(report["eval"]) == ["mae", "rmse", "r2", "n"]
+            # the MLP's own config also holds the seed it trained with
+            named = {where for where in key_paths(report)
+                     if where[-1] in self.RUN_NAMES and where[:2] != ("config", "mlp")}
+            assert named == {("config", key) for key in self.RUN_NAMES}, path.name
+
+    def test_earlier_format_still_compares(self, four_reports, tmp_path):
+        for path in four_reports.glob("*.json"):
+            (tmp_path / path.name).write_text(json.dumps(earlier_format(load_json(path))),
+                                              encoding="utf-8")
+        assert main(["compare", "--reports", str(tmp_path / "*.json"),
+                     "--out", str(tmp_path / "comparison.csv")]) == 0
+        assert sha(tmp_path / "comparison.csv") == WORKDIR_SHA["comparison.csv"]
+
+    def test_minimal_report_compares(self, tmp_path):
+        path = tmp_path / "minimal.json"
+        path.write_text(json.dumps(MINIMAL_REPORT), encoding="utf-8")
+        assert main(["compare", "--reports", str(path),
+                     "--out", str(tmp_path / "c.csv")]) == 0
+
+    @pytest.mark.parametrize("retrain_mae,change", [(2.0, "+100.0%"), (0.991, "-0.9%"),
+                                                    (1.0, "+0.0%")])
+    def test_compare_prints_the_signed_mae_change(self, tmp_path, capsys, retrain_mae,
+                                                  change):
+        for strategy, mae in (("baseline", 1.0), ("retrain", retrain_mae)):
+            report = with_config(strategy=strategy)
+            report["eval"] = dict(report["eval"], mae=mae)
+            (tmp_path / f"{strategy}.json").write_text(json.dumps(report), encoding="utf-8")
+        assert main(["compare", "--reports", str(tmp_path / "*.json"),
+                     "--out", str(tmp_path / "c.csv")]) == 0
+        retrain_line = capsys.readouterr().out.splitlines()[1]
+        assert retrain_line.endswith(f"  mae {change}  r2 +0.0000")
+
+
 # sha256 of the workdir's synth CSV and sidecar, of ``detect``'s default
 # segmentation of it and of ``compare`` over the four reports. Recorded
 # with numpy 2.4.6 on x86-64; these writers' bytes must not move.
 WORKDIR_SHA = {
     "data.csv": "c7e1687f6f695455381794b12c88c20e32ecc911964777e4dfa3121b098f8af1",
     "data.csv.meta.json": "247f1e63ed34ce747ebe3081bc335b611910199e143a887798ed8db544805d44",
-    "seg.json": "cbf9262bcf17775e9e95e0a4079acf4131d30a33bc1b8d2b5c4206e0418f6fa1",
+    "seg.json": "db968b33c66a9a4aff516dd0bc924b8b07d512d5f654e047171cdeacf6c881b8",
     "comparison.csv": "aa8967d62dd8a4c51b24877ddbd0d10a2bbda79fa6c5c84d7936cc4eef09878d",
 }
 
@@ -562,14 +651,14 @@ def wrong_files(workdir, tmp_path_factory):
     (root / "kind.json").write_text(json.dumps(dict(STATIONARY_CONFIG, events=[
         {"kind": "bogus", "at": "2020-02-01T00:00"}])), encoding="utf-8")
     (root / "list.json").write_text("[1, 2]\n", encoding="utf-8")
-    (root / "bad_mae.json").write_text(json.dumps(
-        {"eval": {"mae": "x", "rmse": 1.0, "r2": 0.0, "n": 3}, "training_rows_used": 5}),
-        encoding="utf-8")
-    for name, provenance in [("model_list", {"model": ["mlp"], "strategy": "baseline"}),
-                             ("strategy_number", {"model": "mlp", "strategy": 1})]:
-        (root / f"{name}.json").write_text(json.dumps(
-            {"eval": {"mae": 1.0, "rmse": 1.0, "r2": 0.0, "n": 3, "provenance": provenance},
-             "training_rows_used": 5}), encoding="utf-8")
+    for name, report in [
+            ("bad_mae", dict(MINIMAL_REPORT, eval=dict(MINIMAL_REPORT["eval"], mae="x"))),
+            ("model_list", with_config(model=["mlp"])),
+            ("strategy_number", with_config(strategy=1)),
+            # no test-block hash: nothing says the two score the same rows
+            *((f"eval_only_{n}", {"eval": dict(MINIMAL_REPORT["eval"], n=n),
+                                  "training_rows_used": 5}) for n in (3, 900))]:
+        (root / f"{name}.json").write_text(json.dumps(report), encoding="utf-8")
     (root / "cv_text.csv").write_text("alpha,fold,val_mse\nx,0,1.0\n", encoding="utf-8")
     (root / "cv_long.csv").write_text("alpha,fold,val_mse\n0.1,0,1.0,9\n", encoding="utf-8")
     (root / "cmp_short.csv").write_text("model,strategy,mae,rmse,r2\nmlp,baseline,1.0\n",
@@ -621,6 +710,7 @@ BAD_SEGMENTATIONS = {
     ["compare", "--reports", "{wrong}/bad_mae.json"],
     ["compare", "--reports", "{wrong}/model_list.json"],
     ["compare", "--reports", "{wrong}/strategy_number.json"],
+    ["compare", "--reports", "{wrong}/eval_only_3.json", "{wrong}/eval_only_900.json"],
     ["plot", "--kind", "cv", "--data", "{wrong}/cv_text.csv", "--out", "cv.svg"],
     ["plot", "--kind", "cv", "--data", "{wrong}/latin1.csv", "--out", "cv.svg"],
     ["plot", "--kind", "cv", "--data", "{wrong}/cv_long.csv", "--out", "cv.svg"],
@@ -636,7 +726,7 @@ BAD_SEGMENTATIONS = {
 ], ids=["segmentation_as_report", "text_as_report", "text_as_segmentation",
         "unknown_event_kind", "config_not_an_object", "series_as_cv_table",
         "list_as_segmentation", "text_metric_in_report", "model_list_in_report",
-        "strategy_number_in_report", "text_in_cv_table",
+        "strategy_number_in_report", "reports_without_test_block", "text_in_cv_table",
         "latin1_cv_table", "cv_row_too_long", "comparison_row_too_short",
         "latin1_data_detect", "latin1_data_run", "latin1_data_plot", "row_without_timestamp",
         *BAD_SEGMENTATIONS, *OUT_OF_RANGE_STAMPS])

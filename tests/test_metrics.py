@@ -120,11 +120,9 @@ class TestErrors:
 
 class TestEvalReport:
     def test_round_trip(self):
-        rep = evaluate([1.0, 2.0, 3.0], [1.0, 2.0, 4.0],
-                       scale="original", dataset="d", model="mlp",
-                       strategy="baseline", seed=7)
+        rep = evaluate([1.0, 2.0, 3.0], [1.0, 2.0, 4.0])
         d = record(rep)
+        assert list(d) == ["mae", "rmse", "r2", "n"]
         back = EvalReport.from_dict(d)
         assert back == rep
-        assert back.provenance["seed"] == 7
         assert back.n == 3

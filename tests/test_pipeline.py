@@ -79,12 +79,12 @@ class TestBaseline:
     def test_deterministic(self, drifted_frame):
         a = run(drifted_frame, TARGET, strategy(seed=4))
         b = run(drifted_frame, TARGET, strategy(seed=4))
-        assert a.report.to_dict() == b.report.to_dict()
+        assert record(a.report) == record(b.report)
         assert np.array_equal(a.predictions, b.predictions)
 
     def test_lasso_runs(self, drifted_frame):
         res = run(drifted_frame, TARGET, strategy(model=LASSO))
-        assert res.report.eval.provenance["model"] == LASSO
+        assert res.report.config["model"] == LASSO
         assert res.model.cv_results
 
     def test_too_few_training_rows(self):
@@ -123,8 +123,7 @@ class TestRetrain:
         res = run(drifted_frame, TARGET, cfg)
         cut = res.report.segmentation.changepoints[-1] + cfg.feature_spec.warmup
         assert res.report.training_rows_used == train_rows(drifted_frame, cfg) - cut
-        assert res.report.config["detection"] == {
-            "columns": None, "beta": None, "min_size": 2}
+        assert res.report.config["detection"] == {"columns": None, "beta": None}
 
     def test_named_columns_cut_where_they_fall(self, drifted_frame):
         cfg = strategy(strategy=DRIFT_RETRAIN, detection=DetectionConfig(columns=("lag_168",)))
@@ -195,7 +194,6 @@ class TestRetrain:
         assert b.report.segmentation is not None
         # the report records the strategy the config names
         assert [r.report.config["strategy"] for r in (a, b)] == [BASELINE, DRIFT_RETRAIN]
-        assert [r.report.eval.provenance["strategy"] for r in (a, b)] == [BASELINE, DRIFT_RETRAIN]
 
 
 class TestSeed:
@@ -204,7 +202,7 @@ class TestSeed:
         small = replace(SMALL_MLP, max_epochs=3)
         cfg = strategy(seed=4, mlp=small)
         res = run(drifted_frame, TARGET, cfg)
-        assert res.report.config["mlp"]["seed"] == res.report.seed == 4
+        assert res.report.config["mlp"]["seed"] == res.report.config["seed"] == 4
         train = pipeline._prepare(drifted_frame, TARGET, cfg).train
         model, _ = mlp_train(replace(small, seed=4), train)
         assert dumps(res.model.to_dict()) == dumps(model.to_dict())
@@ -275,9 +273,8 @@ class TestCompare:
     def test_negative_reduction_reported(self):
         def mk(strategy_name, mae):
             from driftcast.metrics import EvalReport
-            ev = EvalReport(mae, mae * 1.2, 0.5, 100,
-                            provenance={"model": MLP, "strategy": strategy_name})
-            return RunReport(ev, None, 100, {}, 0, "ds", "T")
+            config = {"model": MLP, "strategy": strategy_name, "seed": 0}
+            return RunReport(EvalReport(mae, mae * 1.2, 0.5, 100), None, 100, config, "X", "T")
         table = compare([mk(BASELINE, 0.1), mk(DRIFT_RETRAIN, 0.2)])
         retr_row = next(r for r in table.rows if r["strategy"] == DRIFT_RETRAIN)
         assert retr_row["mae_reduction_rel"] < 0
@@ -302,9 +299,9 @@ class TestCompare:
 class TestRunReportSerialization:
     def test_round_trip(self, drifted_frame):
         res = run(drifted_frame, TARGET, strategy(seed=8, strategy=DRIFT_RETRAIN))
-        d = res.report.to_dict()
+        d = record(res.report)
         back = RunReport.from_dict(d)
-        assert back.to_dict() == d
+        assert record(back) == d
         assert back.segmentation.changepoints == res.report.segmentation.changepoints
 
     @pytest.mark.parametrize("cls", [LassoConfig, MlpConfig, FeatureSpec, DetectionConfig,
