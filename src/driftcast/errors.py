@@ -19,7 +19,9 @@ class DriftcastWarning(UserWarning):
 
 
 class DidNotConverge(DriftcastWarning):
-    """Coordinate descent hit max_iter with coefficient changes >= tol."""
+    """The lasso solver stopped short of the optimum: its max_iter
+    active-set solves ran out, or rounding left no move that lowers the
+    objective."""
 
 
 class PostDriftTooShort(DriftcastWarning):

@@ -306,7 +306,8 @@ class ComparisonTable:
 
 
 def compare(reports: list[RunReport]) -> ComparisonTable:
-    """Tabulate runs that share a test block; deltas vs. the same-family baseline.
+    """Tabulate runs that share a test block and a metric scale; deltas vs.
+    the same-family baseline.
 
     Relative reductions are (baseline - other) / baseline, so a retrain
     that is worse than its baseline shows up as a negative reduction.
@@ -317,6 +318,10 @@ def compare(reports: list[RunReport]) -> ComparisonTable:
     if len(hashes) > 1:
         raise DriftcastError(
             f"reports cover {len(hashes)} different test blocks")
+    # the test-block hash is the same on either scale, so check it apart
+    scales = sorted({str(r.config.get("metric_scale")) for r in reports})
+    if len(scales) > 1:
+        raise DriftcastError(f"reports use different metric scales: {', '.join(scales)}")
 
     baselines = {r.config["model"]: r for r in reports if r.config["strategy"] == BASELINE}
     rows = []

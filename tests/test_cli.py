@@ -315,15 +315,15 @@ class TestRun:
             "249808ae9dea9c91f9b0f9062cafa749d16c5d04c8d3e34fff51324afd6817df",
         ),
         ("lasso", "baseline"): (
-            "fc486eb0db5ace3e846fb0e391e1e797437062f175f6347da2fb62df9ab93271",
-            "0f5d6abb83f3734f87f28860f51cd28779ce22312528b8794d98d9b36fa44cd1",
-            "29ed8c7150900a9c89d1b17ddef3becacfee04a59417083fbb19b60d344af04b",
-            "20400f8fa16780427e8270985f3f24645abe55993ca2b26309425c17779d5a8a",
+            "abc680ebb3db7f47f8195b99a80a4cd0355a8968e395fb992e1c02d0620f5112",
+            "6895d3ce7617be68aaf66ef4d864165e85765e2dfb829dc6e72fcdacbe742863",
+            "645c0abe569bbe555d838ff0aa7b2d6e001c305f640f2b79977650a9283703cb",
+            "820e1663513bcff86f44d5be5f42b2aa7adc34b415837cccabf56ab60e6aa572",
         ),
         ("lasso", "retrain"): (
-            "b657202f1b92125f59117f21764ab221ff0972ea7b3772bacd0e380b60bdde91",
+            "a0a7567101f707f841cfba36ec04eb07e9718797c22cf1a9ef2e9984f95ac05d",
             "c2fe1a91be3f8cb3acbe8a924e8c0d2fa0610885b49f5a3df4b83952ecc3d566",
-            "5f20e1e6e3cb5d5ef7987cae4efe5144f554f466a97de571bb8dfc57ad9644d0",
+            "acc5689358cf8ea9c414b70c27d7786817c0f6770fd588b3a248d353d07bd81b",
             "a83a411c8a441939b7270963cd8c23702942ba3a9cff57b5e1d3d39fd27eb4b8",
         ),
     }
@@ -483,14 +483,31 @@ class TestCompare:
                      "--out", str(tmp_path / "bad.csv")])
         assert code == 2
 
+    def test_mixed_metric_scales_exit_2(self, workdir, four_reports, tmp_path, capsys):
+        # the test block hashes alike on either scale, so only the config
+        # tells an original-unit baseline from a standardized retrain
+        original = tmp_path / "lasso_baseline.json"
+        assert main(["run", "--data", str(workdir / "data.csv"), "--model", "lasso",
+                     "--strategy", "baseline", "--seed", "0", "--scale", "original",
+                     "--out", str(original)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "mixed.csv"
+        assert main(["compare", "--reports", str(original),
+                     str(four_reports / "lasso_retrain.json"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: reports use different metric scales: original, standardized"]
+        assert not out.exists()
+
 
 def earlier_format(report):
     """A run report in the earlier format, which stated the run's seed at
-    the top level and repeated its model, strategy, dataset and scale in
-    ``eval``."""
+    the top level, repeated its model, strategy, dataset and scale in
+    ``eval``, and gave the lasso a ``tol``."""
     config = dict(report["config"])
     if "detection" in config:
         config["detection"] = dict(config["detection"], min_size=2)
+    if "lasso" in config:
+        config["lasso"] = dict(config["lasso"], tol=1e-7)
     provenance = {"dataset": config["dataset_id"], "model": config["model"],
                   "strategy": config["strategy"], "seed": config["seed"]}
     seg = report["segmentation"]
@@ -562,7 +579,7 @@ WORKDIR_SHA = {
     "data.csv": "c7e1687f6f695455381794b12c88c20e32ecc911964777e4dfa3121b098f8af1",
     "data.csv.meta.json": "247f1e63ed34ce747ebe3081bc335b611910199e143a887798ed8db544805d44",
     "seg.json": "db968b33c66a9a4aff516dd0bc924b8b07d512d5f654e047171cdeacf6c881b8",
-    "comparison.csv": "aa8967d62dd8a4c51b24877ddbd0d10a2bbda79fa6c5c84d7936cc4eef09878d",
+    "comparison.csv": "90a456c96dc4291abc74cfece7aa40269c98a4de90809c92b157f6512fa3ac6e",
 }
 
 

@@ -4,14 +4,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftcast import lasso
 from driftcast.errors import DidNotConverge, DriftcastError, NumericError
 from driftcast.features import FeatureMatrix, FeatureSpec, build_features
 from driftcast.frame import Scaler, SplitSpec
 from driftcast.lasso import (
+    DEFAULT_ALPHA_GRID,
+    KKT_TOL,
     LassoConfig,
-    _gram_sweep,
     kkt_violation,
     lasso_cv,
     lasso_fit,
@@ -19,7 +22,7 @@ from driftcast.lasso import (
     timeseries_folds,
 )
 from driftcast.serialize import dumps
-from driftcast.synth import TARGET_COLUMN, generate
+from driftcast.synth import TARGET_COLUMN, SynthConfig, generate
 
 GRID = (0.001, 0.01, 0.1, 1.0)
 
@@ -48,8 +51,7 @@ def lasso_objective(Xs, yc, beta, alpha):
 # outside the dead zone, infinities and NaN
 THRESHOLD_EDGES = (0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -2.0,
                    math.inf, -math.inf, math.nan)
-# the same edges as the Gram sweep can meet them: rho = -0.0 needs
-# beta = -0.0, and any zero then leaves beta as it is
+# the same edges as a one-column fit can meet them
 SWEEP_EDGES = (0.0, 0.5, -0.5, 1.0, -1.0, 2.5, -2.0, math.inf, -math.inf, math.nan)
 
 
@@ -72,12 +74,17 @@ class TestSoftThreshold:
 
     @pytest.mark.parametrize("z", SWEEP_EDGES)
     def test_inline_sweep_threshold_bits(self, z):
-        # one unit-norm coordinate at beta = 0.5, so rho = (z - 0.5) + 0.5
-        # is z exactly and the sweep stores the thresholded rho itself
-        beta = [0.5]
-        with np.errstate(invalid="ignore"):
-            _gram_sweep(range(1), beta, np.array([z - 0.5]), np.ones((1, 1)), [1.0], 1.0)
-        assert beta[0].hex() == numpy_threshold(z, 1.0).hex()
+        # a one-column fit is the threshold itself: X = (1, -1) standardizes
+        # to itself and y = (z, -z) is centered, so X'y/n is z exactly and G
+        # is 1. A zero coefficient is +0.0; a non-finite target is rejected.
+        X, y = np.array([[1.0], [-1.0]]), np.array([z, -z])
+        if not math.isfinite(z):
+            with pytest.raises(NumericError, match="non-finite"):
+                lasso_fit(X, y, 1.0)
+            return
+        model = lasso_fit(X, y, 1.0)
+        assert model.coefficients[0].hex() == (numpy_threshold(z, 1.0) + 0.0).hex()
+        assert model.converged and model.n_sweeps == (abs(z) > 1.0)
 
 
 class TestLassoFit:
@@ -112,24 +119,23 @@ class TestLassoFit:
         beta_ols = np.linalg.lstsq(Xs, y - y.mean(), rcond=None)[0]
         np.testing.assert_allclose(model.coefficients, beta_ols, atol=1e-6)
 
-    def test_objective_monotone_over_sweeps(self, monkeypatch):
+    def test_objective_monotone_over_sweeps(self):
         rng = np.random.default_rng(3)
         X = rng.normal(0, 1, (60, 10))
         X[:, 5:] = X[:, :5] * 0.95 + rng.normal(0, 0.1, (60, 5))
         y = X @ rng.normal(0, 1, 10) + rng.normal(0, 0.5, 60)
         Xs = Scaler.fit(X).transform(X)
         yc = y - y.mean()
+        full = lasso_fit(X, y, 0.01)
         hist = [lasso_objective(Xs, yc, np.zeros(10), 0.01)]
-
-        def recording_sweep(indices, beta, *args):
-            max_delta = _gram_sweep(indices, beta, *args)
-            hist.append(lasso_objective(Xs, yc, np.array(beta), 0.01))
-            return max_delta
-
-        monkeypatch.setattr(lasso, "_gram_sweep", recording_sweep)
-        model = lasso_fit(X, y, 0.01)
-        assert len(hist) == model.n_sweeps + 1 >= 2
-        assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
+        # a budget of k solves stops where the full fit stood after k
+        for k in range(1, full.n_sweeps):
+            with pytest.warns(DidNotConverge):
+                hist.append(lasso_objective(
+                    Xs, yc, lasso_fit(X, y, 0.01, LassoConfig(max_iter=k)).coefficients, 0.01))
+        hist.append(lasso_objective(Xs, yc, full.coefficients, 0.01))
+        assert full.n_sweeps >= 5
+        assert all(b < a for a, b in zip(hist, hist[1:]))
 
     def test_kkt_at_convergence(self):
         rng = np.random.default_rng(4)
@@ -143,15 +149,29 @@ class TestLassoFit:
             viol = kkt_violation(Xs, y - model.intercept, model.coefficients, alpha)
             assert viol <= alpha + 1e-6 and viol <= 1e-6
 
+    def test_fewer_rows_than_columns(self):
+        # every column past the fifth lies in the span of five others, so
+        # columns enter by trading places with an active one
+        rng = np.random.default_rng(15)
+        X = rng.normal(0, 1, (6, 20))
+        y = X @ rng.normal(0, 1, 20) + rng.normal(0, 0.1, 6)
+        for alpha in (0.0, *GRID):
+            model = lasso_fit(X, y, alpha)
+            Xs = Scaler(model.x_mean, model.x_std).transform(X)
+            assert model.converged and np.count_nonzero(model.coefficients) <= 5
+            assert kkt_violation(Xs, y - model.intercept, model.coefficients,
+                                 alpha) <= 0.5 * KKT_TOL
+
     def test_did_not_converge_is_warning(self):
         rng = np.random.default_rng(5)
         X = rng.normal(0, 1, (80, 10))
         X[:, 5:] = X[:, :5] + rng.normal(0, 1e-4, (80, 5))  # near-duplicate columns
         y = X @ rng.normal(0, 1, 10) + rng.normal(0, 0.1, 80)
         config = LassoConfig(max_iter=2)
-        with pytest.warns(DidNotConverge):
+        with pytest.warns(DidNotConverge, match="after 2 active-set solves"):
             model = lasso_fit(X, y, 0.001, config)
-        assert not model.converged
+        assert not model.converged and model.n_sweeps == 2
+        assert lasso_fit(X, y, 0.001).converged
 
     @pytest.mark.parametrize("where", ["X", "y"])
     def test_non_finite_input_rejected(self, where):
@@ -205,23 +225,21 @@ def correlated_design(seed, n, d):
 
 
 # (sha256 of coefficients.tobytes(), n_sweeps, converged) per solver case,
-# recorded with numpy 2.4.6 on x86-64; the first four while the sweep still
-# ran on numpy scalars. "degree2" spends most of its sweeps on the active
-# set and ends with nine -0.0 coefficients. 40x12 has n <= 4d rows; 60x10
-# has n > 4d and is the design that used to record its objective.
+# recorded with numpy 2.4.6 on x86-64; n_sweeps counts active-set solves.
+# "all_zero" needs none. 40x12 has n <= 4d rows; 60x10 has n > 4d.
 SOLVER_GOLDEN = {
-    "degree2": ("c90a6796961ab80ce4154758e547058f89fce119384fe502f6c3ad8d6bf16f7e",
-                1744, True),
-    "degree1": ("7323141678af5d92c0cc43321fe5408616f167cf126be68ce3a8ba397594fa3e",
-                10, True),
-    "not_converged": ("1d45e830eb0cf57adac44f682d8a2f4d838b0fb8479aba7b9417899229fe62f6",
-                      50, False),
+    "degree2": ("3785c4ce9f463f44e9e907d30324ed027b8163536cd9165040348d54163531ff",
+                24, True),
+    "degree1": ("488b359cfcb3cdbafe97fb7de65d7ed7a106b07096f324f1810748216078d611",
+                9, True),
+    "not_converged": ("d1a9a2d87ac4ac29001a183b3ff9ba2a7295adff00c44ad15df258c0a2f3bf37",
+                      10, False),
     "all_zero": ("f9d54bbe3ccaf08564c2928c55218a3f696989a05dffc8edf057773751aae153",
-                 1, True),
-    "small_40x12": ("483e978866508dfd1d940a6a408c99228f449b97a797581f5b379aff0b09dcba",
-                    1980, True),
-    "small_60x10": ("f5ab46a0a0e674b69b94dc95bcf8573b0089c9bc58c5abac9985b48c2b7bb6c1",
-                    1240, True),
+                 0, True),
+    "small_40x12": ("49eb3a05b2af1a8022ec4a2dd5452dbbaf14ac465cfbe982956a45d3a272cd40",
+                    7, True),
+    "small_60x10": ("988068f5633508002f76e7642c451da5b6b91b6f227f4e48c9807c7b1558ab81",
+                    7, True),
 }
 
 
@@ -232,7 +250,7 @@ def solver_cases():
     return {
         "degree2": (X2, y2, 0.001, LassoConfig()),
         "degree1": (X1, y1, 0.001, LassoConfig()),
-        "not_converged": (X2, y2, 0.001, LassoConfig(max_iter=50)),
+        "not_converged": (X2, y2, 0.001, LassoConfig(max_iter=10)),
         "all_zero": (X2, y2, 0.1, LassoConfig()),
         "small_40x12": (*correlated_design(11, 40, 12), 0.01, LassoConfig()),
         "small_60x10": (*correlated_design(12, 60, 10), 0.01, LassoConfig()),
@@ -255,13 +273,12 @@ def test_solver_golden_bits(solver_cases, case):
 
 # lasso_cv on the default synth series' training block (27,883 rows):
 # (sha256 of coefficients.tobytes(), sha256 of dumps(cv_results), n_sweeps),
-# recorded with numpy 2.4.6 on x86-64 while CV still looped alpha-outer
-# and standardized each fold once per alpha
+# recorded with numpy 2.4.6 on x86-64
 CV_GOLDEN = {
-    1: ("488413fddffd4592f15603806ea4644dd08696dc361551aa5b14f0146206f655",
-        "34e8d9a2042f4314b37967981794f1983a98c9e702c2767cd045e7ceebf30538", 2180),
-    2: ("05377335cde5905811af8abe106caa7bc2476a46465b2b458f9dccafadb70335",
-        "b3eb157c4c67db8be4e3610cb6a2e7eba359771a70fbed618c4ad0fba94b6143", 6988),
+    1: ("82ee099f63df660dac3124d235f0e09ebb95dc37f05d94cc992e1821f7c3dec7",
+        "d3183562cb6986db850edc9a46fa439fb4d5683ea4b9076e3f38854affbc6638", 10),
+    2: ("f633a4936dbf696fcd09eb1906ad97da3b2dda68b37dff18dfd67bb2a8ffb0a3",
+        "0006f14ee33e0f5afc51d3e8237312efdc6ebfc1e9100dde0432083decd06a38", 23),
 }
 
 
@@ -273,6 +290,62 @@ def test_cv_golden_bits(degree):
     assert (hashlib.sha256(model.coefficients.tobytes()).hexdigest(),
             hashlib.sha256(dumps(model.cv_results).encode()).hexdigest(),
             model.n_sweeps) == CV_GOLDEN[degree]
+
+
+# degree-2 CV folds whose active blocks are ill-conditioned (eigenvalues
+# down to about 1e-6), where a cyclic solver stalls short of the optimum:
+# (synth seed, training rows, alpha)
+STALLED_FITS = ((100, 9295, 0.001), (100, 9295, 0.01), (103, 23236, 0.1))
+
+
+@pytest.mark.parametrize("seed,rows,alpha", STALLED_FITS)
+def test_ill_conditioned_degree2_fold_converges(seed, rows, alpha):
+    frame = generate(SynthConfig(seed=seed))
+    fm = build_features(frame, TARGET_COLUMN, FeatureSpec(polynomial_degree=2))
+    train = fm.slice(0, SplitSpec().boundary(frame.n) - fm.origin_index)
+    assert rows in [t.size for t, _ in timeseries_folds(train.rows, 5)]
+    X, y = train.X[:rows], train.y[:rows]
+    model = lasso_fit(X, y, alpha)
+    Xs = Scaler(model.x_mean, model.x_std).transform(X)
+    assert model.converged and model.n_sweeps <= 20
+    assert kkt_violation(Xs, y - model.intercept, model.coefficients, alpha) <= 0.5 * KKT_TOL
+
+
+@st.composite
+def hard_designs(draw):
+    """A small design mixing correlated columns, a constant column and a
+    later +/- copy of an earlier column that matches it up to rounding.
+    Returns (X, y, the copy's index, the constant's index)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(12, 60))
+    k = draw(st.integers(2, 6))
+    X = rng.normal(0, 1, (n, k))
+    for j in range(1, k):
+        if draw(st.booleans()):  # correlated with the column before it
+            X[:, j] = X[:, j - 1] * draw(st.floats(0.5, 0.99)) + rng.normal(0, 0.2, n)
+    y = X @ rng.normal(0, 2, k) + rng.normal(0, draw(st.floats(0.01, 1.0)), n)
+    source = draw(st.integers(0, k - 1))
+    scale = draw(st.sampled_from((-3.0, -1.0, 0.5, 7.0)))
+    copy = scale * X[:, source] + draw(st.floats(-5.0, 5.0))
+    const = draw(st.integers(0, k))
+    X = np.insert(X, const, draw(st.floats(-10.0, 10.0)), axis=1)
+    return np.column_stack((X, copy)), y, k + 1, const
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(hard_designs(), st.sampled_from((0.0, *DEFAULT_ALPHA_GRID)))
+def test_exact_on_designs_with_copies(design, alpha):
+    X, y, copy, const = design
+    model = lasso_fit(X, y, alpha)
+    Xs = Scaler(model.x_mean, model.x_std).transform(X)
+    yc = y - model.intercept
+    assert model.converged
+    assert kkt_violation(Xs, yc, model.coefficients, alpha) <= 0.5 * KKT_TOL
+    assert model.coefficients[copy] == 0.0 and model.coefficients[const] == 0.0
+    if alpha == 0.0:  # without the copy and the constant, the design has full rank
+        keep = [j for j in range(X.shape[1]) if j not in (copy, const)]
+        ols = np.linalg.lstsq(Xs[:, keep], yc, rcond=None)[0]
+        np.testing.assert_allclose(model.coefficients[keep], ols, rtol=1e-8, atol=1e-8)
 
 
 class TestFolds:

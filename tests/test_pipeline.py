@@ -334,15 +334,16 @@ class TestRunReportSerialization:
 
 # sha256 of the test-block predictions and of ``serialize.dumps(model.to_dict())``
 # on ``drifted_frame``, seed 0 (MLP capped at 3 epochs). Recorded with numpy
-# 2.4.6 on x86-64 before the standardization code was shared; any change to
-# scaling, fitting or prediction arithmetic shows up here.
+# 2.4.6 on x86-64 before the standardization code was shared, and the lasso
+# baseline again when its solver became exact; any change to scaling,
+# fitting or prediction arithmetic shows up here.
 GOLDEN = {
     (MLP, BASELINE): ("e83de2c9756ee999ff5cb118fd2aefa7eaebef38830a4f3fcc67cab11d98cd96",
                       "e2ccfe22ee9ff7e107972f9f6fae85aa93d66b67dd726a1d3515fa8bf06c3317"),
     (MLP, DRIFT_RETRAIN): ("3c1bc3a1e9ae03e26c6c3cfc4fa86fae8efa8b6dbb45340f1a9bc940f06aa838",
                            "13cffb2467543b1123afd4f2875dd4a68a596be1cc271fc1741ec2941f94558a"),
-    (LASSO, BASELINE): ("844f7da426ddf533c4ebeba64bc208732b4d83b1bdabb9a25011bd7e408d0a21",
-                        "b3943606a909762c22820923c3aa693c978949ab6528b73e2166a8640e9f11dc"),
+    (LASSO, BASELINE): ("350757f4f546bd4d0d736543cf8d9f0c2e79a2cfba8ccd61d624bfc9b197167a",
+                        "9804cca7aaa2df9779ba4765bebf1c549b626ee81080ea0d468f87f309249c4a"),
     (LASSO, DRIFT_RETRAIN): ("9cd7d162753b62ddd1e6d7b9c555a49bd60cfd30b7d803c94f52f7a24d3569cb",
                              "dded3022e3f682d6388898607d0806e5ee84ec12f07b77d48869f1fdd195c362"),
 }
