@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 
@@ -195,13 +196,14 @@ def _parse_timestamp(cell: str) -> int:
 
 
 def _parse_value(cell: str) -> float:
-    text = cell.strip()
-    if not text:
-        return math.nan
     try:
-        value = float(text)
+        value = float(cell)  # float() ignores surrounding whitespace itself
     except ValueError:
-        return math.nan  # non-numeric payloads become missing markers
+        try:
+            # str.strip() also drops the separators \x1c-\x1f, float() does not
+            value = float(cell.strip())
+        except ValueError:
+            return math.nan  # empty and non-numeric cells become missing markers
     return value if math.isfinite(value) else math.nan  # and so does +-inf
 
 
@@ -248,19 +250,23 @@ def load_csv(path, timestamp_column: str = "timestamp", columns=None) -> TimeSer
             raise DriftcastError(f"{path}: no {name!r} column in header {header}")
     col_idx = {name: header.index(name) for name in columns}
 
-    stamps: list[int] = []
-    data: dict[str, list[float]] = {name: [] for name in col_idx}
+    # C arrays, not lists: no Python object per parsed cell outlives its row
+    stamps = array("q")
+    data = {name: array("d") for name in col_idx}
+    # bound once: this loop runs once per row
+    add_stamp, parse_stamp, parse_value = stamps.append, _parse_timestamp, _parse_value
+    appends = [(data[name].append, idx) for name, idx in col_idx.items()]
     for row in rows:
-        if not row or all(not c.strip() for c in row):
+        if not "".join(row).strip():  # no cells, or only blank ones
             continue
         try:
             cell = row[ts_idx]
         except IndexError:
             raise DriftcastError(f"{path}: row {len(stamps) + 1} has no "
                                  f"{timestamp_column!r} cell") from None
-        stamps.append(_parse_timestamp(cell))
-        for name, idx in col_idx.items():
-            data[name].append(_parse_value(row[idx]) if idx < len(row) else math.nan)
+        add_stamp(parse_stamp(cell))
+        for append, idx in appends:
+            append(parse_value(row[idx]) if idx < len(row) else math.nan)
 
     if not stamps:
         raise DriftcastError(f"{path}: no data rows")

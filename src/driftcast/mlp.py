@@ -27,6 +27,10 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# Most dropout draws taken from the generator at once (0.5 MB): 8 batches
+# of 64 rows over two hidden layers of 64 units.
+MASK_CHUNK = 8 * 64 * 128
+
 
 @dataclass(frozen=True)
 class MlpConfig:
@@ -47,6 +51,11 @@ class MlpConfig:
             raise DriftcastError("patience must be >= 1")
         if self.max_epochs < 1:
             raise DriftcastError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if self.batch_size < 1:
+            raise DriftcastError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise DriftcastError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0.0 < self.val_fraction < 0.5:
             raise DriftcastError("val_fraction must lie in (0, 0.5)")
         if any(h < 1 for h in self.hidden):
@@ -105,20 +114,8 @@ class TrainReport:
                   zip(range(1, len(self.train_loss) + 1), self.train_loss, self.val_loss))
 
 
-def relu(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0)
-
-
-def apply_dropout(h: np.ndarray, mask: np.ndarray, rate: float) -> np.ndarray:
-    """Inverted dropout: zero masked units, rescale the rest by 1/(1-rate)."""
-    if rate == 0.0:
-        return h
-    return h * mask / (1.0 - rate)
-
-
-def draw_masks(rng: np.random.Generator, batch: int, hidden, rate: float) -> list[np.ndarray]:
-    """One keep/drop mask per hidden layer for a batch (True = keep)."""
-    return [rng.random((batch, width)) >= rate for width in hidden]
+def relu(z: np.ndarray, out=None) -> np.ndarray:
+    return np.maximum(z, 0.0, out=out)
 
 
 def _inputs(model: MlpModel, X) -> np.ndarray:
@@ -128,33 +125,98 @@ def _inputs(model: MlpModel, X) -> np.ndarray:
     return X
 
 
-def _forward_cached(model: MlpModel, X: np.ndarray, masks):
-    """Forward pass keeping pre-activations and post-dropout activations."""
-    rate = model.dropout_rate if masks is not None else 0.0
-    a = X
-    zs, acts = [], [X]
-    n_hidden = len(model.weights) - 1
-    for i in range(n_hidden):
-        z = a @ model.weights[i] + model.biases[i]
-        h = relu(z)
-        if masks is not None:
-            h = apply_dropout(h, masks[i], rate)
-        zs.append(z)
-        acts.append(h)
-        a = h
-    out = a @ model.weights[-1] + model.biases[-1]
-    return out[:, 0], zs, acts
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of ``flat`` from its head, one per shape."""
+    views, at = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[at:at + size].reshape(shape))
+        at += size
+    return views
+
+
+def _layers(flat: np.ndarray, sizes: list[int]):
+    """Weight and bias views into one flat parameter vector, which holds
+    each layer's weights (row-major), then its biases."""
+    views = _views(flat, [shape for fan_in, fan_out in zip(sizes[:-1], sizes[1:])
+                          for shape in ((fan_in, fan_out), (fan_out,))])
+    return views[0::2], views[1::2]
+
+
+class _Pass:
+    """Buffers for forward and backward passes over up to ``rows`` rows.
+
+    ``acts[i]`` receives layer i's output: a hidden layer's activations
+    after dropout, then the output column. ``gates[i]`` marks where hidden
+    layer i passes a gradient back (ReLU active and, under dropout, kept);
+    ``dacts[i]`` receives the loss gradient with respect to ``acts[i]``.
+    A batch of fewer rows uses the leading rows of each buffer. Without
+    ``train``, only the forward pass's buffers exist.
+    """
+
+    def __init__(self, weights, rows: int, train: bool = True):
+        widths = [w.shape[1] for w in weights]
+        self.acts = [np.empty((rows, w)) for w in widths]
+        self.gates = [np.empty((rows, w), bool) for w in widths[:-1]] if train else None
+        self.dacts = [np.empty((rows, w)) for w in widths] if train else None
+
+    def forward(self, weights, biases, X, masks, rate: float) -> np.ndarray:
+        """Output column for ``X``; ``masks`` (None in eval mode) hold one
+        keep mask per hidden layer for inverted dropout at ``rate``."""
+        n = X.shape[0]
+        a = X
+        for i in range(len(weights) - 1):
+            h = self.acts[i][:n]
+            np.matmul(a, weights[i], out=h)
+            h += biases[i]
+            relu(h, out=h)
+            if self.gates is not None:
+                gate = np.greater(h, 0.0, out=self.gates[i][:n])
+                if masks is not None:
+                    gate &= masks[i]
+            if masks is not None:
+                h *= masks[i]
+                h /= 1.0 - rate
+            a = h
+        out = self.acts[-1][:n]
+        np.matmul(a, weights[-1], out=out)
+        out += biases[-1]
+        return out[:, 0]
+
+    def backward(self, weights, X, yhat, y, masks, rate: float, grads_w, grads_b) -> float:
+        """Batch-mean MSE of the last :meth:`forward` (same ``X``, ``masks``
+        and ``rate``); writes its exact gradients with respect to every
+        weight and bias into ``grads_w`` and ``grads_b``."""
+        n = X.shape[0]
+        d = self.dacts[-1][:n]
+        diff = np.subtract(yhat, y, out=d[:, 0])
+        loss = float(np.add.reduce(diff * diff)) / n  # np.mean's bits
+        diff *= 2.0
+        diff /= n
+        for i in range(len(weights) - 1, -1, -1):
+            np.matmul((self.acts[i - 1][:n] if i else X).T, d, out=grads_w[i])
+            np.add.reduce(d, axis=0, out=grads_b[i])
+            if i:
+                below = self.dacts[i - 1][:n]
+                np.matmul(d, weights[i].T, out=below)
+                below *= self.gates[i - 1][:n]
+                if masks is not None:
+                    below /= 1.0 - rate
+                d = below
+        return loss
 
 
 def mlp_forward(model: MlpModel, X: np.ndarray, *, masks=None) -> np.ndarray:
     """Predictions in the model's (standardized) output space.
 
-    Deterministic unless ``masks`` (one keep mask per hidden layer, as
-    :func:`draw_masks` returns) are given; then inverted dropout is
+    Deterministic unless ``masks`` (one bool keep mask per hidden layer,
+    shaped like its activations) are given; then inverted dropout is
     applied with them, as in one training step's forward pass.
     """
-    out, _, _ = _forward_cached(model, _inputs(model, X), masks)
-    return out
+    X = _inputs(model, X)
+    masks = masks if model.dropout_rate > 0.0 else None
+    return _Pass(model.weights, X.shape[0], train=False).forward(
+        model.weights, model.biases, X, masks, model.dropout_rate)
 
 
 def mlp_gradients(model: MlpModel, X: np.ndarray, y: np.ndarray, masks=None):
@@ -169,28 +231,12 @@ def mlp_gradients(model: MlpModel, X: np.ndarray, y: np.ndarray, masks=None):
         raise DriftcastError("y must be a vector matching X rows")
     if X.shape[0] == 0:
         raise DriftcastError("empty batch")
-    yhat, zs, acts = _forward_cached(model, X, masks)
-    return _backward(model, y, masks, yhat, zs, acts)
-
-
-def _backward(model: MlpModel, y: np.ndarray, masks, yhat, zs, acts):
-    batch = y.shape[0]
-    rate = model.dropout_rate if masks is not None else 0.0
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
-
-    delta = (2.0 * (yhat - y) / batch)[:, None]
-    grads_w[-1] = acts[-1].T @ delta
-    grads_b[-1] = delta.sum(axis=0)
-    d_act = delta @ model.weights[-1].T
-    for i in range(len(zs) - 1, -1, -1):
-        if masks is not None:
-            d_act = apply_dropout(d_act, masks[i], rate)
-        dz = d_act * (zs[i] > 0.0)
-        grads_w[i] = acts[i].T @ dz
-        grads_b[i] = dz.sum(axis=0)
-        if i > 0:
-            d_act = dz @ model.weights[i].T
+    masks = masks if model.dropout_rate > 0.0 else None
+    grads_w = [np.empty(w.shape) for w in model.weights]
+    grads_b = [np.empty(b.shape) for b in model.biases]
+    passes = _Pass(model.weights, X.shape[0])
+    yhat = passes.forward(model.weights, model.biases, X, masks, model.dropout_rate)
+    passes.backward(model.weights, X, yhat, y, masks, model.dropout_rate, grads_w, grads_b)
     return grads_w, grads_b
 
 
@@ -199,13 +245,14 @@ def mse(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean(d * d))
 
 
-def _init_params(rng: np.random.Generator, sizes: list[int]):
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        bound = math.sqrt(6.0 / fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return weights, biases
+def _init_params(rng: np.random.Generator, sizes: list[int]) -> np.ndarray:
+    """Flat parameter vector: uniform He-style weights, zero biases."""
+    flat = np.zeros(sum((fan_in + 1) * fan_out
+                        for fan_in, fan_out in zip(sizes[:-1], sizes[1:])))
+    for w in _layers(flat, sizes)[0]:
+        bound = math.sqrt(6.0 / w.shape[0])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return flat
 
 
 def mlp_train(config: MlpConfig, features: FeatureMatrix) -> tuple[MlpModel, TrainReport]:
@@ -217,6 +264,11 @@ def mlp_train(config: MlpConfig, features: FeatureMatrix) -> tuple[MlpModel, Tra
     stops once the validation MSE fails to improve by ``IMPROVEMENT_TOL``
     for ``patience`` consecutive epochs, and the weights from the
     best-validation epoch are restored.
+
+    All parameters live in one flat vector, so each Adam step is a few
+    in-place passes over it. Dropout masks are drawn for up to
+    :data:`MASK_CHUNK` values at a time; ``Generator.random`` fills in C
+    order, so the draws are those of one draw per batch and layer.
     """
     rows = features.rows
     if rows < config.min_rows:
@@ -234,15 +286,28 @@ def mlp_train(config: MlpConfig, features: FeatureMatrix) -> tuple[MlpModel, Tra
 
     rng = np.random.default_rng(config.seed)
     d = features.X.shape[1]
-    sizes = [d] + list(config.hidden) + [1]
-    weights, biases = _init_params(rng, sizes)
+    sizes = [d, *config.hidden, 1]
+    theta = _init_params(rng, sizes)
+    weights, biases = _layers(theta, sizes)
     model = MlpModel(weights, biases, config.dropout_rate, input_scaler, target_scaler)
 
-    m_w = [np.zeros_like(w) for w in weights]
-    v_w = [np.zeros_like(w) for w in weights]
-    m_b = [np.zeros_like(b) for b in biases]
-    v_b = [np.zeros_like(b) for b in biases]
+    grad = np.zeros_like(theta)
+    grads_w, grads_b = _layers(grad, sizes)
+    m, v = np.zeros_like(theta), np.zeros_like(theta)  # Adam's moments
+    t, u = np.empty_like(theta), np.empty_like(theta)  # Adam's temporaries
     step = 0
+
+    batch = min(config.batch_size, n_train)
+    passes = _Pass(weights, batch)
+    xb_buf, yb_buf = np.empty((batch, d)), np.empty(batch)
+    rate = config.dropout_rate
+    units = sum(config.hidden)
+    dropout = rate > 0.0 and units > 0
+    if dropout:
+        # whole batches per draw, at least one
+        chunk_rows = max(1, MASK_CHUNK // (batch * units)) * batch
+        draws = np.empty(chunk_rows * units)
+        keep = np.empty(draws.size, bool)
 
     train_hist: list[float] = []
     val_hist: list[float] = []
@@ -250,7 +315,7 @@ def mlp_train(config: MlpConfig, features: FeatureMatrix) -> tuple[MlpModel, Tra
     patience_best = math.inf     # tolerance-gated best: drives the patience clock
     best_epoch = 0
     wait = 0
-    snapshot = ([w.copy() for w in weights], [b.copy() for b in biases])
+    best = theta.copy()
 
     # overflow in a diverging run is reported through NumericError, not
     # as a stream of numpy warnings
@@ -258,28 +323,44 @@ def mlp_train(config: MlpConfig, features: FeatureMatrix) -> tuple[MlpModel, Tra
         for epoch in range(1, config.max_epochs + 1):
             order = rng.permutation(n_train)
             batch_losses = []
-            for start in range(0, n_train, config.batch_size):
-                idx = order[start:start + config.batch_size]
-                xb, yb = X_tr[idx], y_tr[idx]
+            for start in range(0, n_train, batch):
+                idx = order[start:start + batch]
+                n = idx.size
+                # a permutation never needs clipping; "clip" spares take's
+                # out= buffering of "raise"
+                xb = X_tr.take(idx, axis=0, out=xb_buf[:n], mode="clip")
+                yb = y_tr.take(idx, out=yb_buf[:n], mode="clip")
                 masks = None
-                if config.dropout_rate > 0.0:
-                    masks = draw_masks(rng, xb.shape[0], config.hidden,
-                                       config.dropout_rate)
-                yhat, zs, acts = _forward_cached(model, xb, masks)
-                batch_losses.append(mse(yhat, yb))
-                gw, gb = _backward(model, yb, masks, yhat, zs, acts)
+                if dropout:
+                    at = start % chunk_rows
+                    if at == 0:
+                        drawn = min(chunk_rows, n_train - start) * units
+                        rng.random(out=draws[:drawn])
+                        np.greater_equal(draws[:drawn], rate, out=keep[:drawn])
+                    masks = _views(keep[at * units:], [(n, w) for w in config.hidden])
+                yhat = passes.forward(weights, biases, xb, masks, rate)
+                batch_losses.append(passes.backward(weights, xb, yhat, yb, masks, rate,
+                                                    grads_w, grads_b))
                 step += 1
                 corr1 = 1.0 - ADAM_BETA1 ** step
                 corr2 = 1.0 - ADAM_BETA2 ** step
-                for i in range(len(weights)):
-                    m_w[i] = ADAM_BETA1 * m_w[i] + (1 - ADAM_BETA1) * gw[i]
-                    v_w[i] = ADAM_BETA2 * v_w[i] + (1 - ADAM_BETA2) * gw[i] ** 2
-                    weights[i] -= config.learning_rate * (m_w[i] / corr1) / (
-                        np.sqrt(v_w[i] / corr2) + ADAM_EPS)
-                    m_b[i] = ADAM_BETA1 * m_b[i] + (1 - ADAM_BETA1) * gb[i]
-                    v_b[i] = ADAM_BETA2 * v_b[i] + (1 - ADAM_BETA2) * gb[i] ** 2
-                    biases[i] -= config.learning_rate * (m_b[i] / corr1) / (
-                        np.sqrt(v_b[i] / corr2) + ADAM_EPS)
+                # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2, with each
+                # operation in the order the per-array expressions take
+                m *= ADAM_BETA1
+                np.multiply(grad, 1 - ADAM_BETA1, out=t)
+                m += t
+                v *= ADAM_BETA2
+                np.multiply(grad, grad, out=t)
+                t *= 1 - ADAM_BETA2
+                v += t
+                # theta -= lr * (m/corr1) / (sqrt(v/corr2) + eps)
+                np.divide(m, corr1, out=t)
+                t *= config.learning_rate
+                np.divide(v, corr2, out=u)
+                np.sqrt(u, out=u)
+                u += ADAM_EPS
+                t /= u
+                theta -= t
 
             train_loss = float(np.mean(batch_losses))
             val_loss = mse(mlp_forward(model, X_va), y_va)
@@ -291,8 +372,7 @@ def mlp_train(config: MlpConfig, features: FeatureMatrix) -> tuple[MlpModel, Tra
             if val_loss < best_val:
                 best_val = val_loss
                 best_epoch = epoch
-                snapshot = ([w.copy() for w in weights],
-                            [b.copy() for b in biases])
+                np.copyto(best, theta)
             if val_loss < patience_best - IMPROVEMENT_TOL:
                 patience_best = val_loss
                 wait = 0
@@ -301,8 +381,7 @@ def mlp_train(config: MlpConfig, features: FeatureMatrix) -> tuple[MlpModel, Tra
                 if wait >= config.patience:
                     break
 
-    model.weights = snapshot[0]
-    model.biases = snapshot[1]
+    model.weights, model.biases = _layers(best, sizes)
     report = TrainReport(train_hist, val_hist, stopped_epoch=len(val_hist),
                          best_epoch=best_epoch)
     return model, report

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from driftcast.errors import DriftcastError, NumericError
 from driftcast.features import FeatureSpec, build_features
 from driftcast.frame import (
     HOUR,
+    _parse_value,
     STD_FLOOR,
     Scaler,
     SplitSpec,
@@ -259,3 +262,37 @@ def test_transform_golden_bits(case):
     train = fm.slice(0, SplitSpec().boundary(frame.n) - fm.origin_index)
     values = train.X if case == "matrix" else train.y
     assert sha256_arrays(Scaler.fit(values).transform(values)) == TRANSFORM_GOLDEN[case]
+
+
+def strip_then_parse(cell):
+    """The value parser as first written: strip, then float(); a blank cell
+    or any other unparseable or infinite value is a missing marker."""
+    text = cell.strip()
+    if not text:
+        return math.nan
+    try:
+        value = float(text)
+    except ValueError:
+        return math.nan
+    return value if math.isfinite(value) else math.nan
+
+
+# ASCII and Unicode whitespace, including the separators \x1c-\x1f that
+# str.strip() drops and float() keeps
+_SPACE = st.text(" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000", max_size=3)
+_NUMBER = st.one_of(
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.sampled_from(["", "nan", "NaN", "-nan", "inf", "-Infinity", "+INF", "infinity",
+                     "1_000", "1__0", "_1", "1_", "1_0.5e1_0", ".5", "-.5e-3", "1e999"]),
+    st.text("0123456789_.eE+-nafity ", max_size=8),
+)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.one_of(st.text(), st.builds(lambda a, x, b: a + x + b, _SPACE, _NUMBER, _SPACE)))
+@example("\x1c1.5\x1f")
+@example(" \t")
+def test_parse_value_matches_strip_then_parse(cell):
+    assert repr(_parse_value(cell)) == repr(strip_then_parse(cell))
+

@@ -1,4 +1,4 @@
-"""Traced peak memory of the feature, scaling, lasso-CV and detection layers.
+"""Traced peak memory of the feature, scaling, lasso-CV, MLP and detection layers.
 
 Each bound is the peak tracemalloc measured for the operation on the
 default synth series (numpy 2.4.6, x86-64) plus a 25% margin. Building
@@ -15,6 +15,7 @@ from driftcast.changepoint import pelt_detect
 from driftcast.features import FeatureSpec, build_features
 from driftcast.frame import HOUR, Scaler, SplitSpec
 from driftcast.lasso import lasso_cv
+from driftcast.mlp import MlpConfig, mlp_train
 from driftcast.synth import TARGET_COLUMN, SynthConfig, generate
 
 MB = 1e6
@@ -59,6 +60,14 @@ def test_lasso_cv(series):
     # measured 3.5 MB at degree 1 (the full block's standardized copy is 2.5 MB)
     train = training_block(series, 1)
     assert traced_peak(lambda: lasso_cv(train)) < 4.4 * MB
+
+
+def test_mlp_train(series):
+    # measured 23.8 MB at degree 2, most of it the standardized 27,883 x 77
+    # copy (17.2 MB); a whole epoch's batch gather (15.5 MB) or dropout
+    # draws (25.7 MB) held at once breaks it
+    train = training_block(series, 2)
+    assert traced_peak(lambda: mlp_train(MlpConfig(max_epochs=1), train)) < 29.7 * MB
 
 
 def test_pelt_detect_quiet_series():

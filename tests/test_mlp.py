@@ -1,20 +1,22 @@
+import math
+
 import numpy as np
 import pytest
 
 from driftcast.errors import DriftcastError, NumericError
-from driftcast.features import FeatureMatrix
-from driftcast.frame import Scaler
+from driftcast.features import FeatureMatrix, FeatureSpec, build_features
+from driftcast.frame import Scaler, SplitSpec
 from driftcast.mlp import (
     MlpConfig,
     MlpModel,
-    apply_dropout,
-    draw_masks,
     mlp_forward,
     mlp_gradients,
     mlp_predict,
     mlp_train,
     relu,
 )
+from driftcast.serialize import sha256_arrays
+from driftcast.synth import TARGET_COLUMN, generate
 
 
 def toy_model(rng, d, hidden, dropout=0.0):
@@ -26,6 +28,11 @@ def toy_model(rng, d, hidden, dropout=0.0):
     ident_in = Scaler(np.zeros(d), np.ones(d))
     ident_out = Scaler(np.zeros(1), np.ones(1))
     return MlpModel(weights, biases, dropout, ident_in, ident_out)
+
+
+def keep_masks(rng, rows, hidden, rate):
+    """One bool keep mask per hidden layer, as a training step draws them."""
+    return [rng.random((rows, width)) >= rate for width in hidden]
 
 
 def feature_matrix(X, y):
@@ -73,7 +80,7 @@ class TestForward:
         rng = np.random.default_rng(1)
         model = toy_model(rng, 4, [8, 8], dropout=0.0)
         X = rng.normal(0, 1, (10, 4))
-        masks = draw_masks(rng, 10, [8, 8], 0.0)
+        masks = keep_masks(rng, 10, [8, 8], 0.0)
         np.testing.assert_array_equal(mlp_forward(model, X, masks=masks),
                                       mlp_forward(model, X))
 
@@ -124,7 +131,7 @@ class TestGradients:
             masks = None
             if seed % 3 == 0:
                 model.dropout_rate = 0.25
-                masks = draw_masks(rng, 6, hidden, 0.25)
+                masks = keep_masks(rng, 6, hidden, 0.25)
             gw, gb = mlp_gradients(model, X, y, masks)
             nw, nb = numeric_gradients(model, X, y, masks)
             for a, b in zip(gw + gb, nw + nb):
@@ -135,15 +142,21 @@ class TestGradients:
 
 class TestDropout:
     def test_expectation_matches_eval(self):
+        # one hidden layer of 32 units read out through a one-hot head: the
+        # output is that unit's dropped activation, one mask per row
         rng = np.random.default_rng(5)
-        h = rng.normal(0, 1, (1, 32))
-        rate = 0.2
-        acc = np.zeros_like(h)
+        model = toy_model(rng, 3, [32], dropout=0.2)
+        x = rng.normal(0, 1, (1, 3))
+        model.biases[-1][:] = 0.0
         n_masks = 10_000
-        for _ in range(n_masks):
-            mask = rng.random(h.shape) >= rate
-            acc += apply_dropout(h, mask, rate)
-        mean = acc / n_masks
+        X = np.repeat(x, n_masks, axis=0)
+        masks = [rng.random((n_masks, 32)) >= 0.2]
+        h = np.maximum(x @ model.weights[0] + model.biases[0], 0.0)[0]
+        mean = np.empty(32)
+        for unit in range(32):
+            model.weights[-1][:] = 0.0
+            model.weights[-1][unit] = 1.0
+            mean[unit] = mlp_forward(model, X, masks=masks).mean()
         big = np.abs(h) > 0.3
         rel = np.abs(mean[big] - h[big]) / np.abs(h[big])
         assert float(rel.max()) < 0.02
@@ -158,7 +171,7 @@ class TestDropout:
         acc = np.zeros(4)
         n_masks = 20_000
         for _ in range(n_masks):
-            acc += mlp_forward(model, X, masks=draw_masks(rng, 4, [16], 0.3))
+            acc += mlp_forward(model, X, masks=keep_masks(rng, 4, [16], 0.3))
         rel = np.abs(acc / n_masks - eval_out) / np.max(np.abs(eval_out))
         assert float(rel.max()) < 0.02
 
@@ -267,3 +280,70 @@ class TestConfig:
             MlpConfig(val_fraction=0.5)
         with pytest.raises(DriftcastError, match="max_epochs must be >= 1, got 0"):
             MlpConfig(max_epochs=0)
+
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_batch_size_must_be_positive(self, size):
+        with pytest.raises(DriftcastError, match=f"batch_size must be >= 1, got {size}"):
+            MlpConfig(batch_size=size)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -0.1, 0.0])
+    def test_learning_rate_must_be_finite_and_positive(self, rate):
+        # a config error (exit 2), not a diverged fit (NumericError, exit 3)
+        with pytest.raises(DriftcastError, match="learning_rate must be finite and > 0") as err:
+            MlpConfig(learning_rate=rate)
+        assert type(err.value) is DriftcastError
+
+
+def train_bits(cfg, features):
+    """Digests of a training run: weights and biases, the loss lists, best epoch."""
+    model, report = mlp_train(cfg, features)
+    return (sha256_arrays(*model.weights, *model.biases)[:16],
+            sha256_arrays(np.array(report.train_loss), np.array(report.val_loss))[:16],
+            report.best_epoch)
+
+
+@pytest.fixture(scope="module")
+def default_series():
+    return generate()
+
+
+# Recorded before the training step moved to a flat parameter vector and
+# per-chunk dropout draws; they pin the RNG order and the parameter layout.
+DEFAULT_BITS = {
+    1: ("baaa9a3492044f82", "648a284f1c7a6a6e", 2),
+    2: ("b8dfd47cabd4f7b5", "f7254e803a2bf4bf", 2),
+}
+
+
+@pytest.mark.parametrize("degree", sorted(DEFAULT_BITS))
+def test_default_config_bits(default_series, degree):
+    fm = build_features(default_series, TARGET_COLUMN, FeatureSpec(polynomial_degree=degree))
+    train = fm.slice(0, SplitSpec().boundary(default_series.n) - fm.origin_index)
+    assert train_bits(MlpConfig(max_epochs=2), train) == DEFAULT_BITS[degree]
+
+
+# 203 rows: 183 train rows, so every batch size below leaves a short last batch
+SMALL_NETS = {
+    "no-hidden": (MlpConfig(hidden=(), max_epochs=4, seed=1),
+                  ("c611c367ef26fecd", "3643f0675f3484f1", 4)),
+    "three-hidden": (MlpConfig(hidden=(8, 8, 8), max_epochs=4, seed=2),
+                     ("928871b39cbb7cfb", "0f0869335000a04d", 4)),
+    "no-dropout": (MlpConfig(hidden=(16,), dropout_rate=0.0, max_epochs=4, seed=3),
+                   ("e71a396519e0516b", "694b4b838b7c63c4", 4)),
+    "early-stop": (MlpConfig(hidden=(12, 6), batch_size=24, patience=2, max_epochs=40,
+                             learning_rate=0.05, seed=4),
+                   ("0b7dab12261d84b8", "3b458ac9899ec608", 5)),
+    "chunked": (MlpConfig(hidden=(200, 200), batch_size=32, max_epochs=2, seed=5),
+                ("eee96f987ace6342", "e95d42312f91f25b", 2)),
+    "wide": (MlpConfig(hidden=(300, 300), max_epochs=2, seed=6),
+             ("c6ffc1b897d1fefd", "be77d9662f6fff65", 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_NETS))
+def test_small_net_bits(name):
+    rng = np.random.default_rng(20)
+    X = rng.normal(0, 1, (203, 5))
+    y = np.sin(X[:, 0]) + 0.5 * X[:, 1] * X[:, 2] + rng.normal(0, 0.1, 203)
+    cfg, bits = SMALL_NETS[name]
+    assert train_bits(cfg, feature_matrix(X, y)) == bits
