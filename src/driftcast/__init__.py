@@ -29,7 +29,7 @@ from .frame import (
     resample_hourly,
     write_csv,
 )
-from .lasso import LassoConfig, LassoModel, lasso_cv, lasso_fit, soft_threshold, timeseries_folds
+from .lasso import LassoConfig, LassoModel, lasso_cv, lasso_fit, timeseries_folds
 from .metrics import EvalReport, evaluate, mae, r2, rmse
 from .mlp import MlpConfig, MlpModel, TrainReport, mlp_forward, mlp_gradients, mlp_predict, mlp_train
 from .pipeline import (

@@ -219,8 +219,12 @@ def _setup(values, cost: str, beta: float | None, min_size: int):
         raise DriftcastError(f"need n >= {2 * min_size}, have {n}")
     if not np.isfinite(X).all():
         raise NumericError("series contains non-finite values")
-    costs = SegmentCosts(X, cost)
-    if not np.isfinite(costs.prefix[:, -1]).all():
+    with np.errstate(over="ignore"):  # reported as NumericError below
+        costs = SegmentCosts(X, cost)
+    # a segment's squared sum is at most its length times its sum of
+    # squares (Cauchy-Schwarz), so the products the kernels form stay
+    # finite when n times each column's sum of squares does
+    if not all(math.isfinite(n * s) for s in costs.prefix[costs.k:, -1].tolist()):
         raise NumericError("series too large: its sum of squares overflows")
     if beta is None:
         beta = default_penalty(X)

@@ -285,7 +285,8 @@ def load_csv(path, timestamp_column: str = "timestamp", columns=None) -> TimeSer
 
 def write_csv(frame: TimeSeriesFrame, path, timestamp_column: str = "timestamp") -> None:
     """Write a frame with :func:`serialize.write_csv`: ISO timestamps,
-    17-significant-digit floats, ``nan`` for a missing value, CRLF line ends.
+    floats in their shortest round-trip text, ``nan`` for a missing value,
+    CRLF line ends.
     ``load_csv(write_csv(frame))`` is value-identical.
     """
     names = list(frame.columns)

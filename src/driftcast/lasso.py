@@ -109,24 +109,6 @@ class LassoModel:
         }
 
 
-def soft_threshold(z: float, t: float) -> float:
-    """sign(z) * max(|z| - t, 0); the scalar L1 proximal step.
-
-    Plain float arithmetic with the bits of that numpy formula in every
-    case: -0.0 for -t <= z < 0, +0.0 for 0 <= z <= t (z = -0.0 too), and
-    NaN where |z| - t is NaN.
-    """
-    if not t >= 0:
-        raise DriftcastError("threshold must be >= 0")
-    z = float(z)
-    excess = abs(z) - float(t)
-    if excess > 0.0:
-        return excess if z > 0.0 else -excess
-    if excess != excess:
-        return excess
-    return -0.0 if z < 0.0 else 0.0
-
-
 def kkt_violation(Xs: np.ndarray, yc: np.ndarray, beta: np.ndarray, alpha: float) -> float:
     """Largest stationarity residual: 0 at an exact optimum.
 

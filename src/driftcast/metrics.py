@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DriftcastError
+from .errors import DriftcastError, NumericError
 
 
 def _check(y, y_hat, min_len=1):
@@ -63,6 +63,14 @@ class EvalReport:
 
 
 def evaluate(y, y_hat) -> EvalReport:
-    """Bundle all three metrics over one prediction vector."""
+    """Bundle all three metrics over one prediction vector; a score that is
+    not finite raises :class:`NumericError` naming it."""
     y = np.asarray(y, float)
-    return EvalReport(mae(y, y_hat), rmse(y, y_hat), r2(y, y_hat), n=int(y.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = EvalReport(mae(y, y_hat), rmse(y, y_hat), r2(y, y_hat), n=int(y.size))
+    bad = [f"{name} {score}" for name, score in
+           (("mae", report.mae), ("rmse", report.rmse), ("r2", report.r2))
+           if not math.isfinite(score)]
+    if bad:
+        raise NumericError(f"test-block scores are not finite: {', '.join(bad)}")
+    return report

@@ -19,9 +19,10 @@ from driftcast import metrics, pipeline, synth
 from driftcast.cli import main as cli_main
 from driftcast.features import FeatureSpec, build_features
 from driftcast.frame import TimeSeriesFrame
-from driftcast.lasso import kkt_violation, lasso_fit, soft_threshold
+from driftcast.lasso import kkt_violation, lasso_fit
 from driftcast.mlp import MlpConfig, MlpModel, mlp_forward, mlp_gradients
 from driftcast.frame import Scaler
+from test_lasso import numpy_threshold
 
 TARGET = synth.TARGET_COLUMN
 
@@ -198,7 +199,7 @@ def test_c5_lasso_closed_form():
         for alpha in grid:
             model = lasso_fit(X, y, alpha)
             expect = np.array(
-                [soft_threshold(float(X[:, j] @ yc / n), alpha) for j in range(d)])
+                [numpy_threshold(float(X[:, j] @ yc / n), alpha) for j in range(d)])
             worst = max(worst, float(np.max(np.abs(model.coefficients - expect))))
     check(5, worst < 1e-8,
           f"orthonormal designs, all grid alphas: max |coef - closed form| "

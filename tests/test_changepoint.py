@@ -1,6 +1,8 @@
 import hashlib
 import itertools
+import json
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -21,7 +23,7 @@ from driftcast.changepoint import (
 )
 from driftcast.errors import DriftcastError, NumericError
 from driftcast.frame import HOUR
-from driftcast.serialize import dumps, record
+from driftcast.serialize import record
 
 L2 = L2_MEAN
 NLL = GAUSSIAN_NLL
@@ -329,6 +331,22 @@ class TestNonFinite:
             with pytest.raises(NumericError, match="sum of squares overflows"):
                 pelt_detect(y, L2, 1.0)
 
+    @pytest.mark.parametrize("cost", [L2, NLL])
+    @pytest.mark.parametrize("detect", [pelt_detect, op_detect])
+    def test_overflowing_segment_costs(self, detect, cost):
+        # the sum of squares is finite, about 1.5e306, but n times it is
+        # not, and a squared segment sum can reach n times it
+        y = 5e151 + np.random.default_rng(0).normal(0, 1e150, 600)
+        with pytest.raises(NumericError, match="sum of squares overflows"):
+            detect(y, cost)
+
+    @pytest.mark.parametrize("cost", [L2, NLL])
+    def test_segment_costs_just_below_the_overflow_limit(self, cost):
+        y = 5 + np.random.default_rng(0).normal(0, 1, 300)
+        y[150:] *= 1.5
+        y *= math.sqrt(0.9 * sys.float_info.max / (y.size * float(y @ y)))
+        assert pelt_detect(y, cost) == op_detect(y, cost)
+
     @pytest.mark.parametrize("beta", [-1.0, np.nan, np.inf])
     def test_penalty_must_be_finite_and_non_negative(self, beta):
         for detect in (pelt_detect, op_detect):
@@ -463,7 +481,7 @@ class TestSerialization:
     def test_record(self):
         seg = Segmentation((5, 9), 20, 1.25, beta=0.5, cost_model="l2_mean")
         d = record(seg)
-        assert dumps(d) == ('{"changepoints": [5, 9], "n": 20, "total_cost": 1.25, '
+        assert json.dumps(d) == ('{"changepoints": [5, 9], "n": 20, "total_cost": 1.25, '
                             '"beta": 0.5, "cost_model": "l2_mean"}')
         assert Segmentation.from_dict(d) == seg
 
@@ -474,7 +492,7 @@ class TestSerialization:
         seg = detect(y, beta=beta)
         assert type(seg.beta) is float and seg.beta == float(beta)
         assert type(detect(y).beta) is float  # the default penalty
-        assert dumps(record(seg)) == dumps(record(detect(y, beta=float(beta))))
+        assert json.dumps(record(seg)) == json.dumps(record(detect(y, beta=float(beta))))
 
     @pytest.mark.parametrize("changepoints,cost_model", [
         ([-5], "l2_mean"), ([0], "l2_mean"), ([20], "l2_mean"), ([40000], "l2_mean"),

@@ -229,6 +229,16 @@ class TestDetect:
         err = proc.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), proc.stderr
 
+    @pytest.mark.parametrize("cost", ["l2_mean", "gaussian_nll"])
+    def test_overflowing_segment_costs_exit_3(self, workdir, tmp_path, capsys, cost):
+        # the sum of squares is finite, about 9e306, but n times it is not
+        data = with_values(workdir / "data.csv", tmp_path / "huge.csv",
+                           lambda i, cell: repr(float(cell) * 1e151))
+        out = tmp_path / "s.json"
+        assert main(["detect", "--data", str(data), "--cost", cost, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: series too large: its sum of squares overflows\n"
+        assert not out.exists()
+
     def test_unknown_flag_exits_2(self, workdir):
         with pytest.raises(SystemExit) as err:
             main(["detect", "--data", str(workdir / "data.csv"), "--bogus"])
@@ -299,32 +309,33 @@ class TestRun:
 
     # sha256 of the report, ``_predictions.csv``, the family's side CSV and
     # the ``--model-out`` dump at ``--max-epochs 3``, seed 0, on the workdir
-    # data. Recorded with numpy 2.4.6 on x86-64; a moved or rewritten
-    # artifact writer that changes a byte shows up here.
+    # data. Recorded with numpy 2.4.6 on x86-64, and again, with the same
+    # values, when floats took their shortest round-trip text; a moved or
+    # rewritten artifact writer that changes a byte shows up here.
     ARTIFACT_SHA = {
         ("mlp", "baseline"): (
-            "6eb02fd429b0373486c8fce857044b1446b1aa71ce2c603d660fa2ff55de3759",
-            "1b623f5ff6a53ad7dd209921f3d3240927caa5ff80f37773e8105e6de7de0b8b",
-            "a65b0f4b54caa295181877deb2639144ff33f06edc94129fa52ce4a51938aac4",
-            "893e14177eede24db8816df9c989643b72eee6f2bb69e2ecf5ecc46ffb046375",
+            "8de929637906c20e846adf4c6a5aecc9d303ab69c6374e14ed1fc1917f43f171",
+            "5f9d120ae9f1bc07985623196832c25a329566d25b73c3431a62754158a692cc",
+            "f1089c37a1c6b7fb90b6f64a5fb629d21a743724252d0a1e691801e8d9d93e52",
+            "352cc3f0143bcce6dbdf80ae79768e877c5644b67562ddeb4a1bdada0d7263b3",
         ),
         ("mlp", "retrain"): (
-            "043ffe94bb29f0ad2b8ab0a5e8f18d455aa45d87bbb4035dbfdde80f5c9cd7ee",
-            "d058089beb98b0156a077310e04da8695826b34f99d307ec3bf31dff8f5a5167",
-            "79ce937774b07cbddd04a7758552365026a91727433f5390b9271ca4fdebe42a",
-            "249808ae9dea9c91f9b0f9062cafa749d16c5d04c8d3e34fff51324afd6817df",
+            "2448e8b5794d1ac137744436fdd71d3fa5ffd6f35dc92218c10fe92cfb942d61",
+            "901fbf2b177bb8bb8d501c4459f408ecc21aca3821f511b9c29bc75854620c7f",
+            "00da8803daff0c655fb85277f28aba3af08e08b7157bf07b9db4c358e9fda85a",
+            "0179ad3e3c899b4738dd2597a7108227e5b827e2a0151f40307a8797afcf417f",
         ),
         ("lasso", "baseline"): (
-            "abc680ebb3db7f47f8195b99a80a4cd0355a8968e395fb992e1c02d0620f5112",
-            "6895d3ce7617be68aaf66ef4d864165e85765e2dfb829dc6e72fcdacbe742863",
-            "645c0abe569bbe555d838ff0aa7b2d6e001c305f640f2b79977650a9283703cb",
-            "820e1663513bcff86f44d5be5f42b2aa7adc34b415837cccabf56ab60e6aa572",
+            "b23ac9dd3ada3fa005fcccb940152e440989a34155989cb5365f2ff438f51ff9",
+            "129b37a38f5abaf5fc32d8c0d1468c17302e7eca62dd86b666e4d9c0149e38d2",
+            "dac73d0be39c56d34e455fc97990518f38f6bc3bd19b8aa167190c5c65923ac6",
+            "586c9ba8eb5fa9f06eb6aa8a675d65ea085dac3760c7fab087a77ef54f360f3d",
         ),
         ("lasso", "retrain"): (
-            "a0a7567101f707f841cfba36ec04eb07e9718797c22cf1a9ef2e9984f95ac05d",
-            "c2fe1a91be3f8cb3acbe8a924e8c0d2fa0610885b49f5a3df4b83952ecc3d566",
-            "acc5689358cf8ea9c414b70c27d7786817c0f6770fd588b3a248d353d07bd81b",
-            "a83a411c8a441939b7270963cd8c23702942ba3a9cff57b5e1d3d39fd27eb4b8",
+            "64568fd9ca3d0cab14a05ce4e51a09a36e66b706745c24a9b6777cb4989055fc",
+            "7785e676f0681d358e3f385fcbf835f2588f24e6098102f7296327d21c023deb",
+            "0091c78787b3b88dcf237bee6bbfd51cb80ad7481a08b6a2f09f6e969e5012e9",
+            "bced303557ee29ad594620f5abd500b63b15cca729858a13a2c48200ffb65d1c",
         ),
     }
 
@@ -401,6 +412,18 @@ class TestRun:
         assert b["mae"] / a["mae"] == pytest.approx(train_std, rel=1e-12)
         assert b["rmse"] / a["rmse"] == pytest.approx(train_std, rel=1e-12)
         assert sha(tmp_path / "std_predictions.csv") == sha(tmp_path / "orig_predictions.csv")
+
+    @pytest.mark.parametrize("degree", ["1", "2"])
+    def test_non_finite_scores_exit_3(self, workdir, tmp_path, capsys, degree):
+        # one huge cell in the test block, which no fit or scaler sees
+        data = with_values(workdir / "data.csv", tmp_path / "huge.csv",
+                           lambda i, cell: "1e200" if i == 4300 else cell)
+        out = tmp_path / "r.json"
+        assert main(["run", "--data", str(data), "--model", "lasso", "--strategy", "baseline",
+                     "--poly-degree", degree, "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: test-block scores are not finite: ")
+        assert list(tmp_path.iterdir()) == [data]
 
     def test_missing_file_exits_4(self, tmp_path):
         code = main(["run", "--data", str(tmp_path / "missing.csv"), "--model",
@@ -574,12 +597,13 @@ class TestReportFormat:
 
 # sha256 of the workdir's synth CSV and sidecar, of ``detect``'s default
 # segmentation of it and of ``compare`` over the four reports. Recorded
-# with numpy 2.4.6 on x86-64; these writers' bytes must not move.
+# with numpy 2.4.6 on x86-64, and again, with the same values, when floats
+# took their shortest round-trip text; these writers' bytes must not move.
 WORKDIR_SHA = {
-    "data.csv": "c7e1687f6f695455381794b12c88c20e32ecc911964777e4dfa3121b098f8af1",
-    "data.csv.meta.json": "247f1e63ed34ce747ebe3081bc335b611910199e143a887798ed8db544805d44",
-    "seg.json": "db968b33c66a9a4aff516dd0bc924b8b07d512d5f654e047171cdeacf6c881b8",
-    "comparison.csv": "90a456c96dc4291abc74cfece7aa40269c98a4de90809c92b157f6512fa3ac6e",
+    "data.csv": "b9181d9e117ad6f36ed351db8d29bf7039dc83d490dbf65a803e45091b964463",
+    "data.csv.meta.json": "ec1e8d2f0128b68148e253ea308d46064ef6baff812a92f203fb1b45bd34e8ad",
+    "seg.json": "9b7f9465d75bbc3e360496090d4b4b60853a2512f83f95033c13d071bb7ebb8d",
+    "comparison.csv": "aaf26b18dc4483e45625f8af909959188bfabe7c4d178b0f4d6b58b217cda832",
 }
 
 
@@ -597,7 +621,8 @@ def test_workdir_bytes_pinned(workdir, four_reports, tmp_path):
 
 def test_every_csv_kind_shares_one_format(workdir, four_reports, tmp_path):
     """The synth CSV, ``compare``'s table and every CSV ``run`` writes end
-    their lines in CRLF and write each number in the 17-digit float text."""
+    their lines in CRLF and write each number as an integer or in the
+    shortest round-trip text of a float."""
     assert main(["compare", "--reports", str(four_reports / "*.json"),
                  "--out", str(tmp_path / "comparison.csv")]) == 0
     paths = [workdir / "data.csv", tmp_path / "comparison.csv",
@@ -609,11 +634,13 @@ def test_every_csv_kind_shares_one_format(workdir, four_reports, tmp_path):
         assert raw.endswith(b"\r\n") and raw.count(b"\n") == raw.count(b"\r\n"), path.name
         for line in raw.decode("utf-8").split("\r\n")[1:-1]:
             for cell in line.split(","):
+                if cell.lstrip("-").isdigit():
+                    continue  # an integer: an epoch or a row count
                 try:
                     value = float(cell)
                 except ValueError:
                     continue  # a timestamp, a name or an empty cell
-                assert cell == format(value, ".17g"), (path.name, line)
+                assert cell == repr(value), (path.name, line)
 
 
 class TestPlot:

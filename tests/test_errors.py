@@ -7,8 +7,6 @@ import driftcast
 from driftcast import errors
 
 SRC = Path(driftcast.__file__).resolve().parent
-# serializing an unsupported type is a programming error, not bad input
-ALLOWED = {("serialize.py", "_emit", "TypeError")}
 
 
 def raise_sites(path):
@@ -40,9 +38,7 @@ def raise_sites(path):
 def test_every_raise_builds_one_of_the_two_errors():
     sites = [site for path in sorted(SRC.glob("*.py")) for site in raise_sites(path)]
     assert len(sites) > 50
-    assert ALLOWED <= set(sites)
-    wrong = [site for site in sites if site[2] not in (None, "DriftcastError", "NumericError")
-             and site not in ALLOWED]
+    wrong = [site for site in sites if site[2] not in (None, "DriftcastError", "NumericError")]
     assert wrong == []
 
 

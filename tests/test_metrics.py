@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from driftcast.errors import DriftcastError
+from driftcast.errors import DriftcastError, NumericError
 from driftcast.metrics import EvalReport, evaluate, mae, r2, rmse
 from driftcast.serialize import record
 
@@ -116,6 +116,15 @@ class TestErrors:
     def test_constant_target_is_hard_error(self):
         with pytest.raises(DriftcastError, match=r"R\^2 is undefined for a constant target"):
             r2([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("bad,named", [
+        (1e200, "rmse inf, r2 -inf"),  # the squared error overflows
+        (math.inf, "mae inf, rmse inf, r2 -inf"),
+        (math.nan, "mae nan, rmse nan, r2 nan")])
+    def test_evaluate_names_each_non_finite_score(self, bad, named):
+        with pytest.raises(NumericError) as exc:
+            evaluate(FIXED_Y, [1.0, 2.0, bad])
+        assert str(exc.value) == f"test-block scores are not finite: {named}"
 
 
 class TestEvalReport:

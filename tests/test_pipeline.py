@@ -1,4 +1,5 @@
 import hashlib
+import json
 from dataclasses import fields, replace
 from unittest import mock
 
@@ -23,7 +24,7 @@ from driftcast.pipeline import (
     compare,
     run,
 )
-from driftcast.serialize import dumps, record, sha256_arrays
+from driftcast.serialize import record, sha256_arrays
 from driftcast.synth import SUDDEN, GRADUAL, DriftEvent, SynthConfig, generate
 
 TARGET = "interest_rate"
@@ -205,7 +206,7 @@ class TestSeed:
         assert res.report.config["mlp"]["seed"] == res.report.config["seed"] == 4
         train = pipeline._prepare(drifted_frame, TARGET, cfg).train
         model, _ = mlp_train(replace(small, seed=4), train)
-        assert dumps(res.model.to_dict()) == dumps(model.to_dict())
+        assert json.dumps(res.model.to_dict()) == json.dumps(model.to_dict())
 
 
 class TestLeakage:
@@ -332,20 +333,21 @@ class TestRunReportSerialization:
         assert other not in d
 
 
-# sha256 of the test-block predictions and of ``serialize.dumps(model.to_dict())``
+# sha256 of the test-block predictions and of ``json.dumps(model.to_dict())``
 # on ``drifted_frame``, seed 0 (MLP capped at 3 epochs). Recorded with numpy
-# 2.4.6 on x86-64 before the standardization code was shared, and the lasso
-# baseline again when its solver became exact; any change to scaling,
-# fitting or prediction arithmetic shows up here.
+# 2.4.6 on x86-64 before the standardization code was shared, the lasso
+# baseline again when its solver became exact, and the model digests again,
+# with the same values, when JSON floats took their shortest round-trip
+# text; any change to scaling, fitting or prediction arithmetic shows up here.
 GOLDEN = {
     (MLP, BASELINE): ("e83de2c9756ee999ff5cb118fd2aefa7eaebef38830a4f3fcc67cab11d98cd96",
-                      "e2ccfe22ee9ff7e107972f9f6fae85aa93d66b67dd726a1d3515fa8bf06c3317"),
+                      "2e484e10db1f0755814de4ee9211bf1c2012f5361d6bb1066bb1bc134d406923"),
     (MLP, DRIFT_RETRAIN): ("3c1bc3a1e9ae03e26c6c3cfc4fa86fae8efa8b6dbb45340f1a9bc940f06aa838",
-                           "13cffb2467543b1123afd4f2875dd4a68a596be1cc271fc1741ec2941f94558a"),
+                           "4380b3786b06546f0f06ad3a3d81cbbee4775fb28ee33aae82044f546af361ce"),
     (LASSO, BASELINE): ("350757f4f546bd4d0d736543cf8d9f0c2e79a2cfba8ccd61d624bfc9b197167a",
-                        "9804cca7aaa2df9779ba4765bebf1c549b626ee81080ea0d468f87f309249c4a"),
+                        "c684a29a432bbe101a9ea0a60ee1af9a7176934b4224f8db54a0c737452d838b"),
     (LASSO, DRIFT_RETRAIN): ("9cd7d162753b62ddd1e6d7b9c555a49bd60cfd30b7d803c94f52f7a24d3569cb",
-                             "dded3022e3f682d6388898607d0806e5ee84ec12f07b77d48869f1fdd195c362"),
+                             "6d9c7e27069a9ba7b8df145089c96dfb9cebaedf435503a327d3a825daea73b4"),
 }
 
 
@@ -354,5 +356,5 @@ def test_golden_model_bits(drifted_frame, model, strategy_name):
     cfg = strategy(model=model, strategy=strategy_name,
                    mlp=replace(SMALL_MLP, max_epochs=3))
     res = run(drifted_frame, TARGET, cfg)
-    model_sha = hashlib.sha256(dumps(res.model.to_dict()).encode()).hexdigest()
+    model_sha = hashlib.sha256(json.dumps(res.model.to_dict()).encode()).hexdigest()
     assert (sha256_arrays(res.predictions), model_sha) == GOLDEN[model, strategy_name]
