@@ -325,31 +325,37 @@ def _narrow_intervals(live: np.ndarray, newest: tuple[np.ndarray, ...],
     col_c = new_s2 - new_f - delta
     overlap = int(np.searchsorted(tau, new_tau[0]))  # from here on, live are newest too
     step = max(1, _INTERVAL_BLOCK_CELLS // new_tau.size)
-    for a in range(0, tau.size, step):
-        # one row per newest candidate, one column per live candidate
-        cols = slice(a, a + step)
-        length = np.subtract.outer(new_tau, tau[cols])
-        d1 = np.subtract.outer(new_s1, s1[cols])
-        c = np.add.outer(col_c, row_c[cols])
-        if a + step > overlap:
-            # no constraint: disc = +inf and the pair's interval is the line
-            unordered = length <= 0
-            length[unordered] = 1.0
-            d1[unordered] = 0.0
-            c[unordered] = -np.inf
-        c *= length
-        disc = np.multiply(d1, d1)
-        disc -= c
-        # disc < 0 (an empty pair interval) gives a NaN root, which the
-        # maximum and minimum below carry into the candidate's bounds
-        with np.errstate(invalid="ignore"):
+    # The pair arithmetic may overflow or meet inf - inf, and stays exact:
+    # _setup keeps d1^2 <= n * sum(S^2) finite, so a product c * L that
+    # overflows to +inf means disc < 0, an empty pair interval; one that
+    # overflows to -inf only widens the pair interval to the whole line;
+    # and a NaN comes only from F[tau] = +inf, a tau in (0, min_size) that
+    # no segment can start at, and empties that candidate's interval.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(0, tau.size, step):
+            # one row per newest candidate, one column per live candidate
+            cols = slice(a, a + step)
+            length = np.subtract.outer(new_tau, tau[cols])
+            d1 = np.subtract.outer(new_s1, s1[cols])
+            c = np.add.outer(col_c, row_c[cols])
+            if a + step > overlap:
+                # no constraint: disc = +inf and the pair's interval is the line
+                unordered = length <= 0
+                length[unordered] = 1.0
+                d1[unordered] = 0.0
+                c[unordered] = -np.inf
+            c *= length
+            disc = np.multiply(d1, d1)
+            disc -= c
+            # disc < 0 (an empty pair interval) gives a NaN root, which the
+            # maximum and minimum below carry into the candidate's bounds
             np.sqrt(disc, out=disc)
-        np.subtract(d1, disc, out=c)
-        c /= length
-        np.maximum(lo[cols], c.max(axis=0), out=lo[cols])
-        d1 += disc
-        d1 /= length
-        np.minimum(hi[cols], d1.min(axis=0), out=hi[cols])
+            np.subtract(d1, disc, out=c)
+            c /= length
+            np.maximum(lo[cols], c.max(axis=0), out=lo[cols])
+            d1 += disc
+            d1 /= length
+            np.minimum(hi[cols], d1.min(axis=0), out=hi[cols])
     return ~(lo <= hi)
 
 

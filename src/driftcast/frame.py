@@ -35,9 +35,10 @@ MAX_HOURLY_ROWS = 10_000_000
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
+    """A read-only view of ``a`` (C-contiguous): the caller's array stays writable."""
+    view = np.ascontiguousarray(a).view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclass(frozen=True)

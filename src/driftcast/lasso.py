@@ -67,9 +67,9 @@ class LassoConfig:
 
 @dataclass
 class LassoModel:
-    """Coefficients in the solver's standardized space plus the scalers.
+    """Coefficients in the solver's standardized space plus the fit's Scaler.
 
-    Predictions: ``(X - x_mean) / x_std @ coefficients + intercept`` where
+    Predictions: ``scaler.transform(X) @ coefficients + intercept`` where
     the intercept is the training-target mean (columns are centered, so no
     other term survives). ``n_sweeps`` counts the fit's active-set solves;
     the benchmark's trace reads it under that name.
@@ -78,8 +78,7 @@ class LassoModel:
     coefficients: np.ndarray
     intercept: float
     chosen_alpha: float
-    x_mean: np.ndarray
-    x_std: np.ndarray
+    scaler: Scaler
     converged: bool = True
     n_sweeps: int = 0
     feature_names: tuple[str, ...] | None = None
@@ -90,7 +89,7 @@ class LassoModel:
         if X.ndim != 2 or X.shape[1] != self.coefficients.size:
             raise DriftcastError(
                 f"X must be (n, {self.coefficients.size}), got {X.shape}")
-        return Scaler(self.x_mean, self.x_std).transform(X) @ self.coefficients + self.intercept
+        return self.scaler.transform(X) @ self.coefficients + self.intercept
 
     def cv_to_csv(self, path) -> None:
         """Validation MSE per alpha and fold, one row each."""
@@ -103,8 +102,8 @@ class LassoModel:
             "coefficients": {n: float(c) for n, c in zip(names, self.coefficients)},
             "intercept": self.intercept,
             "chosen_alpha": self.chosen_alpha,
-            "x_mean": self.x_mean.tolist(),
-            "x_std": self.x_std.tolist(),
+            "x_mean": self.scaler.means.tolist(),
+            "x_std": self.scaler.stds.tolist(),
             "converged": self.converged,
         }
 
@@ -297,10 +296,11 @@ def lasso_fit(X: np.ndarray, y: np.ndarray, alpha: float,
     """Fit one lasso at a fixed alpha.
 
     Standardizes columns and centers the target internally (the returned
-    model carries the statistics), then runs feature-sign search to the
+    model carries the Scaler), then runs feature-sign search to the
     exact optimum in at most ``config.max_iter`` active-set solves.
     Stopping short of it emits a :class:`DidNotConverge` warning instead
-    of raising, so cross-validation survives hard alpha/fold combinations. Non-finite ``X`` or ``y``, or a target whose starting
+    of raising, so cross-validation survives hard alpha/fold
+    combinations. Non-finite ``X`` or ``y``, or a target whose starting
     objective overflows, raises :class:`NumericError` before any solve.
 
     ``_prep`` is ``_standardize(X, y)`` when the caller has it already:
@@ -322,61 +322,38 @@ def lasso_fit(X: np.ndarray, y: np.ndarray, alpha: float,
     if not converged:
         warnings.warn(f"feature-sign search stopped after {solves} active-set solves "
                       f"short of the optimum", DidNotConverge)
-    return LassoModel(beta, prep.y_mean, alpha, prep.scaler.means, prep.scaler.stds,
+    return LassoModel(beta, prep.y_mean, alpha, prep.scaler,
                       converged=converged, n_sweeps=solves)
 
 
-def timeseries_folds(n_rows: int, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Expanding-window folds over k+1 contiguous blocks.
+def timeseries_folds(n_rows: int, k: int) -> list[tuple[int, int]]:
+    """Expanding-window folds over k+1 contiguous blocks, as row counts.
 
     Rows split into k+1 nearly equal blocks (remainder rows go to the
-    earliest blocks); fold i trains on blocks 1..i and validates on block
-    i+1, so validation rows always come strictly after their training
-    rows and the validation blocks partition everything past block 1.
+    earliest blocks). Fold i is ``(edge, stop)``: it trains on rows
+    ``[0, edge)``, blocks 1..i, and validates on rows ``[edge, stop)``,
+    block i+1, so validation rows always come strictly after their
+    training rows and the validation blocks partition everything past
+    block 1.
     """
+    if k < 1:
+        raise DriftcastError(f"need at least 1 fold, got {k}")
     if n_rows < k + 1:
         raise DriftcastError(f"need at least {k + 1} rows for {k} folds, have {n_rows}")
     base, rem = divmod(n_rows, k + 1)
-    sizes = [base + (1 if i < rem else 0) for i in range(k + 1)]
-    edges = np.cumsum([0] + sizes)
-    folds = []
-    for i in range(1, k + 1):
-        train = np.arange(0, edges[i])
-        val = np.arange(edges[i], edges[i + 1])
-        folds.append((train, val))
-    return folds
-
-
-def _fold_mses(features: FeatureMatrix, alphas: list[float],
-               config: LassoConfig) -> list[list[float]]:
-    """Validation MSE per fold (outer) and alpha (inner).
-
-    A fold's training rows are a row-prefix view of ``X``. They are
-    standardized and their Gram terms built once, every alpha's
-    :func:`lasso_fit` reuses those, and only one fold's copy is alive at a
-    time.
-    """
-    X, y = features.X, features.y
-    table = []
-    for train, val in timeseries_folds(features.rows, config.cv_folds):
-        edge, stop = train.size, train.size + val.size  # train is rows [0, edge)
-        prep = _standardize(X[:edge], y[:edge])
-        mses = []
-        for alpha in alphas:
-            fit = lasso_fit(X[:edge], y[:edge], alpha, config, _prep=prep)
-            pred = fit.predict(X[edge:stop])
-            mses.append(float(np.mean((pred - y[edge:stop]) ** 2)))
-        table.append(mses)
-        del prep  # before the next fold builds its own
-    return table
+    edges = [i * base + min(i, rem) for i in range(1, k + 2)]
+    return list(zip(edges, edges[1:]))
 
 
 def lasso_cv(features: FeatureMatrix, config: LassoConfig | None = None) -> LassoModel:
     """Pick alpha by expanding-window CV, then refit on all rows.
 
-    Per fold, scalers are refit on the fold's training rows only (that
-    happens inside :func:`lasso_fit`). The chosen alpha minimizes the
-    mean validation MSE; ties go to the larger alpha (sparser model).
+    A fold's training rows are a row-prefix view of ``X``. Their scaler
+    and Gram terms are built once per fold and every alpha's
+    :func:`lasso_fit` reuses them, so no validation row reaches a fold's
+    scaler, and only one fold's Gram terms are alive at a time. The
+    chosen alpha minimizes the mean validation MSE; ties go to the larger
+    alpha (sparser model).
     """
     config = config or LassoConfig()
     rows = features.rows
@@ -384,23 +361,26 @@ def lasso_cv(features: FeatureMatrix, config: LassoConfig | None = None) -> Lass
         raise DriftcastError(f"need at least {config.min_rows} rows for "
                              f"{config.cv_folds} folds, have {rows}")
 
+    X, y = features.X, features.y
     alphas = sorted(config.alpha_grid)
-    table = _fold_mses(features, alphas, config)
-    cv_results: list[tuple[float, int, float]] = []
-    best_alpha = None
-    best_mse = np.inf
-    for a, alpha in enumerate(alphas):
-        fold_mses = [mses[a] for mses in table]
-        cv_results.extend((alpha, fold_no, mse)
-                          for fold_no, mse in enumerate(fold_mses, start=1))
-        mean_mse = float(np.mean(fold_mses))
+    mses = np.empty((len(alphas), config.cv_folds))
+    for f, (edge, stop) in enumerate(timeseries_folds(rows, config.cv_folds)):
+        prep = _standardize(X[:edge], y[:edge])
+        for a, alpha in enumerate(alphas):
+            fit = lasso_fit(X[:edge], y[:edge], alpha, config, _prep=prep)
+            mses[a, f] = np.mean((fit.predict(X[edge:stop]) - y[edge:stop]) ** 2)
+        del prep  # before the next fold builds its own
+
+    cv_results = [(alpha, fold_no, float(mse)) for alpha, fold_mses in zip(alphas, mses)
+                  for fold_no, mse in enumerate(fold_mses, start=1)]
+    best_alpha, best_mse = None, np.inf
+    for alpha, mean_mse in zip(alphas, mses.mean(axis=1)):
         if mean_mse <= best_mse:  # ties resolve toward the larger alpha
-            best_mse = mean_mse
-            best_alpha = alpha
+            best_alpha, best_mse = alpha, mean_mse
     if not np.isfinite(best_mse):
         raise NumericError("no alpha in the grid gave a finite cross-validation score")
 
-    model = lasso_fit(features.X, features.y, best_alpha, config)
+    model = lasso_fit(X, y, best_alpha, config)
     model.feature_names = features.feature_names
     model.cv_results = cv_results
     return model

@@ -391,7 +391,7 @@ def mlp_predict(model: MlpModel, X: np.ndarray) -> np.ndarray:
     """Eval-mode predictions for raw features, in original target units.
 
     ``X`` is standardized with the model's own input scaler first, as
-    :meth:`LassoModel.predict` does with its statistics.
+    :meth:`LassoModel.predict` does with its own.
     """
     X = model.input_scaler.transform(_inputs(model, X))
     out = mlp_forward(model, X)

@@ -227,7 +227,7 @@ def test_c6_lasso_kkt():
             model = lasso_fit(X, y, alpha)
             if not model.converged:
                 continue
-            Xs = (X - model.x_mean) / model.x_std
+            Xs = model.scaler.transform(X)
             viol = kkt_violation(Xs, y - model.intercept, model.coefficients, alpha)
             worst = max(worst, viol)
             fits += 1
@@ -241,7 +241,7 @@ def test_c6_lasso_kkt():
         model = lasso_fit(fm.X, fm.y, alpha)
         if not model.converged:
             continue
-        Xs = (fm.X - model.x_mean) / model.x_std
+        Xs = model.scaler.transform(fm.X)
         worst = max(worst, kkt_violation(Xs, fm.y - model.intercept,
                                          model.coefficients, alpha))
         fits += 1

@@ -262,6 +262,21 @@ class TestPeltExactness:
             assert seg.total_cost.hex() == oracle.total_cost.hex()
             assert state.backpointers.tobytes() == bp.tobytes()
 
+    @pytest.mark.parametrize("beta,min_size", [
+        # beta near the float maximum overflows the interval products
+        *((beta, 2) for beta in (1e307, 1e308, 1.7e308)),
+        # candidates with F = +inf are still live at the first interval update
+        *((1.0, min_size) for min_size in range(11, 21)),
+    ])
+    def test_pelt_equals_op_on_infinite_interval_terms(self, beta, min_size):
+        rng = np.random.default_rng(0)
+        y = np.r_[np.zeros(60), np.ones(60)] + rng.normal(0.0, 0.1, 120)
+        seg, state = pelt_detect(y, L2, beta, min_size, with_state=True)
+        oracle, bp = op_detect(y, L2, beta, min_size, with_state=True)
+        assert seg.changepoints == oracle.changepoints
+        assert seg.total_cost.hex() == oracle.total_cost.hex()
+        assert state.backpointers.tobytes() == bp.tobytes()
+
     @settings(max_examples=150, deadline=None)
     @given(min_size=st.integers(1, 3), data=st.data())
     def test_tie_rule_matches_enumeration(self, min_size, data):

@@ -17,7 +17,7 @@ import driftcast
 from driftcast import pipeline
 from driftcast.cli import build_parser, main
 from driftcast.errors import NumericError
-from driftcast.frame import load_csv
+from driftcast.frame import Scaler, load_csv
 from driftcast.lasso import LassoModel
 from driftcast.serialize import load as load_json
 
@@ -661,7 +661,7 @@ class TestPlot:
             assert out.read_bytes() == drawn.read_bytes()
 
     def test_cv_with_infinite_mse(self, tmp_path):
-        model = LassoModel(np.zeros(1), 0.0, 0.1, np.zeros(1), np.ones(1), cv_results=[
+        model = LassoModel(np.zeros(1), 0.0, 0.1, Scaler(np.zeros(1), np.ones(1)), cv_results=[
             (0.01, 0, 1.0), (0.01, 1, math.inf), (0.1, 0, 2.0), (0.1, 1, 3.0)])
         model.cv_to_csv(tmp_path / "cv.csv")
         assert (tmp_path / "cv.csv").read_text(encoding="utf-8").splitlines()[2] == "0.01,1,inf"

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftcast.errors import DriftcastError, NumericError
-from driftcast.features import FeatureSpec, build_features
+from driftcast.features import FeatureMatrix, FeatureSpec, build_features
 from driftcast.frame import (
     HOUR,
     _parse_value,
@@ -30,6 +30,21 @@ def hourly_frame(values, start=0, name="v"):
 
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_stored_arrays_are_read_only_views_of_the_callers():
+    # building a frame, a matrix or a scaler freezes what it stores, not
+    # the float64 arrays it was handed
+    ts, v = np.arange(3, dtype=np.int64) * HOUR, np.array([1.0, 2.0, 3.0])
+    X, m, s = np.ones((3, 2)), np.zeros(2), np.ones(2)
+    frame = TimeSeriesFrame(ts, {"v": v})
+    fm = FeatureMatrix(X, v, ("a", "b"), 0, ts)
+    scaler = Scaler(m, s)
+    assert all(a.flags.writeable for a in (ts, v, X, m, s))
+    stored = (frame.timestamps, frame.column("v"), fm.X, fm.y, fm.timestamps,
+              scaler.means, scaler.stds)
+    assert not any(a.flags.writeable for a in stored)
+    assert all(np.shares_memory(a, b) for a, b in zip(stored, (ts, v, X, v, ts, m, s)))
 
 
 class TestLoadCsv:

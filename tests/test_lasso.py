@@ -125,7 +125,7 @@ class TestLassoFit:
         for alpha in GRID:
             model = lasso_fit(X, y, alpha)
             assert model.converged
-            Xs = (X - model.x_mean) / model.x_std
+            Xs = model.scaler.transform(X)
             viol = kkt_violation(Xs, y - model.intercept, model.coefficients, alpha)
             assert viol <= alpha + 1e-6 and viol <= 1e-6
 
@@ -137,7 +137,7 @@ class TestLassoFit:
         y = X @ rng.normal(0, 1, 20) + rng.normal(0, 0.1, 6)
         for alpha in (0.0, *GRID):
             model = lasso_fit(X, y, alpha)
-            Xs = Scaler(model.x_mean, model.x_std).transform(X)
+            Xs = model.scaler.transform(X)
             assert model.converged and np.count_nonzero(model.coefficients) <= 5
             assert kkt_violation(Xs, y - model.intercept, model.coefficients,
                                  alpha) <= 0.5 * KKT_TOL
@@ -283,10 +283,10 @@ def test_ill_conditioned_degree2_fold_converges(seed, rows, alpha):
     frame = generate(SynthConfig(seed=seed))
     fm = build_features(frame, TARGET_COLUMN, FeatureSpec(polynomial_degree=2))
     train = fm.slice(0, SplitSpec().boundary(frame.n) - fm.origin_index)
-    assert rows in [t.size for t, _ in timeseries_folds(train.rows, 5)]
+    assert rows in [edge for edge, _ in timeseries_folds(train.rows, 5)]
     X, y = train.X[:rows], train.y[:rows]
     model = lasso_fit(X, y, alpha)
-    Xs = Scaler(model.x_mean, model.x_std).transform(X)
+    Xs = model.scaler.transform(X)
     assert model.converged and model.n_sweeps <= 20
     assert kkt_violation(Xs, y - model.intercept, model.coefficients, alpha) <= 0.5 * KKT_TOL
 
@@ -317,7 +317,7 @@ def hard_designs(draw):
 def test_exact_on_designs_with_copies(design, alpha):
     X, y, copy, const = design
     model = lasso_fit(X, y, alpha)
-    Xs = Scaler(model.x_mean, model.x_std).transform(X)
+    Xs = model.scaler.transform(X)
     yc = y - model.intercept
     assert model.converged
     assert kkt_violation(Xs, yc, model.coefficients, alpha) <= 0.5 * KKT_TOL
@@ -330,32 +330,44 @@ def test_exact_on_designs_with_copies(design, alpha):
 
 class TestFolds:
     def test_twelve_rows_five_folds(self):
-        folds = timeseries_folds(12, 5)
-        assert len(folds) == 5
-        expect = [(2, (2, 3)), (4, (4, 5)), (6, (6, 7)), (8, (8, 9)), (10, (10, 11))]
-        for (train, val), (n_train, val_rows) in zip(folds, expect):
-            assert train.size == n_train
-            assert tuple(val) == val_rows
+        assert timeseries_folds(12, 5) == [(2, 4), (4, 6), (6, 8), (8, 10), (10, 12)]
 
     def test_expanding_window_property(self):
         for n, k in ((12, 5), (37, 5), (101, 7)):
-            for train, val in timeseries_folds(n, k):
-                assert val.min() > train.max()
+            folds = timeseries_folds(n, k)
+            edges = [edge for edge, _ in folds]
+            assert all(edge < stop for edge, stop in folds)  # validation after training
+            assert all(a < b for a, b in zip(edges, edges[1:]))  # training grows
 
     def test_validation_blocks_partition_tail(self):
-        n, k = 37, 5
-        folds = timeseries_folds(n, k)
-        all_val = np.concatenate([val for _, val in folds])
-        first_block_end = folds[0][0].size
-        np.testing.assert_array_equal(np.sort(all_val), np.arange(first_block_end, n))
+        folds = timeseries_folds(37, 5)
+        assert [stop for _, stop in folds[:-1]] == [edge for edge, _ in folds[1:]]
+        assert folds[-1][1] == 37
 
     def test_remainder_to_earliest_blocks(self):
-        folds = timeseries_folds(13, 5)
-        assert folds[0][0].size == 3  # first block absorbs the extra row
+        # 13 = 6 blocks of 2 plus one row, which the first block absorbs
+        assert timeseries_folds(13, 5) == [(3, 5), (5, 7), (7, 9), (9, 11), (11, 13)]
 
     def test_too_few_rows(self):
         with pytest.raises(DriftcastError, match="need at least 6 rows for 5 folds, have 5"):
             timeseries_folds(5, 5)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_no_folds(self, k):
+        with pytest.raises(DriftcastError, match=f"need at least 1 fold, got {k}"):
+            timeseries_folds(10, k)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(k=st.integers(1, 12), extra=st.integers(0, 500))
+    def test_blocks_split_the_rows_evenly(self, k, extra):
+        n = k + 1 + extra
+        folds = timeseries_folds(n, k)
+        bounds = [0, *(edge for edge, _ in folds), n]
+        assert len(folds) == k and folds[-1][1] == n
+        assert all(a < b for a, b in zip(bounds, bounds[1:]))
+        assert [stop for _, stop in folds] == bounds[2:]
+        sizes = [b - a for a, b in zip(bounds, bounds[1:])]
+        assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
 
 
 class TestLassoCV:
@@ -398,7 +410,7 @@ class TestLassoCV:
         y = X[:, 0] + rng.normal(0, 0.1, 100)
         early = lasso_fit(X[:20], y[:20], 0.01)
         late = lasso_fit(X, y, 0.01)
-        assert not np.allclose(early.x_mean, late.x_mean)
+        assert not np.allclose(early.scaler.means, late.scaler.means)
 
     @pytest.mark.filterwarnings("ignore")
     def test_no_finite_cv_score_is_typed(self):
