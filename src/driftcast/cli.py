@@ -4,7 +4,7 @@ Exit codes: 0 success, 2 usage or configuration error, 3 numeric failure
 (training divergence, non-finite data or scores), 4 I/O failure. All
 emitted JSON/CSV artifacts are byte-stable for a fixed invocation and
 seed; SVG files carry no metadata. Every setting comes from a flag or a
-config file; ``run --seed`` defaults to 0.
+config file; ``run``'s flags default to the library's settings (seed 0).
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ import numpy as np
 from . import changepoint as cp
 from . import pipeline, serialize, svgplot, synth
 from .errors import DriftcastError, DriftcastWarning, NumericError
-from .features import FeatureSpec
-from .frame import SplitSpec, TimeSeriesFrame, forward_fill, load_csv, resample_hourly, write_csv
+from .features import POLYNOMIAL_DEGREES, FeatureSpec
+from .frame import (TIMESTAMP_COLUMN, SplitSpec, TimeSeriesFrame, forward_fill, load_csv,
+                    resample_hourly, write_csv)
 from .mlp import MlpConfig
 
 USAGE_ERROR = 2
@@ -54,16 +55,24 @@ def _pick_target(frame, requested):
         f"cannot infer a target among columns {list(frame.columns)}; pass --target")
 
 
-def _clean(frame, columns):
+def _series(args, requested, columns=None):
+    """The ``--data`` series on an hourly grid: ``columns``, or else the
+    ``requested`` or inferred target, forward-filled; the frame and names."""
+    frame = load_csv(args.data, timestamp_column=args.timestamp_column)
+    names = list(columns) if columns else [_pick_target(frame, requested)]
     frame = resample_hourly(frame)
-    for name in columns:
+    for name in names:
         frame = forward_fill(frame, name)
-    return frame
+    return frame, names
 
 
 def cmd_synth(args) -> int:
     if args.config:
-        config = synth.SynthConfig.from_dict(serialize.load(args.config))
+        raw = serialize.load(args.config)
+        try:
+            config = synth.SynthConfig.from_dict(raw)
+        except DriftcastError as exc:  # name the file, as the other JSON readers do
+            raise DriftcastError(f"{args.config}: {exc}") from None
     else:
         config = synth.SynthConfig()
     if args.seed is not None:
@@ -93,9 +102,7 @@ def _comparison_svg(table) -> str:
 
 
 def cmd_detect(args) -> int:
-    frame = load_csv(args.data, timestamp_column=args.timestamp_column)
-    names = list(args.columns) if args.columns else [_pick_target(frame, args.target)]
-    frame = _clean(frame, names)
+    frame, names = _series(args, args.target, args.columns)
     if args.columns:
         X = np.column_stack([frame.column(name) for name in names])
         seg = cp.multivariate_detect(X, args.cost, args.beta)
@@ -134,10 +141,8 @@ def _strategy_config(args) -> pipeline.StrategyConfig:
 
 
 def cmd_run(args) -> int:
-    frame = load_csv(args.data, timestamp_column=args.timestamp_column)
-    target = _pick_target(frame, args.target)
-    frame = _clean(frame, [target])
     config = _strategy_config(args)
+    frame, (target,) = _series(args, args.target)
     result = pipeline.run(frame, target, config)
     report = result.report
     report.dataset_sha256 = serialize.sha256_file(args.data)
@@ -186,9 +191,7 @@ def cmd_compare(args) -> int:
 
 def cmd_plot(args) -> int:
     if args.kind == "series":
-        frame = load_csv(args.data, timestamp_column=args.timestamp_column)
-        column = _pick_target(frame, args.column)
-        frame = _clean(frame, [column])
+        frame, (column,) = _series(args, args.column)
         changepoints = ()
         if args.segmentation:
             seg = cp.Segmentation.from_dict(serialize.load(args.segmentation),
@@ -199,13 +202,11 @@ def cmd_plot(args) -> int:
             changepoints = seg.changepoints
         svg = _series_svg(frame, column, changepoints)
     elif args.kind == "predictions":
-        frame = load_csv(args.data, columns=["actual", "predicted"])
+        frame, names = _series(args, None, ["actual", "predicted"])
         ts = frame.timestamps.astype(float)
         svg = svgplot.line_plot(
-            [("actual", ts, frame.column("actual")),
-             ("predicted", ts, frame.column("predicted"))],
-            title="Actual vs predicted", xlabel="time", ylabel="target",
-            x_is_time=True)
+            [(name, ts, frame.column(name)) for name in names],
+            title="Actual vs predicted", xlabel="time", ylabel="target", x_is_time=True)
     elif args.kind == "loss":
         rows = _read_csv_columns(args.data, ["epoch", "train_loss", "val_loss"])
         epochs = np.array(rows["epoch"])
@@ -281,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=None,
                    help="penalty (default: derived from first differences)")
     p.add_argument("--cost", choices=[cp.L2_MEAN, cp.GAUSSIAN_NLL], default=cp.L2_MEAN)
-    p.add_argument("--timestamp-column", default="timestamp")
+    p.add_argument("--timestamp-column", default=TIMESTAMP_COLUMN)
     p.add_argument("--out", default="segmentation.json")
     p.add_argument("--plot", help="write a series+changepoints SVG here")
     p.set_defaults(func=cmd_detect)
@@ -292,19 +293,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=pipeline.FAMILIES, required=True)
     p.add_argument("--strategy", choices=[pipeline.BASELINE, pipeline.DRIFT_RETRAIN],
                    required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--train-fraction", type=float, default=0.8)
+    p.add_argument("--seed", type=int, default=pipeline.StrategyConfig.seed)
+    p.add_argument("--train-fraction", type=float, default=SplitSpec.train_fraction)
     p.add_argument("--scale", choices=[pipeline.SCALE_STANDARDIZED,
                                        pipeline.SCALE_ORIGINAL],
-                   default=pipeline.SCALE_STANDARDIZED)
+                   default=pipeline.StrategyConfig.metric_scale)
     p.add_argument("--detect-columns", type=lambda s: s.split(","), default=None,
                    help="feature columns to detect on jointly (default: the target)")
     p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--lags", default="1,24,168")
-    p.add_argument("--windows", default="24,168")
-    p.add_argument("--poly-degree", type=int, choices=[1, 2], default=1)
-    p.add_argument("--max-epochs", type=int, default=300)
-    p.add_argument("--timestamp-column", default="timestamp")
+    p.add_argument("--lags", default=",".join(map(str, FeatureSpec.lags)))
+    p.add_argument("--windows", default=",".join(map(str, FeatureSpec.rolling_windows)))
+    p.add_argument("--poly-degree", type=int, choices=POLYNOMIAL_DEGREES,
+                   default=FeatureSpec.polynomial_degree)
+    p.add_argument("--max-epochs", type=int, default=MlpConfig.max_epochs)
+    p.add_argument("--timestamp-column", default=TIMESTAMP_COLUMN)
     p.add_argument("--out", default="report.json")
     p.add_argument("--model-out", help="trained-model JSON dump path")
     p.set_defaults(func=cmd_run)
@@ -323,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--column", help="series column (kind=series)")
     p.add_argument("--segmentation", help="segmentation JSON to overlay (kind=series)")
-    p.add_argument("--timestamp-column", default="timestamp")
+    p.add_argument("--timestamp-column", default=TIMESTAMP_COLUMN)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_plot)
     return parser

@@ -19,6 +19,7 @@ from .frame import TimeSeriesFrame, _readonly
 
 DEFAULT_LAGS = (1, 24, 168)
 DEFAULT_WINDOWS = (24, 168)
+POLYNOMIAL_DEGREES = (1, 2)
 
 # values per block of squared deviations in rolling_stats (1 MB of floats)
 _BLOCK_CELLS = 1 << 17
@@ -45,7 +46,7 @@ class FeatureSpec:
             raise DriftcastError("lags must be strictly positive")
         if any(w < 2 for w in self.rolling_windows):
             raise DriftcastError("rolling windows must be >= 2")
-        if self.polynomial_degree not in (1, 2):
+        if self.polynomial_degree not in POLYNOMIAL_DEGREES:
             raise DriftcastError("polynomial_degree must be 1 or 2")
 
     @property

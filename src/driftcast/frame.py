@@ -32,6 +32,8 @@ STD_FLOOR = 1e-8
 # Most rows an hourly axis may hold: over 1,100 years, and 80 MB per
 # column. Longer axes are refused before anything of their size exists.
 MAX_HOURLY_ROWS = 10_000_000
+# Header of the timestamp column that load_csv reads by default and write_csv writes.
+TIMESTAMP_COLUMN = "timestamp"
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -208,7 +210,7 @@ def _parse_value(cell: str) -> float:
     return value if math.isfinite(value) else math.nan  # and so does +-inf
 
 
-def load_csv(path, timestamp_column: str = "timestamp", columns=None) -> TimeSeriesFrame:
+def load_csv(path, timestamp_column: str = TIMESTAMP_COLUMN) -> TimeSeriesFrame:
     """Load a UTF-8 comma-separated file into a :class:`TimeSeriesFrame`.
 
     Parameters
@@ -217,11 +219,10 @@ def load_csv(path, timestamp_column: str = "timestamp", columns=None) -> TimeSer
         File with a header row; one column holds timestamps (ISO-8601 or
         epoch seconds), the rest numeric values. Empty, non-numeric and
         infinite (``inf``, ``-inf``) cells become missing markers (NaN),
-        which :func:`forward_fill` treats like any other gap.
+        which :func:`forward_fill` treats like any other gap. Columns
+        whose header cell is blank (as a trailing comma leaves) are skipped.
     timestamp_column : str
         Header name of the timestamp column.
-    columns : None or list of str
-        Which value columns to keep. ``None`` keeps all.
 
     Returns
     -------
@@ -231,7 +232,7 @@ def load_csv(path, timestamp_column: str = "timestamp", columns=None) -> TimeSer
     Raises
     ------
     DriftcastError
-        Not UTF-8, no header or data rows, a missing column, a row too
+        Not UTF-8, no header or data rows, no timestamp column, a row too
         short to hold a timestamp, or an unparseable or duplicate timestamp.
     """
     rows = serialize.read_csv(path)
@@ -243,13 +244,7 @@ def load_csv(path, timestamp_column: str = "timestamp", columns=None) -> TimeSer
     if timestamp_column not in header:
         raise DriftcastError(f"{path}: no {timestamp_column!r} column in header {header}")
     ts_idx = header.index(timestamp_column)
-
-    if columns is None:
-        columns = [h for h in header if h != timestamp_column]
-    for name in columns:
-        if name not in header:
-            raise DriftcastError(f"{path}: no {name!r} column in header {header}")
-    col_idx = {name: header.index(name) for name in columns}
+    col_idx = {h: header.index(h) for h in header if h and h != timestamp_column}
 
     # C arrays, not lists: no Python object per parsed cell outlives its row
     stamps = array("q")
@@ -284,14 +279,14 @@ def load_csv(path, timestamp_column: str = "timestamp", columns=None) -> TimeSer
     return TimeSeriesFrame(ts, cols)
 
 
-def write_csv(frame: TimeSeriesFrame, path, timestamp_column: str = "timestamp") -> None:
+def write_csv(frame: TimeSeriesFrame, path) -> None:
     """Write a frame with :func:`serialize.write_csv`: ISO timestamps,
     floats in their shortest round-trip text, ``nan`` for a missing value,
     CRLF line ends.
     ``load_csv(write_csv(frame))`` is value-identical.
     """
     names = list(frame.columns)
-    serialize.write_csv(path, [timestamp_column, *names],
+    serialize.write_csv(path, [TIMESTAMP_COLUMN, *names],
                         zip(np.datetime_as_string(frame.datetimes),
                             *(frame.columns[name].tolist() for name in names)))
 

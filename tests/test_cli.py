@@ -15,7 +15,7 @@ import pytest
 
 import driftcast
 from driftcast import pipeline
-from driftcast.cli import build_parser, main
+from driftcast.cli import _strategy_config, build_parser, main
 from driftcast.errors import NumericError
 from driftcast.frame import Scaler, load_csv
 from driftcast.lasso import LassoModel
@@ -160,6 +160,18 @@ class TestSynth:
     def test_negative_seed_exits_2(self, tmp_path):
         assert_usage_error(["synth", "--seed", "-1", "--out", "x.csv"], tmp_path)
 
+    @pytest.mark.parametrize("config,message", [
+        ([1, 2], "a synth config is an object, and each of its events needs kind and at"),
+        (dict(STATIONARY_CONFIG, bogus=1), "unknown synth config key 'bogus'"),
+        (dict(STATIONARY_CONFIG, noise_std="a"), "noise_std must be a finite number, got 'a'"),
+    ], ids=["list", "unknown_key", "bad_value"])
+    def test_config_errors_name_the_file(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestDetect:
     def test_finds_injected_jump(self, workdir, tmp_path):
@@ -200,6 +212,23 @@ class TestDetect:
                          "--out", str(outs[-1])]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
         assert load_json(outs[0])["changepoints"]
+
+    @pytest.mark.parametrize("edit", [
+        lambda i, line: line + "," if i == 0 else line,
+        lambda i, line: line + ",",
+        lambda i, line: line.replace(",", ", ," if i == 0 else ",x,"),
+    ], ids=["trailing_in_header", "trailing_in_every_line", "blank_in_the_middle"])
+    def test_unnamed_header_column_is_skipped(self, workdir, tmp_path, edit):
+        """A header cell that is blank after stripping names no column: it
+        and its cells are skipped, and the rest reads as without it."""
+        lines = (workdir / "data.csv").read_text(encoding="utf-8").splitlines()
+        padded = tmp_path / "padded.csv"
+        padded.write_text("\n".join(edit(i, line) for i, line in enumerate(lines)) + "\n",
+                          encoding="utf-8")
+        for data in (workdir / "data.csv", padded):
+            assert main(["detect", "--data", str(data),
+                         "--out", str(tmp_path / f"{data.stem}.json")]) == 0
+        assert (tmp_path / "padded.json").read_bytes() == (tmp_path / "data.json").read_bytes()
 
     def test_infinite_cell_is_a_gap(self, workdir, tmp_path):
         data = with_values(workdir / "data.csv", tmp_path / "inf.csv",
@@ -430,6 +459,41 @@ class TestRun:
                      "lasso", "--strategy", "baseline",
                      "--out", str(tmp_path / "x.json")])
         assert code == 4
+
+    @pytest.mark.parametrize("strategy", [pipeline.BASELINE, pipeline.DRIFT_RETRAIN])
+    @pytest.mark.parametrize("model", pipeline.FAMILIES)
+    def test_defaults_are_the_library_defaults(self, model, strategy):
+        args = build_parser().parse_args(["run", "--data", "d.csv", "--model", model,
+                                          "--strategy", strategy])
+        assert _strategy_config(args) == pipeline.StrategyConfig(
+            strategy=strategy, model=model, dataset_id="d.csv")
+
+
+def test_timestamp_column_names_the_time_header(workdir, tmp_path):
+    """Under ``--timestamp-column time`` a series whose time header is
+    ``time`` gives every artifact of the same series headed ``timestamp``."""
+    lines = (workdir / "data.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "timestamp,interest_rate"
+    renamed = tmp_path / "time.csv"
+    renamed.write_text("\n".join(["time,interest_rate", *lines[1:]]) + "\n", encoding="utf-8")
+    assert main(["detect", "--data", str(renamed), "--out", str(tmp_path / "x.json")]) == 2
+    outputs = []
+    for data, flag in [(workdir / "data.csv", []), (renamed, ["--timestamp-column", "time"])]:
+        out = tmp_path / data.stem
+        out.mkdir()
+        for argv in (
+                ["detect", "--data", str(data), "--out", str(out / "seg.json")],
+                ["run", "--data", str(data), "--model", "lasso", "--strategy", "retrain",
+                 "--out", str(out / "r.json")],
+                ["plot", "--kind", "series", "--data", str(data),
+                 "--segmentation", str(out / "seg.json"), "--out", str(out / "series.svg")]):
+            assert main([*argv, *flag]) == 0
+        assert main(["plot", "--kind", "predictions", "--data", str(out / "r_predictions.csv"),
+                     "--out", str(out / "predictions.svg")]) == 0
+        outputs.append([load_json(out / "r.json")["eval"], *(
+            (out / name).read_bytes()
+            for name in ("seg.json", "r_predictions.csv", "series.svg", "predictions.svg"))])
+    assert outputs[0] == outputs[1]
 
 
 class TestTraceContract:
