@@ -81,25 +81,6 @@ class Segmentation:
         raise DriftcastError(f"{source} is not a segmentation")
 
 
-@dataclass
-class PeltState:
-    """Internals of a pruned run, for inspection and pruning-safety audits.
-
-    ``F[t]`` is the optimal objective over the prefix of length t with
-    ``F[0] = -beta`` (so the first segment pays exactly one penalty);
-    ``pruned`` records ``(tau, step)`` pairs meaning candidate ``tau`` was
-    dropped from the admissible set when processing prefix ``step``, by
-    either rule of :func:`pelt_detect`: PELT's test ``min_size`` steps
-    after it fired, or an interval update at the step that emptied the
-    interval. No dropped ``tau`` is the optimal predecessor of any prefix
-    from ``step`` on.
-    """
-
-    F: np.ndarray
-    backpointers: np.ndarray
-    pruned: list[tuple[int, int]]
-
-
 class SegmentCosts:
     """Prefix-sum cost evaluator: O(n k) precompute, O(k) per segment query.
 
@@ -242,6 +223,11 @@ def op_detect(values, cost: str = L2_MEAN, beta: float | None = None,
     identical tie-breaking, no pruning. Its candidates at step t are
     ``0..t-min_size``, so the per-candidate F values and prefix sums are
     plain slices of ``F`` and ``SegmentCosts.prefix``.
+
+    ``with_state=True`` returns ``(seg, F, bp)``: ``F[t]`` is the optimal
+    objective over the first t rows, with ``F[0] = -beta`` so the first
+    segment pays exactly one penalty, and ``bp[t]`` is the start of the
+    last segment of that optimum (-1 where none is admissible).
     """
     n, beta, costs = _setup(values, cost, beta, min_size)
     every = np.arange(n + 1, dtype=np.float64)
@@ -262,7 +248,7 @@ def op_detect(values, cost: str = L2_MEAN, beta: float | None = None,
     cps = _chain_of(bp, n)
     seg = Segmentation(cps, n, float(F[n]), beta, cost)
     if with_state:
-        return seg, bp
+        return seg, F, bp
     return seg
 
 
@@ -395,7 +381,8 @@ def pelt_detect(values, cost: str = L2_MEAN, beta: float | None = None,
     minimum at every later step: no minimizer, and no exact tie that the
     tie rule would weigh, is ever dropped. The survivors are evaluated by
     the same kernel and tie rule as :func:`op_detect`, so F and the
-    backpointers come out bit for bit the same.
+    backpointers bp, which ``with_state=True`` returns as ``(seg, F, bp)``,
+    come out bit for bit the same.
 
     Each live candidate is one column of ``cand``: its position (as a
     float), ``F[tau]``, ``prefix[:, tau]`` and, under interval pruning,
@@ -419,7 +406,6 @@ def pelt_detect(values, cost: str = L2_MEAN, beta: float | None = None,
     remove_at = np.empty(n + 1, dtype=np.int64)
     size = 0
     next_removal = never
-    pruned: list[tuple[int, int]] = []
     if intervals:
         gap = next_update = _INTERVAL_BATCH
 
@@ -450,8 +436,6 @@ def pelt_detect(values, cost: str = L2_MEAN, beta: float | None = None,
 
         if next_removal <= t:
             live = remove_at[:size] > t
-            if with_state:
-                pruned.extend((int(tau), t) for tau in cand[0, :size][~live])
             keep = int(np.count_nonzero(live))
             cand[:, :keep] = cand[:, :size][:, live]
             remove_at[:keep] = remove_at[:size][live]
@@ -477,7 +461,7 @@ def pelt_detect(values, cost: str = L2_MEAN, beta: float | None = None,
     cps = _chain_of(bp, n)
     seg = Segmentation(cps, n, float(F[n]), beta, cost)
     if with_state:
-        return seg, PeltState(F, bp, pruned)
+        return seg, F, bp
     return seg
 
 

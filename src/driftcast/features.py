@@ -10,7 +10,7 @@ leaving a fully observed matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,15 +65,12 @@ class FeatureMatrix:
     y: np.ndarray
     feature_names: tuple[str, ...]
     origin_index: int
-    timestamps: np.ndarray = field(default=None)
+    timestamps: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "X", _readonly(np.asarray(self.X, float)))
         object.__setattr__(self, "y", _readonly(np.asarray(self.y, float)))
-        ts = self.timestamps
-        if ts is None:
-            ts = np.arange(self.y.size, dtype=np.int64)
-        object.__setattr__(self, "timestamps", _readonly(np.asarray(ts, np.int64)))
+        object.__setattr__(self, "timestamps", _readonly(np.asarray(self.timestamps, np.int64)))
         if self.X.shape != (self.y.size, len(self.feature_names)):
             raise DriftcastError("X shape does not match y length / feature names")
 

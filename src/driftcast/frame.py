@@ -232,8 +232,9 @@ def load_csv(path, timestamp_column: str = TIMESTAMP_COLUMN) -> TimeSeriesFrame:
     Raises
     ------
     DriftcastError
-        Not UTF-8, no header or data rows, no timestamp column, a row too
-        short to hold a timestamp, or an unparseable or duplicate timestamp.
+        Not UTF-8, no header or data rows, no timestamp column, a column
+        named twice, a row too short to hold a timestamp, or an unparseable
+        or duplicate timestamp.
     """
     rows = serialize.read_csv(path)
     try:

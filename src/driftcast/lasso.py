@@ -28,10 +28,6 @@ from .serialize import write_csv
 
 DEFAULT_ALPHA_GRID = (0.001, 0.01, 0.1, 1.0)
 
-# Converged fits advertise KKT residuals within this bound; the solver's
-# own stopping test is a rounding bound far below it.
-KKT_TOL = 1e-6
-
 # A column whose |cosine| with an earlier eligible one reaches this is a
 # copy up to rounding (degree-2 features hold sin^2 and -cos^2 pairs).
 _DUPLICATE = 1.0 - 1e-12
@@ -106,20 +102,6 @@ class LassoModel:
             "x_std": self.scaler.stds.tolist(),
             "converged": self.converged,
         }
-
-
-def kkt_violation(Xs: np.ndarray, yc: np.ndarray, beta: np.ndarray, alpha: float) -> float:
-    """Largest stationarity residual: 0 at an exact optimum.
-
-    For inactive coordinates the correlation |X_j' r / n| may not exceed
-    alpha; on the active set it must equal alpha (sign matching beta_j).
-    """
-    n = yc.size
-    corr = Xs.T @ (yc - Xs @ beta) / n
-    active = beta != 0.0
-    viol = np.maximum(np.abs(corr) - alpha, 0.0)
-    viol[active] = np.abs(corr[active] - alpha * np.sign(beta[active]))
-    return float(viol.max()) if viol.size else 0.0
 
 
 @dataclass

@@ -114,10 +114,6 @@ class TrainReport:
                   zip(range(1, len(self.train_loss) + 1), self.train_loss, self.val_loss))
 
 
-def relu(z: np.ndarray, out=None) -> np.ndarray:
-    return np.maximum(z, 0.0, out=out)
-
-
 def _inputs(model: MlpModel, X) -> np.ndarray:
     X = np.asarray(X, float)
     if X.ndim != 2 or X.shape[1] != model.n_inputs:
@@ -169,7 +165,7 @@ class _Pass:
             h = self.acts[i][:n]
             np.matmul(a, weights[i], out=h)
             h += biases[i]
-            relu(h, out=h)
+            np.maximum(h, 0.0, out=h)  # ReLU
             if self.gates is not None:
                 gate = np.greater(h, 0.0, out=self.gates[i][:n])
                 if masks is not None:

@@ -57,10 +57,19 @@ def write_csv(path, header, rows) -> None:
 
 
 def read_csv(path):
-    """Yield a UTF-8 CSV file's rows, header first; other bytes raise DriftcastError."""
+    """Yield a UTF-8 CSV file's rows, header first. Other bytes, and a header
+    that names a column twice (blank cells aside), raise DriftcastError."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            yield from csv.reader(fh)
+            rows = csv.reader(fh)
+            for header in rows:  # the first row only
+                names = [h.strip() for h in header if h.strip()]
+                for name in names:
+                    if names.count(name) > 1:
+                        raise DriftcastError(f"{path}: column {name!r} appears twice in the header")
+                yield header
+                break
+            yield from rows
     except UnicodeDecodeError:
         raise DriftcastError(f"{path} is not a UTF-8 text file") from None
 

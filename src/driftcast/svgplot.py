@@ -15,6 +15,8 @@ import numpy as np
 MAX_POINTS = 2500
 PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
 MARKER_COLOR = "#d62728"
+# figure width, line plot height and bar panel height, in pixels
+WIDTH, LINE_HEIGHT, PANEL_HEIGHT = 960, 400, 240
 
 _EPOCH = datetime(1970, 1, 1)
 
@@ -50,8 +52,6 @@ def _escape(text: str) -> str:
 
 class _Canvas:
     def __init__(self, width: int, height: int):
-        self.width = width
-        self.height = height
         self.parts = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
             f'height="{height}" viewBox="0 0 {width} {height}">',
@@ -65,17 +65,17 @@ class _Canvas:
             f'font-family="sans-serif" text-anchor="{anchor}" '
             f'fill="{color}"{transform}>{_escape(s)}</text>')
 
-    def line(self, x1, y1, x2, y2, color="#999", width=1.0, dash=None):
+    def line(self, x1, y1, x2, y2, color="#999", dash=None):
         d = f' stroke-dasharray="{dash}"' if dash else ""
         self.parts.append(
             f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" '
-            f'stroke="{color}" stroke-width="{width}"{d}/>')
+            f'stroke="{color}" stroke-width="1.0"{d}/>')
 
-    def polyline(self, pts, color, width=1.2):
+    def polyline(self, pts, color):
         coords = " ".join(f"{x:.1f},{y:.1f}" for x, y in pts)
         self.parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" '
-            f'stroke-width="{width}"/>')
+            f'stroke-width="1.2"/>')
 
     def rect(self, x, y, w, h, color):
         self.parts.append(
@@ -97,7 +97,7 @@ def _downsample(xs: np.ndarray, ys: np.ndarray):
 
 
 def line_plot(series, title="", xlabel="", ylabel="", vlines=(),
-              x_is_time=False, width=960, height=400) -> str:
+              x_is_time=False) -> str:
     """One panel of overlaid lines with optional vertical event markers.
 
     ``series`` is a list of (label, xs, ys); ``vlines`` a list of x
@@ -105,9 +105,9 @@ def line_plot(series, title="", xlabel="", ylabel="", vlines=(),
     true drift instants, ...).
     """
     margin_l, margin_r, margin_t, margin_b = 70, 20, 34, 50
-    c = _Canvas(width, height)
-    plot_w = width - margin_l - margin_r
-    plot_h = height - margin_t - margin_b
+    c = _Canvas(WIDTH, LINE_HEIGHT)
+    plot_w = WIDTH - margin_l - margin_r
+    plot_h = LINE_HEIGHT - margin_t - margin_b
 
     cleaned = []
     for label, xs, ys in series:
@@ -130,17 +130,17 @@ def line_plot(series, title="", xlabel="", ylabel="", vlines=(),
         return margin_t + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     for tick in _ticks(y_lo, y_hi):
-        c.line(margin_l, sy(tick), width - margin_r, sy(tick), color="#eee")
+        c.line(margin_l, sy(tick), WIDTH - margin_r, sy(tick), color="#eee")
         c.text(margin_l - 6, sy(tick) + 4, _fmt_num(tick), size=10, anchor="end")
     for tick in _ticks(x_lo, x_hi):
         label = _fmt_time(tick) if x_is_time else _fmt_num(tick)
-        c.text(sx(tick), height - margin_b + 16, label, size=10, anchor="middle")
-    c.line(margin_l, margin_t, margin_l, height - margin_b)
-    c.line(margin_l, height - margin_b, width - margin_r, height - margin_b)
+        c.text(sx(tick), LINE_HEIGHT - margin_b + 16, label, size=10, anchor="middle")
+    c.line(margin_l, margin_t, margin_l, LINE_HEIGHT - margin_b)
+    c.line(margin_l, LINE_HEIGHT - margin_b, WIDTH - margin_r, LINE_HEIGHT - margin_b)
 
     for x in vlines:
-        c.line(sx(float(x)), margin_t, sx(float(x)), height - margin_b,
-               color=MARKER_COLOR, width=1.0, dash="4,3")
+        c.line(sx(float(x)), margin_t, sx(float(x)), LINE_HEIGHT - margin_b,
+               color=MARKER_COLOR, dash="4,3")
 
     for i, (label, xs, ys) in enumerate(cleaned):
         color = PALETTE[i % len(PALETTE)]
@@ -150,28 +150,28 @@ def line_plot(series, title="", xlabel="", ylabel="", vlines=(),
         c.text(margin_l + 10 + 150 * i, margin_t - 8, label, size=11, color=color)
 
     if title:
-        c.text(width / 2, 16, title, size=13, anchor="middle")
+        c.text(WIDTH / 2, 16, title, size=13, anchor="middle")
     if xlabel:
-        c.text(width / 2, height - 10, xlabel, size=11, anchor="middle")
+        c.text(WIDTH / 2, LINE_HEIGHT - 10, xlabel, size=11, anchor="middle")
     if ylabel:
-        c.text(16, height / 2, ylabel, size=11, anchor="middle", rotate=-90)
+        c.text(16, LINE_HEIGHT / 2, ylabel, size=11, anchor="middle", rotate=-90)
     return c.render()
 
 
-def grouped_bars(panels, title="", width=960, panel_height=240) -> str:
+def grouped_bars(panels, title="") -> str:
     """Vertically stacked bar panels, one per metric (MAE / RMSE / R^2).
 
     ``panels`` is a list of (metric_name, [(bar_label, value), ...]).
     Negative values (possible for R^2) hang below the zero line.
     """
     margin_l, margin_r, margin_t, margin_b = 70, 20, 40, 60
-    height = margin_t + panel_height * len(panels) + margin_b
-    c = _Canvas(width, height)
-    plot_w = width - margin_l - margin_r
+    height = margin_t + PANEL_HEIGHT * len(panels) + margin_b
+    c = _Canvas(WIDTH, height)
+    plot_w = WIDTH - margin_l - margin_r
 
     for p, (metric, bars) in enumerate(panels):
-        top = margin_t + p * panel_height
-        inner_h = panel_height - 58
+        top = margin_t + p * PANEL_HEIGHT
+        inner_h = PANEL_HEIGHT - 58
         values = [v for _, v in bars]
         v_lo = min(0.0, min(values, default=0.0))
         v_hi = max(0.0, max(values, default=1.0))
@@ -184,9 +184,9 @@ def grouped_bars(panels, title="", width=960, panel_height=240) -> str:
 
         c.text(margin_l, top - 6, metric, size=12, color="#111")
         for tick in _ticks(v_lo, v_hi, 4):
-            c.line(margin_l, sy(tick), width - margin_r, sy(tick), color="#eee")
+            c.line(margin_l, sy(tick), WIDTH - margin_r, sy(tick), color="#eee")
             c.text(margin_l - 6, sy(tick) + 4, _fmt_num(tick), size=10, anchor="end")
-        c.line(margin_l, sy(0.0), width - margin_r, sy(0.0), color="#999")
+        c.line(margin_l, sy(0.0), WIDTH - margin_r, sy(0.0), color="#999")
 
         n = max(len(bars), 1)
         slot = plot_w / n
@@ -200,5 +200,5 @@ def grouped_bars(panels, title="", width=960, panel_height=240) -> str:
             c.text(x + bar_w / 2, top + inner_h + 14, label, size=9, anchor="middle")
 
     if title:
-        c.text(width / 2, 18, title, size=13, anchor="middle")
+        c.text(WIDTH / 2, 18, title, size=13, anchor="middle")
     return c.render()

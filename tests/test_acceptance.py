@@ -19,9 +19,10 @@ from driftcast import metrics, pipeline, synth
 from driftcast.cli import main as cli_main
 from driftcast.features import FeatureSpec, build_features
 from driftcast.frame import TimeSeriesFrame
-from driftcast.lasso import kkt_violation, lasso_fit
+from driftcast.lasso import lasso_fit
 from driftcast.mlp import MlpConfig, MlpModel, mlp_forward, mlp_gradients
 from driftcast.frame import Scaler
+from kkt import kkt_violation
 from test_lasso import numpy_threshold
 
 TARGET = synth.TARGET_COLUMN

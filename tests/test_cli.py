@@ -67,15 +67,17 @@ def src_env():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-def cli_process(argv, cwd, max_bytes=None):
+def cli_process(argv, cwd, max_bytes=None, **env):
     """Run the CLI in a fresh interpreter, so numpy's and driftcast's
     warnings reach stderr as they would for a user instead of pytest's
     warning capture. ``max_bytes`` caps the child's address space, so a
-    command that tries a huge allocation fails at once instead of paging."""
+    command that tries a huge allocation fails at once instead of paging;
+    ``env`` sets variables in the child's environment."""
     cap = None if max_bytes is None else (
         lambda: resource.setrlimit(resource.RLIMIT_AS, (max_bytes, max_bytes)))
     return subprocess.run([sys.executable, "-m", "driftcast.cli", *argv], preexec_fn=cap,
-                          cwd=cwd, env=src_env(), capture_output=True, text=True, timeout=120)
+                          cwd=cwd, env=dict(src_env(), **env), capture_output=True,
+                          text=True, timeout=120)
 
 
 def assert_usage_error(argv, cwd, max_bytes=None):
@@ -368,17 +370,30 @@ class TestRun:
         ),
     }
 
-    @pytest.mark.parametrize("model,strategy", sorted(ARTIFACT_SHA))
-    def test_artifact_bytes_pinned(self, workdir, tmp_path, model, strategy):
+    @staticmethod
+    def pinned_run(workdir, tmp_path, model, strategy):
+        """The argv of an ``ARTIFACT_SHA`` run, and its artifacts' paths."""
         side = {"mlp": "r_loss.csv", "lasso": "r_cv.csv"}[model]
         args = ["run", "--data", str(workdir / "data.csv"), "--model", model,
                 "--strategy", strategy, "--seed", "0", "--max-epochs", "3",
                 "--out", str(tmp_path / "r.json"),
                 "--model-out", str(tmp_path / "model.json")]
+        return args, [tmp_path / name for name in ("r.json", "r_predictions.csv", side,
+                                                   "model.json")]
+
+    @pytest.mark.parametrize("model,strategy", sorted(ARTIFACT_SHA))
+    def test_artifact_bytes_pinned(self, workdir, tmp_path, model, strategy):
+        args, paths = self.pinned_run(workdir, tmp_path, model, strategy)
         assert main(args) == 0
-        digests = tuple(sha(tmp_path / name) for name in
-                        ("r.json", "r_predictions.csv", side, "model.json"))
-        assert digests == self.ARTIFACT_SHA[model, strategy]
+        assert tuple(sha(path) for path in paths) == self.ARTIFACT_SHA[model, strategy]
+
+    def test_artifact_bytes_do_not_depend_on_the_environment(self, workdir, tmp_path):
+        # two BLAS threads and another hash seed, set before numpy loads
+        for model in ("lasso", "mlp"):
+            args, paths = self.pinned_run(workdir, tmp_path, model, "retrain")
+            proc = cli_process(args, tmp_path, OPENBLAS_NUM_THREADS="2", PYTHONHASHSEED="3")
+            assert proc.returncode == 0, proc.stderr
+            assert tuple(sha(path) for path in paths) == self.ARTIFACT_SHA[model, "retrain"]
 
     def test_seed_defaults_to_0_whatever_the_environment(self, workdir, tmp_path,
                                                           monkeypatch):
@@ -869,6 +884,24 @@ def test_plot_of_a_table_without_rows_exits_2(tmp_path, capsys, kind, header):
     assert main(["plot", "--kind", kind, "--data", str(data),
                  "--out", str(tmp_path / "x.svg")]) == 2
     assert capsys.readouterr().err == f"error: {data}: no data rows\n"
+
+
+@pytest.mark.parametrize("argv,header,name", [
+    (["detect", "--target", "v"], "timestamp,v,v", "v"),
+    (["detect", "--target", "v"], "timestamp, v ,v", "v"),
+    (["detect", "--target", "v"], "timestamp,v,timestamp", "timestamp"),
+    (["plot", "--kind", "loss"], "epoch,train_loss,val_loss,val_loss", "val_loss")],
+    ids=["value", "value_padded", "timestamp", "loss_table"])
+def test_column_named_twice_exits_2(tmp_path, capsys, argv, header, name):
+    # reading the first of the two columns would drop the other without a word
+    data = tmp_path / "twice.csv"
+    width = header.count(",")
+    data.write_text(header + "\n" + "".join(
+        ",".join([str(i * 3600), *(str(i % 7 + k) for k in range(width))]) + "\n"
+        for i in range(1, 300)), encoding="utf-8")
+    assert main([*argv, "--data", str(data), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {data}: column {name!r} appears twice in the header\n")
 
 
 def test_plot_leaves_out_points_with_a_non_finite_x(tmp_path):

@@ -14,14 +14,13 @@ from driftcast.features import FeatureMatrix, FeatureSpec, build_features
 from driftcast.frame import Scaler, SplitSpec
 from driftcast.lasso import (
     DEFAULT_ALPHA_GRID,
-    KKT_TOL,
     LassoConfig,
-    kkt_violation,
     lasso_cv,
     lasso_fit,
     timeseries_folds,
 )
 from driftcast.synth import TARGET_COLUMN, SynthConfig, generate
+from kkt import KKT_TOL, kkt_violation
 
 GRID = (0.001, 0.01, 0.1, 1.0)
 
@@ -34,7 +33,9 @@ def orthonormal_design(rng, n, d):
 
 
 def feature_matrix(X, y):
-    return FeatureMatrix(X, y, tuple(f"f{i}" for i in range(X.shape[1])), 0)
+    """Rows stamped 0, 1, 2, ... seconds: the fits read no timestamp."""
+    return FeatureMatrix(X, y, tuple(f"f{i}" for i in range(X.shape[1])), 0,
+                         np.arange(len(y)))
 
 
 def numpy_threshold(z, t):
