@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DidNotConverge, DriftcastError, NumericError
 from .features import FeatureMatrix
-from .frame import STD_FLOOR, Scaler
+from .frame import BLOCK_ROWS, STD_FLOOR, Scaler
 from .serialize import write_csv
 
 DEFAULT_ALPHA_GRID = (0.001, 0.01, 0.1, 1.0)
@@ -33,10 +33,6 @@ DEFAULT_ALPHA_GRID = (0.001, 0.01, 0.1, 1.0)
 _DUPLICATE = 1.0 - 1e-12
 # Per column and per Gram term, the rounding a residual correlation carries.
 _ROUNDING = 4.0 * np.finfo(float).eps
-# The Gram terms are summed over blocks of this many standardized rows, so
-# no fit holds a standardized copy of its whole design. Whole copies, one
-# per expanding CV fold, left glibc's heap 11 MB larger on a degree-2 CV.
-_GRAM_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -147,8 +143,8 @@ def _standardize(X: np.ndarray, y: np.ndarray) -> _Standardized:
         raise NumericError("the starting objective overflows: the target is too large")
     n, d = X.shape
     G, xty = np.zeros((d, d)), np.zeros(d)
-    for first in range(0, n, _GRAM_BLOCK_ROWS):
-        rows = slice(first, first + _GRAM_BLOCK_ROWS)
+    for first in range(0, n, BLOCK_ROWS):
+        rows = slice(first, first + BLOCK_ROWS)
         Xs = scaler.transform(X[rows])
         G += Xs.T @ Xs
         xty += Xs.T @ yc[rows]

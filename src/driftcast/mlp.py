@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DriftcastError, NumericError
 from .features import FeatureMatrix
-from .frame import Scaler
+from .frame import BLOCK_ROWS, Scaler
 from .serialize import write_csv
 
 # "does not improve" for early stopping means: fails to beat the running
@@ -273,12 +273,12 @@ def mlp_train(config: MlpConfig, features: FeatureMatrix) -> tuple[MlpModel, Tra
     n_val = max(1, int(math.floor(rows * config.val_fraction)))
     n_train = rows - n_val
 
-    input_scaler = Scaler.fit(features.X[:n_train])
+    X_tr = features.X[:n_train]
+    input_scaler = Scaler.fit(X_tr)
     target_scaler = Scaler.fit(features.y[:n_train])
-    Xs = input_scaler.transform(features.X)
     ys = target_scaler.transform(features.y)
-    X_tr, y_tr = Xs[:n_train], ys[:n_train]
-    X_va, y_va = Xs[n_train:], ys[n_train:]
+    y_tr = ys[:n_train]
+    X_va, y_va = input_scaler.transform(features.X[n_train:]), ys[n_train:]
 
     rng = np.random.default_rng(config.seed)
     d = features.X.shape[1]
@@ -323,8 +323,11 @@ def mlp_train(config: MlpConfig, features: FeatureMatrix) -> tuple[MlpModel, Tra
                 idx = order[start:start + batch]
                 n = idx.size
                 # a permutation never needs clipping; "clip" spares take's
-                # out= buffering of "raise"
+                # out= buffering of "raise". The raw rows are standardized
+                # in the buffer with Scaler.transform's two operations.
                 xb = X_tr.take(idx, axis=0, out=xb_buf[:n], mode="clip")
+                xb -= input_scaler.means
+                xb /= input_scaler.stds
                 yb = y_tr.take(idx, out=yb_buf[:n], mode="clip")
                 masks = None
                 if dropout:
@@ -387,8 +390,17 @@ def mlp_predict(model: MlpModel, X: np.ndarray) -> np.ndarray:
     """Eval-mode predictions for raw features, in original target units.
 
     ``X`` is standardized with the model's own input scaler first, as
-    :meth:`LassoModel.predict` does with its own.
+    :meth:`LassoModel.predict` does with its own, and runs forward
+    :data:`BLOCK_ROWS` rows at a time through one set of buffers; the bits
+    are those of one forward pass over all of ``X``.
     """
-    X = model.input_scaler.transform(_inputs(model, X))
-    out = mlp_forward(model, X)
+    X = _inputs(model, X)
+    # one row would go through a matrix-vector product, which rounds
+    # otherwise, so a last row left over joins the block before it; each
+    # block's output is copied out of the buffers the next block reuses
+    blocks = np.split(X, range(BLOCK_ROWS, X.shape[0] - 1, BLOCK_ROWS))
+    passes = _Pass(model.weights, max(len(block) for block in blocks), train=False)
+    out = np.concatenate([
+        passes.forward(model.weights, model.biases, model.input_scaler.transform(block),
+                       None, model.dropout_rate).copy() for block in blocks])
     return model.target_scaler.inverse(out)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from driftcast.errors import DriftcastError, NumericError
 from driftcast.features import FeatureMatrix, FeatureSpec, build_features
 from driftcast.frame import (
+    BLOCK_ROWS,
     HOUR,
     _parse_value,
     STD_FLOOR,
@@ -241,6 +242,19 @@ class TestScaler:
         assert target.means.shape == (1,)
         assert target.means[0] == float(y.mean()) and target.stds[0] == float(y.std())
         assert target.transform(y).tobytes() == ((y - float(y.mean())) / float(y.std())).tobytes()
+
+    @pytest.mark.parametrize("k", range(1, 41))
+    def test_row_blocks_match_axis0_reductions(self, k):
+        # row counts on both sides of a block boundary, a last block of one
+        # row among them, in C order and in the layouts that skip blocks
+        rng = np.random.default_rng(k)
+        for n in (1, 2, 97, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 57):
+            X = rng.normal(rng.uniform(-50, 50, k), rng.uniform(0.01, 20, k), (2 * n, k))
+            for values in (X[:n], np.asfortranarray(X[:n]), X[::2]):
+                scaler = Scaler.fit(values)
+                assert scaler.means.tobytes() == values.mean(axis=0).tobytes()
+                floored = np.maximum(values.std(axis=0), STD_FLOOR)  # one row has none
+                assert scaler.stds.tobytes() == floored.tobytes()
 
     def test_never_references_test_rows(self):
         rng = np.random.default_rng(5)

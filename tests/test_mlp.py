@@ -5,7 +5,7 @@ import pytest
 
 from driftcast.errors import DriftcastError, NumericError
 from driftcast.features import FeatureMatrix, FeatureSpec, build_features
-from driftcast.frame import Scaler, SplitSpec
+from driftcast.frame import BLOCK_ROWS, Scaler, SplitSpec
 from driftcast.mlp import (
     MlpConfig,
     MlpModel,
@@ -265,6 +265,19 @@ class TestPredict:
         X = rng.normal(3, 2, (7, 2))
         expect = mlp_forward(model, (X - [5.0, -1.0]) / [2.0, 0.5])
         np.testing.assert_array_equal(mlp_predict(model, X), expect)
+
+    @pytest.mark.parametrize("rows", [BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 1,
+                                      3 * BLOCK_ROWS + 57])
+    def test_blocks_match_one_forward_pass(self, rows):
+        # the last block may hold a single row
+        rng = np.random.default_rng(17)
+        model = toy_model(rng, 77, [64, 64])
+        model.input_scaler = Scaler(rng.normal(0, 3, 77), rng.uniform(0.5, 2.0, 77))
+        model.target_scaler = Scaler(np.array([10.0]), np.array([3.0]))
+        X = rng.normal(0, 3, (rows, 77))
+        one_pass = model.target_scaler.inverse(
+            mlp_forward(model, model.input_scaler.transform(X)))
+        assert mlp_predict(model, X).tobytes() == one_pass.tobytes()
 
 
 class TestConfig:
