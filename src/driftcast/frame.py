@@ -272,7 +272,6 @@ def load_csv(path, timestamp_column: str = TIMESTAMP_COLUMN) -> TimeSeriesFrame:
         header = next(rows)
     except StopIteration:
         raise DriftcastError(f"{path}: no header row") from None
-    header = [h.strip() for h in header]
     if timestamp_column not in header:
         raise DriftcastError(f"{path}: no {timestamp_column!r} column in header {header}")
     ts_idx = header.index(timestamp_column)

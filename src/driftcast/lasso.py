@@ -63,8 +63,9 @@ class LassoModel:
 
     Predictions: ``scaler.transform(X) @ coefficients + intercept`` where
     the intercept is the training-target mean (columns are centered, so no
-    other term survives). ``n_sweeps`` counts the fit's active-set solves;
-    the benchmark's trace reads it under that name.
+    other term survives); each row is summed in an order that does not
+    depend on the BLAS thread count. ``n_sweeps`` counts the fit's
+    active-set solves; the benchmark's trace reads it under that name.
     """
 
     coefficients: np.ndarray
@@ -81,7 +82,10 @@ class LassoModel:
         if X.ndim != 2 or X.shape[1] != self.coefficients.size:
             raise DriftcastError(
                 f"X must be (n, {self.coefficients.size}), got {X.shape}")
-        return self.scaler.transform(X) @ self.coefficients + self.intercept
+        # einsum sums each row in one fixed order. A BLAS product splits the
+        # rows between threads, and rows past a split may round differently.
+        Xs = self.scaler.transform(X)
+        return np.einsum("ij,j->i", Xs, self.coefficients) + self.intercept
 
     def cv_to_csv(self, path) -> None:
         """Validation MSE per alpha and fold, one row each."""

@@ -57,13 +57,15 @@ def write_csv(path, header, rows) -> None:
 
 
 def read_csv(path):
-    """Yield a UTF-8 CSV file's rows, header first. Other bytes, and a header
-    that names a column twice (blank cells aside), raise DriftcastError."""
+    """Yield a UTF-8 CSV file's rows, header first with each name stripped of
+    surrounding whitespace. Other bytes, and a header that names a column
+    twice (blank cells aside), raise DriftcastError."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = csv.reader(fh)
             for header in rows:  # the first row only
-                names = [h.strip() for h in header if h.strip()]
+                header = [h.strip() for h in header]
+                names = [h for h in header if h]
                 for name in names:
                     if names.count(name) > 1:
                         raise DriftcastError(f"{path}: column {name!r} appears twice in the header")

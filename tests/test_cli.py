@@ -341,8 +341,10 @@ class TestRun:
     # sha256 of the report, ``_predictions.csv``, the family's side CSV and
     # the ``--model-out`` dump at ``--max-epochs 3``, seed 0, on the workdir
     # data. Recorded with numpy 2.4.6 on x86-64, and again, with the same
-    # values, when floats took their shortest round-trip text; a moved or
-    # rewritten artifact writer that changes a byte shows up here.
+    # values, when floats took their shortest round-trip text; the lasso's
+    # again when its predictions summed each row in an order that ignores
+    # the BLAS thread count. A moved or rewritten artifact writer that
+    # changes a byte shows up here.
     ARTIFACT_SHA = {
         ("mlp", "baseline"): (
             "8de929637906c20e846adf4c6a5aecc9d303ab69c6374e14ed1fc1917f43f171",
@@ -357,15 +359,15 @@ class TestRun:
             "0179ad3e3c899b4738dd2597a7108227e5b827e2a0151f40307a8797afcf417f",
         ),
         ("lasso", "baseline"): (
-            "b23ac9dd3ada3fa005fcccb940152e440989a34155989cb5365f2ff438f51ff9",
-            "129b37a38f5abaf5fc32d8c0d1468c17302e7eca62dd86b666e4d9c0149e38d2",
-            "dac73d0be39c56d34e455fc97990518f38f6bc3bd19b8aa167190c5c65923ac6",
+            "9e0232b155d2c7c343844a746dd4afcbc6bd1cadc5cecbff46bd2d32c07823bd",
+            "48933fcfa5038547c5c6e62fdb21b0f806a61ec38e449262008c87670dbd8e5d",
+            "66ffe8cb368179f5cc1cd875be03d4dda107b852a9706a146dbd394515ca1e3c",
             "586c9ba8eb5fa9f06eb6aa8a675d65ea085dac3760c7fab087a77ef54f360f3d",
         ),
         ("lasso", "retrain"): (
             "64568fd9ca3d0cab14a05ce4e51a09a36e66b706745c24a9b6777cb4989055fc",
             "7785e676f0681d358e3f385fcbf835f2588f24e6098102f7296327d21c023deb",
-            "0091c78787b3b88dcf237bee6bbfd51cb80ad7481a08b6a2f09f6e969e5012e9",
+            "7bfe3a5f46082b3137205c3273d6eae5a8c51ad480adb7cd17c994c1677032d4",
             "bced303557ee29ad594620f5abd500b63b15cca729858a13a2c48200ffb65d1c",
         ),
     }
@@ -394,6 +396,35 @@ class TestRun:
             proc = cli_process(args, tmp_path, OPENBLAS_NUM_THREADS="2", PYTHONHASHSEED="3")
             assert proc.returncode == 0, proc.stderr
             assert tuple(sha(path) for path in paths) == self.ARTIFACT_SHA[model, "retrain"]
+
+    # a full-length synth series on which a lasso prediction from a BLAS
+    # matrix-vector product moved in its last digit between 1 and 2 threads
+    ENVIRONMENT_SERIES_SEED = "577090037"
+
+    def test_degree_two_artifacts_do_not_depend_on_the_environment(self, tmp_path):
+        """A degree-2 run of each family writes the same bytes under 1 and
+        2 BLAS threads and under two hash seeds. Each environment after the
+        first changes one variable, so a failure names it."""
+        data = tmp_path / "series.csv"
+        assert main(["synth", "--seed", self.ENVIRONMENT_SERIES_SEED,
+                     "--out", str(data)]) == 0
+        environments = [{"OPENBLAS_NUM_THREADS": "1", "PYTHONHASHSEED": "1"},
+                        {"OPENBLAS_NUM_THREADS": "2", "PYTHONHASHSEED": "1"},
+                        {"OPENBLAS_NUM_THREADS": "1", "PYTHONHASHSEED": "2"}]
+        for model, extra in (("lasso", []), ("mlp", ["--max-epochs", "5"])):
+            digests = []
+            for env in environments:
+                out = tmp_path / f"{model}_{len(digests)}"
+                out.mkdir()
+                argv = ["run", "--data", str(data), "--model", model, "--strategy",
+                        "baseline", "--poly-degree", "2", *extra, "--out", "r.json",
+                        "--model-out", "model.json"]
+                proc = cli_process(argv, out, **env)
+                assert proc.returncode == 0, proc.stderr
+                digests.append({path.name: sha(path) for path in sorted(out.iterdir())})
+            assert len(digests[0]) == 4
+            for env, got in zip(environments[1:], digests[1:]):
+                assert got == digests[0], (model, env)
 
     def test_seed_defaults_to_0_whatever_the_environment(self, workdir, tmp_path,
                                                           monkeypatch):
@@ -678,11 +709,13 @@ class TestReportFormat:
 # segmentation of it and of ``compare`` over the four reports. Recorded
 # with numpy 2.4.6 on x86-64, and again, with the same values, when floats
 # took their shortest round-trip text; these writers' bytes must not move.
+# ``comparison.csv`` was recorded again when lasso predictions summed each
+# row in an order that ignores the BLAS thread count.
 WORKDIR_SHA = {
     "data.csv": "b9181d9e117ad6f36ed351db8d29bf7039dc83d490dbf65a803e45091b964463",
     "data.csv.meta.json": "ec1e8d2f0128b68148e253ea308d46064ef6baff812a92f203fb1b45bd34e8ad",
     "seg.json": "9b7f9465d75bbc3e360496090d4b4b60853a2512f83f95033c13d071bb7ebb8d",
-    "comparison.csv": "aaf26b18dc4483e45625f8af909959188bfabe7c4d178b0f4d6b58b217cda832",
+    "comparison.csv": "1501c26b6df30136087ebed2a5c4fda3929ea8f5da711715e5c2ff85df126122",
 }
 
 
@@ -762,6 +795,30 @@ class TestPlot:
         assert main(["compare", "--reports", str(rep), "--out", str(cmp_csv)]) == 0
         assert main(["plot", "--kind", "comparison", "--data", str(cmp_csv),
                      "--out", str(tmp_path / "c.svg")]) == 0
+
+    @pytest.mark.parametrize("kind,artifact", [("loss", "mlp_baseline_loss.csv"),
+                                               ("cv", "lasso_baseline_cv.csv"),
+                                               ("comparison", None)])
+    def test_padded_header_draws_the_same_figure(self, four_reports, tmp_path, kind,
+                                                 artifact):
+        """Header names are stripped, as ``load_csv`` strips them: a header
+        such as ``epoch, train_loss,val_loss`` names the same columns."""
+        data = tmp_path / "data.csv"
+        if artifact is None:
+            assert main(["compare", "--reports", str(four_reports / "*.json"),
+                         "--out", str(data)]) == 0
+        else:
+            data.write_bytes((four_reports / artifact).read_bytes())
+        header, rest = data.read_text(encoding="utf-8").split("\n", 1)
+        names = header.rstrip("\r").split(",")
+        padded = tmp_path / "padded.csv"
+        padded.write_text(",".join(f" {name}" if i % 2 else f"{name}\t "
+                                   for i, name in enumerate(names)) + "\n" + rest,
+                          encoding="utf-8")
+        for path in (data, padded):
+            assert main(["plot", "--kind", kind, "--data", str(path),
+                         "--out", str(tmp_path / f"{path.stem}.svg")]) == 0
+        assert (tmp_path / "padded.svg").read_bytes() == (tmp_path / "data.svg").read_bytes()
 
 
 @pytest.fixture(scope="module")
